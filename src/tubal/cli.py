@@ -1,8 +1,8 @@
 """Command line entry point.
 
-Four commands: complete-matrix, complete-tensor, synth and metrics.  The
-TUBAL_THREADS environment variable caps how many frequency slices are solved
-in parallel (default 1); results do not depend on it.
+Four commands: complete-matrix, complete-tensor, synth and metrics.  Slice
+solves run on the calling thread, batched by slice rank; the TUBAL_THREADS
+environment variable is no longer read.
 """
 
 import argparse

@@ -3,12 +3,10 @@
 A factor pair approximates each stored frequency slice of a data tensor as
 left[k] @ right[k] with a slice-dependent rank.  Updates solve one regularized
 least-squares problem per stored slice; mirrored slices are implied by
-conjugate symmetry, so only n3 // 2 + 1 solves happen per sweep.
+conjugate symmetry, so only n3 // 2 + 1 solves happen per sweep.  Slices of
+equal rank are solved together, as one stacked matmul/pinv per rank group.
 """
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,10 +15,9 @@ from .core import MultiRank, SpectralTensor, _irfft_checked
 
 
 class SliceSolveCounter:
-    """Counts per-slice least-squares solves (thread safe)."""
+    """Counts per-slice least-squares solves."""
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._count = 0
 
     @property
@@ -28,42 +25,24 @@ class SliceSolveCounter:
         return self._count
 
     def reset(self):
-        with self._lock:
-            self._count = 0
+        self._count = 0
 
     def add(self, n):
-        with self._lock:
-            self._count += n
+        self._count += n
 
 
 slice_solves = SliceSolveCounter()
 
 
-def _thread_width():
-    try:
-        return max(1, int(os.environ.get("TUBAL_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_slices(fn, n):
-    """Apply fn to slice indices 0..n-1, optionally on a thread pool.
-
-    Results are collected by index, so the output is independent of
-    scheduling order.
-    """
-    width = min(_thread_width(), n) if n else 1
-    if width <= 1:
-        return [fn(k) for k in range(n)]
-    with ThreadPoolExecutor(max_workers=width) as pool:
-        return list(pool.map(fn, range(n)))
-
-
 def pinv(m, rtol=None):
-    """Moore-Penrose inverse with singular values below rtol * sigma_max dropped."""
+    """Moore-Penrose inverse with singular values below rtol * sigma_max dropped.
+
+    m may be a stack of matrices; the default rtol follows the size of one
+    matrix, not of the stack.
+    """
     m = np.asarray(m)
     if rtol is None:
-        rtol = max(m.shape) * np.finfo(float).eps if m.size else 0.0
+        rtol = max(m.shape[-2:]) * np.finfo(float).eps if m.size else 0.0
     return np.linalg.pinv(m, rcond=rtol)
 
 
@@ -169,18 +148,36 @@ def _check_spec(factors, spec):
         raise ValueError(f"data dims {spec.dims} != factor dims {factors.dims}")
 
 
+def _rank_groups(factors):
+    """Stored-slice indices keyed by slice rank, each list in stored order."""
+    groups = {}
+    for k, r in enumerate(factors.ranks.stored()):
+        groups.setdefault(r, []).append(k)
+    return groups
+
+
+def _stack(mats, ks):
+    return np.stack([mats[k] for k in ks])
+
+
+def _h(a):
+    """Conjugate transpose of every matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
 def update_left(factors, spec):
     """Least-squares refresh of every stored left slice against the data spectrum.
 
     Slice k becomes data_k @ right_k^H @ pinv(right_k @ right_k^H).
     """
     _check_spec(factors, spec)
-
-    def solve(k):
-        q = factors.right[k]
-        return spec.slices[:, :, k] @ q.conj().T @ pinv(q @ q.conj().T)
-
-    new_left = _map_slices(solve, factors.n_stored)
+    data = np.moveaxis(spec.slices, 2, 0)
+    new_left = [None] * factors.n_stored
+    for ks in _rank_groups(factors).values():
+        q = _stack(factors.right, ks)
+        qh = _h(q)
+        for k, m in zip(ks, data[ks] @ qh @ pinv(q @ qh)):
+            new_left[k] = m
     slice_solves.add(factors.n_stored)
     return replace(factors, left=new_left)
 
@@ -191,12 +188,12 @@ def update_right(factors, spec):
     Slice k becomes pinv(left_k^H @ left_k) @ left_k^H @ data_k.
     """
     _check_spec(factors, spec)
-
-    def solve(k):
-        p = factors.left[k]
-        return pinv(p.conj().T @ p) @ p.conj().T @ spec.slices[:, :, k]
-
-    new_right = _map_slices(solve, factors.n_stored)
+    data = np.moveaxis(spec.slices, 2, 0)
+    new_right = [None] * factors.n_stored
+    for ks in _rank_groups(factors).values():
+        ph = _h(_stack(factors.left, ks))
+        for k, m in zip(ks, pinv(ph @ _h(ph)) @ ph @ data[ks]):
+            new_right[k] = m
     slice_solves.add(factors.n_stored)
     return replace(factors, right=new_right)
 
@@ -205,8 +202,9 @@ def compose_spectral(factors):
     """Stored-slice products left[k] @ right[k] as an (n_rows, n_cols, half) array."""
     n_rows, n_cols, n3 = factors.dims
     out = np.empty((n_rows, n_cols, factors.n_stored), complex)
-    for k in range(factors.n_stored):
-        out[:, :, k] = factors.left[k] @ factors.right[k]
+    for ks in _rank_groups(factors).values():
+        prods = _stack(factors.left, ks) @ _stack(factors.right, ks)
+        out[:, :, ks] = prods.transpose(1, 2, 0)
     return out
 
 
@@ -226,19 +224,17 @@ def spectral_from_products(factors, products=None):
     return SpectralTensor(dims=factors.dims, slices=products)
 
 
-def _slice_rank_cut(eigvals, tau):
-    """Index to keep before the widest eigen gap, or None when no gap exceeds tau."""
+def _rank_cuts(eigvals, tau):
+    """Per row of descending eigenvalues, the count to keep before the widest
+    eigen gap, or 0 where no gap exceeds tau."""
     lam = np.clip(eigvals, 0.0, None)
-    if lam.size < 2 or lam[0] <= 0:
-        return None
+    top = lam[:, :1]
     # eigvalsh noise on a Gram matrix sits at eps * lam[0]; flooring there keeps
-    # ratios between sub-noise values from outvoting the true gap.
-    lam = np.maximum(lam, np.finfo(float).eps * lam[0])
-    ratios = lam[:-1] / lam[1:]
-    best = int(np.argmax(ratios))
-    if ratios[best] > tau:
-        return best + 1
-    return None
+    # ratios between sub-noise values from outvoting the true gap.  An all-zero
+    # spectrum reads as flat.
+    lam = np.where(top > 0, np.maximum(lam, np.finfo(float).eps * top), 1.0)
+    ratios = lam[:, :-1] / lam[:, 1:]
+    return np.where(ratios.max(axis=1) > tau, np.argmax(ratios, axis=1) + 1, 0)
 
 
 def rank_decrease(factors, cfg=RankDecreaseConfig()):
@@ -255,26 +251,23 @@ def rank_decrease(factors, cfg=RankDecreaseConfig()):
     new_left = list(factors.left)
     new_right = list(factors.right)
     changed = False
-    for k in range(factors.n_stored):
-        r = stored[k]
+    for r, ks in _rank_groups(factors).items():
         if r <= cfg.floor:
             continue
-        gram = new_right[k] @ new_right[k].conj().T
-        lam = np.linalg.eigvalsh(gram)[::-1]
-        cut = _slice_rank_cut(lam, cfg.tau)
-        if cut is None:
-            continue
-        new_r = max(cut, cfg.floor)
-        if new_r >= r:
-            continue
-        # Thin SVD of the slice product through a QR factor keeps the cost at
-        # O(n r^2) instead of forming the full n_rows x n_cols product.
-        qmat, rmat = np.linalg.qr(new_left[k])
-        u, s, vh = np.linalg.svd(rmat @ new_right[k], full_matrices=False)
-        new_left[k] = qmat @ (u[:, :new_r] * s[:new_r])
-        new_right[k] = vh[:new_r, :]
-        stored[k] = new_r
-        changed = True
+        q = _stack(factors.right, ks)
+        lam = np.linalg.eigvalsh(q @ _h(q))[:, ::-1]
+        for k, cut in zip(ks, _rank_cuts(lam, cfg.tau)):
+            new_r = max(cut, cfg.floor)
+            if cut == 0 or new_r >= r:
+                continue
+            # Thin SVD of the slice product through a QR factor keeps the cost at
+            # O(n r^2) instead of forming the full n_rows x n_cols product.
+            qmat, rmat = np.linalg.qr(new_left[k])
+            u, s, vh = np.linalg.svd(rmat @ new_right[k], full_matrices=False)
+            new_left[k] = qmat @ (u[:, :new_r] * s[:new_r])
+            new_right[k] = vh[:new_r, :]
+            stored[k] = new_r
+            changed = True
     if not changed:
         return factors, factors.ranks, False
     ranks = MultiRank.from_stored(stored, factors.dims[2])

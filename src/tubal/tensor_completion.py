@@ -112,10 +112,11 @@ class DoubleFactors:
             )
 
 
-def _blend(dims, base, other, gamma):
+def _blend(base, other, gamma):
+    """gamma-weighted mean of the slice side and the regrouped side, folded back."""
     if gamma == 0.0:
         return base
-    return (base + gamma * fold3_from_reshaped(other, dims)) / (1.0 + gamma)
+    return (base + gamma * other) / (1.0 + gamma)
 
 
 def update_x_blend(dfactors, problem):
@@ -125,7 +126,8 @@ def update_x_blend(dfactors, problem):
     other = None
     if dfactors.gamma != 0.0:
         other = _irfft_checked(compose_spectral(dfactors.f_xt), dfactors.f_xt.dims[2], tol=1e-9)
-    return project(_blend(dims, base, other, dfactors.gamma), problem.mask, problem.observed)
+        other = fold3_from_reshaped(other, dims)
+    return project(_blend(base, other, dfactors.gamma), problem.mask, problem.observed)
 
 
 def update_reshaped_factors(dfactors, x):
@@ -227,7 +229,7 @@ def solve(problem, config):
         base = _irfft_checked(compose_spectral(cur_f_x), n3, tol=1e-9)
         if config.midstep_blend and gamma != 0.0:
             other = _irfft_checked(compose_spectral(cur_f_xt), q, tol=1e-9)
-            filled = _blend(problem.dims, base, other, gamma)
+            filled = _blend(base, fold3_from_reshaped(other, problem.dims), gamma)
         else:
             filled = base
         return project(filled, problem.mask, problem.observed)
@@ -271,8 +273,10 @@ def solve(problem, config):
         prod_x = compose_spectral(f_x)
         prod_xt = compose_spectral(f_xt)
         base = _irfft_checked(prod_x, n3, tol=1e-9)
-        other = _irfft_checked(prod_xt, q, tol=1e-9) if gamma != 0.0 else None
-        x_new = project(_blend(problem.dims, base, other, gamma), problem.mask, problem.observed)
+        other = None  # the regrouped side, folded back to the tensor's shape
+        if gamma != 0.0:
+            other = fold3_from_reshaped(_irfft_checked(prod_xt, q, tol=1e-9), problem.dims)
+        x_new = project(_blend(base, other, gamma), problem.mask, problem.observed)
         spec_new = dft_mode3(x_new)
         spec_t_new = dft_mode3(reshape_mode3(x_new, p, q))
         g = _half_weighted_sq(prod_x - spec_new.slices, n3) / (2.0 * n3)
@@ -303,15 +307,9 @@ def solve(problem, config):
             x_gamma = gamma
             if config.adaptive_gamma:
                 if other is None:
-                    other = _irfft_checked(prod_xt, q, tol=1e-9)
+                    other = fold3_from_reshaped(_irfft_checked(prod_xt, q, tol=1e-9), problem.dims)
                 num = fro_norm(np.where(problem.mask.observed, base - problem.observed, 0.0))
-                den = fro_norm(
-                    np.where(
-                        problem.mask.observed,
-                        fold3_from_reshaped(other, problem.dims) - problem.observed,
-                        0.0,
-                    )
-                )
+                den = fro_norm(np.where(problem.mask.observed, other - problem.observed, 0.0))
                 if den >= GAMMA_GUARD:
                     gamma = num / den
             prev_x, prev_xt = prod_x, prod_xt
@@ -329,7 +327,7 @@ def solve(problem, config):
                     spec, spec_t = spec_new, spec_t_new
                 else:
                     # rebuilt from base and other, so the plain path holds no extra array
-                    target = growth.relaxed(_blend(problem.dims, base, other, x_gamma), x_new)
+                    target = growth.relaxed(_blend(base, other, x_gamma), x_new)
                     spec = dft_mode3(target)
                     spec_t = dft_mode3(reshape_mode3(target, p, q))
                 x = x_new
@@ -418,8 +416,8 @@ def kkt_residuals(dfactors, x, problem):
             * np.linalg.norm(gamma * dfactors.f_xt.left[k].conj().T @ diff_t[:, :, k]) ** 2
         )
     base = _irfft_checked(prod_x, n3, tol=1e-9)
-    other = _irfft_checked(prod_xt, q, tol=1e-9)
-    blend = _blend(problem.dims, base, other, gamma)
+    other = fold3_from_reshaped(_irfft_checked(prod_xt, q, tol=1e-9), problem.dims)
+    blend = _blend(base, other, gamma)
     on = problem.mask.observed
     return KKTResiduals(
         x_left=np.sqrt(r[0]) / scale,

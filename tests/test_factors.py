@@ -224,6 +224,20 @@ def test_pinv_penrose_identities():
         assert np.allclose((g @ m).conj().T, g @ m, atol=1e-8)
 
 
+def test_pinv_stack_cutoff_follows_one_matrix():
+    # 257 * eps would drop a 3e-15 singular value that 2 * eps keeps
+    rng = np.random.default_rng(40)
+    stack = rng.standard_normal((257, 2, 2)) + 1j * rng.standard_normal((257, 2, 2))
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    v, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    stack[7] = u @ np.diag([1.0, 3e-15]) @ v.conj().T
+    got = pinv(stack)
+    want = np.stack([pinv(m) for m in stack])
+    err = np.abs(got - want).max(axis=(1, 2))
+    assert np.all(err <= 1e-12 * np.abs(want).max(axis=(1, 2)))
+    assert np.linalg.svd(got[7], compute_uv=False)[0] > 1e14
+
+
 # ------------------------------------------------------------ rank truncation
 
 
@@ -340,6 +354,106 @@ def test_rank_config_validation():
         RankDecreaseConfig(tau=1.0)
     with pytest.raises(ValueError):
         RankDecreaseConfig(floor=0)
+
+
+# ------------------------------------------------ batched rank-group layer
+
+# Stored-slice Gram spectra of the right factors; [] is a rank-0 slice.  The
+# rank-3 slices at n3 = 6 share one group, of which two cut and one does not.
+GRAM_SPECTRA = {
+    1: [[1.0, 0.5, 1e-9]],
+    2: [[1.0, 1e-9, 1e-10], []],
+    5: [[1.0, 0.9, 0.8], [], [1.0, 1e-8, 1e-9, 1e-10]],
+    6: [[1.0, 0.9, 1e-8], [1.0, 0.9, 0.8], [], [3.0, 1e-9, 2e-10]],
+}
+
+
+def mixed_factors(n3, seed=0):
+    """Mixed-rank factors whose right factors have the GRAM_SPECTRA spectra."""
+    rng = np.random.default_rng(seed)
+    n_rows, n_cols = 7, 6
+    stored = [len(s) for s in GRAM_SPECTRA[n3]]
+    left, right = [], []
+    for eig in GRAM_SPECTRA[n3]:
+        r = len(eig)
+        left.append(rng.standard_normal((n_rows, r)) + 1j * rng.standard_normal((n_rows, r)))
+        z = rng.standard_normal((n_cols, r)) + 1j * rng.standard_normal((n_cols, r))
+        right.append(np.sqrt(np.asarray(eig))[:, None] * np.linalg.qr(z)[0].conj().T)
+    ranks = MultiRank.from_stored(stored, n3)
+    return BlockFactors((n_rows, n_cols, n3), ranks, left, right)
+
+
+def reference_rank_decrease(f, cfg):
+    """The eigen-gap test and truncation applied one slice at a time."""
+    stored, left, right = list(f.ranks.stored()), list(f.left), list(f.right)
+    for k, r in enumerate(stored):
+        if r <= cfg.floor:
+            continue
+        lam = np.clip(np.linalg.eigvalsh(right[k] @ right[k].conj().T)[::-1], 0.0, None)
+        if lam[0] <= 0:
+            continue
+        lam = np.maximum(lam, np.finfo(float).eps * lam[0])
+        ratios = lam[:-1] / lam[1:]
+        best = int(np.argmax(ratios))
+        new_r = max(best + 1, cfg.floor)
+        if ratios[best] <= cfg.tau or new_r >= r:
+            continue
+        qmat, rmat = np.linalg.qr(left[k])
+        u, s, vh = np.linalg.svd(rmat @ right[k], full_matrices=False)
+        left[k], right[k] = qmat @ (u[:, :new_r] * s[:new_r]), vh[:new_r, :]
+        stored[k] = new_r
+    return stored, left, right
+
+
+def assert_slices_close(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape
+        assert np.abs(g - w).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(w).max(initial=0.0))
+
+
+@pytest.mark.parametrize("n3", [1, 2, 5, 6])
+def test_batched_updates_and_compose_match_per_slice_reference(n3):
+    f = mixed_factors(n3, seed=n3)
+    x = dft_mode3(rand((7, 6, n3), 50 + n3))
+    d = [x.slices[:, :, k] for k in range(f.n_stored)]
+    slice_solves.reset()
+    fl = update_left(f, x)
+    assert slice_solves.count == f.n_stored
+    want = [d[k] @ q.conj().T @ np.linalg.pinv(q @ q.conj().T) for k, q in enumerate(f.right)]
+    assert_slices_close(fl.left, want)
+    fr = update_right(fl, x)
+    assert slice_solves.count == 2 * f.n_stored
+    want = [np.linalg.pinv(p.conj().T @ p) @ p.conj().T @ d[k] for k, p in enumerate(fl.left)]
+    assert_slices_close(fr.right, want)
+    prods = compose_spectral(fr)
+    assert prods.shape == (7, 6, f.n_stored)
+    assert_slices_close(
+        [prods[:, :, k] for k in range(f.n_stored)],
+        [p @ q for p, q in zip(fr.left, fr.right)],
+    )
+
+
+@pytest.mark.parametrize("n3", [1, 2, 5, 6])
+@pytest.mark.parametrize("floor", [1, 2])
+def test_batched_rank_decrease_matches_per_slice_reference(n3, floor):
+    f = mixed_factors(n3, seed=n3)
+    cfg = RankDecreaseConfig(floor=floor)
+    out, ranks, changed = rank_decrease(f, cfg)
+    stored, left, right = reference_rank_decrease(f, cfg)
+    assert ranks.stored() == tuple(stored) and out.ranks == ranks
+    assert changed == (tuple(stored) != f.ranks.stored())
+    assert_slices_close(out.left, left)
+    assert_slices_close(out.right, right)
+
+
+def test_batched_rank_decrease_cuts_within_one_rank_group():
+    f = mixed_factors(6)
+    _, ranks, changed = rank_decrease(f, RankDecreaseConfig())
+    assert changed and ranks.stored() == (2, 3, 0, 1)
+    _, ranks, _ = rank_decrease(f, RankDecreaseConfig(floor=2))
+    assert ranks.stored() == (2, 3, 0, 2)
+    _, ranks, changed = rank_decrease(f, RankDecreaseConfig(floor=3))
+    assert not changed and ranks == f.ranks
 
 
 # ---------------------------------------------------------------- concurrency
