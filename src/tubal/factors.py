@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import MultiRank, SpectralTensor, _irfft_checked
+from .core import MultiRank, _irfft_checked
 
 
 class SliceSolveCounter:
@@ -202,9 +202,11 @@ def compose_spectral(factors):
     """Stored-slice products left[k] @ right[k] as an (n_rows, n_cols, half) array."""
     n_rows, n_cols, n3 = factors.dims
     out = np.empty((n_rows, n_cols, factors.n_stored), complex)
+    by_slice = out.transpose(2, 0, 1)
     for ks in _rank_groups(factors).values():
-        prods = _stack(factors.left, ks) @ _stack(factors.right, ks)
-        out[:, :, ks] = prods.transpose(1, 2, 0)
+        # a contiguous run of slices (every slice at uniform rank) is a basic slice
+        run = slice(ks[0], ks[-1] + 1) if ks[-1] - ks[0] + 1 == len(ks) else ks
+        by_slice[run] = _stack(factors.left, ks) @ _stack(factors.right, ks)
     return out
 
 
@@ -215,13 +217,6 @@ def compose(factors):
     tensor (imaginary mass above 1e-9 of total in the self-conjugate slices).
     """
     return _irfft_checked(compose_spectral(factors), factors.dims[2], tol=1e-9)
-
-
-def spectral_from_products(factors, products=None):
-    """Wrap stored slice products into a SpectralTensor."""
-    if products is None:
-        products = compose_spectral(factors)
-    return SpectralTensor(dims=factors.dims, slices=products)
 
 
 def _rank_cuts(eigvals, tau):

@@ -66,6 +66,8 @@ class CompletionProblem:
                 f"data shape {self.observed.shape} != mask shape {self.mask.dims}"
             )
         self.observed = np.where(self.mask.observed, self.observed, 0.0)
+        if not np.isfinite(self.observed).all():
+            raise ValueError("observed entries must be finite (NaN or inf found)")
 
     @property
     def dims(self):
@@ -161,9 +163,6 @@ class SolverTrace:
 
     def objectives(self):
         return np.array([r.objective for r in self.rows])
-
-    def rel_changes(self):
-        return np.array([r.rel_change for r in self.rows])
 
     def write_csv(self, path):
         """Write one row per sweep; the blend columns appear only when used."""
@@ -284,6 +283,28 @@ def update_x(factors, problem):
     return project(compose(factors), problem.mask, problem.observed)
 
 
+def _observed_index(problem):
+    """C-order flat positions of the observed entries (int32 when they fit), and their values."""
+    m = problem.mask.observed
+    idx = np.flatnonzero(m).astype(np.int32 if m.size <= np.iinfo(np.int32).max else np.intp)
+    return idx, problem.observed.take(idx)
+
+
+def _refill(a, observed_index):
+    """project() written into a, an array the caller owns; np.put indexes in C order."""
+    np.put(a, *observed_index)
+    return a
+
+
+def _rank_settled(changed, stable, event, name):
+    """Log a rank_decrease cut to event as name; detection stays on until
+    RANK_STABLE_ITERS sweeps in a row cut nothing.  Returns (on, stable)."""
+    if changed:
+        event.append(name)
+    stable = 0 if changed else stable + 1
+    return stable < RANK_STABLE_ITERS, stable
+
+
 def _half_weighted_sq(slices, n3):
     w = pair_weights(n3)
     return float(np.einsum("ijk,ijk,k->", slices, np.conj(slices), w).real)
@@ -327,34 +348,28 @@ def solve(problem, config):
     growth = RankGrowth.for_run(problem, ranks, config.rank_cfg)
     if growth is not None:
         factors = growth.start(factors)
+    observed_index = _observed_index(problem)
     x = problem.observed.copy()
     spec = dft_mode3(x)
     prev_products = compose_spectral(factors)
-    trace = SolverTrace()
+    trace = SolverTrace(termination="max_iter")
     rank_on = config.rank_cfg.enabled
     stable = 0
-    trace.termination = "max_iter"
     for t in range(1, config.max_iter + 1):
         started = time.perf_counter()
         before = factors, rank_on, stable  # what a rejected sweep restores
         factors = update_left(factors, spec)
         if t <= config.t0:
-            spec = dft_mode3(update_x(factors, problem))
+            spec = dft_mode3(_refill(compose(factors), observed_index))
         factors = update_right(factors, spec)
         event = []
         if rank_on:
             factors, _, changed = rank_decrease(factors, config.rank_cfg)
-            if changed:
-                event.append("rank_decrease")
-                stable = 0
-            else:
-                stable += 1
-                if stable >= RANK_STABLE_ITERS:
-                    rank_on = False
+            rank_on, stable = _rank_settled(changed, stable, event, "rank_decrease")
         products = compose_spectral(factors)
-        x_new = project(_irfft_checked(products, n3, tol=1e-9), problem.mask, problem.observed)
-        spec_new = dft_mode3(x_new)
-        g = _objective_spectral(products, spec_new, n3)
+        x_new = _refill(_irfft_checked(products, n3, tol=1e-9), observed_index)
+        spec = dft_mode3(x_new)  # the sweep's own spectrum is spent: replace it now
+        g = _objective_spectral(products, spec, n3)
         if not np.isfinite(g):
             raise FloatingPointError(f"objective became non-finite at sweep {t}")
         rel = _rel_change(x_new, x)
@@ -373,18 +388,16 @@ def solve(problem, config):
             spec = dft_mode3(x)
         elif growth is None:
             stop = rel < config.epsilon
-            x, spec, prev_products = x_new, spec_new, products
+            x, prev_products = x_new, products
         else:
             stop = growth.converged(rel, config.epsilon)
             # growth on the last sweep would leave factors that do not match x
             if not stop and t < config.max_iter:
-                factors, grown = growth.grow(factors, spec_new.slices - products)
+                factors, grown = growth.grow(factors, spec.slices - products)
                 if grown:
                     event.append("rank_increase")
                     rank_on, stable = True, 0
-            if growth.omega == 1.0:
-                spec = spec_new
-            else:
+            if growth.omega != 1.0:
                 # the fill is rebuilt rather than kept, so the plain path holds no extra array
                 fill = _irfft_checked(products, n3, tol=1e-9)
                 spec = dft_mode3(growth.relaxed(fill, x_new))

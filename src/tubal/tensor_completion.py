@@ -32,12 +32,14 @@ from .factors import (
     update_right,
 )
 from .matrix_completion import (
-    RANK_STABLE_ITERS,
     RankGrowth,
     SolverConfig,
     SolverTrace,
     TraceRow,
     _half_weighted_sq,
+    _observed_index,
+    _refill,
+    _rank_settled,
     _rel_change,
 )
 
@@ -68,7 +70,6 @@ class DoubleTubalConfig(SolverConfig):
     gamma0: float = 1.0
     adaptive_gamma: bool = True
     midstep_blend: bool = True
-    gamma_from_reshaped_reference: bool = False
 
     def __post_init__(self):
         super().__post_init__()
@@ -113,10 +114,20 @@ class DoubleFactors:
 
 
 def _blend(base, other, gamma):
-    """gamma-weighted mean of the slice side and the regrouped side, folded back."""
+    """gamma-weighted mean of both sides, folded back, as a new C-contiguous array."""
     if gamma == 0.0:
-        return base
-    return (base + gamma * other) / (1.0 + gamma)
+        return base.copy()
+    out = np.multiply(other, gamma, order="C")
+    out += base
+    out /= 1.0 + gamma
+    return out
+
+
+def _observed_residual(a, observed, on):
+    """a minus observed where the mask on is set, zero elsewhere; fastest with on in C order."""
+    r = np.subtract(a, observed, order="C")
+    r *= on
+    return r
 
 
 def update_x_blend(dfactors, problem):
@@ -148,17 +159,16 @@ def update_gamma(dfactors, problem, from_reshaped_reference=False):
     make that choice explicit.
     """
     dims = problem.dims
-    m = problem.mask.observed
     base = _irfft_checked(compose_spectral(dfactors.f_x), dims[2], tol=1e-9)
     other = _irfft_checked(compose_spectral(dfactors.f_xt), dfactors.f_xt.dims[2], tol=1e-9)
-    num = fro_norm(np.where(m, base - problem.observed, 0.0))
+    num = fro_norm(_observed_residual(base, problem.observed, problem.mask.observed))
     if from_reshaped_reference:
         p, q = dfactors.f_xt.dims[1], dfactors.f_xt.dims[2]
-        m_t = reshape_mode3(m.astype(float), p, q) > 0.5
-        obs_t = reshape_mode3(problem.observed, p, q)
-        den = fro_norm(np.where(m_t, other - obs_t, 0.0))
+        m_t = reshape_mode3(problem.mask.observed, p, q)
+        den = fro_norm(np.where(m_t, other - reshape_mode3(problem.observed, p, q), 0.0))
     else:
-        den = fro_norm(np.where(m, fold3_from_reshaped(other, dims) - problem.observed, 0.0))
+        folded = fold3_from_reshaped(other, dims)
+        den = fro_norm(_observed_residual(folded, problem.observed, problem.mask.observed))
     if den < GAMMA_GUARD:
         return dfactors.gamma
     return num / den
@@ -179,11 +189,8 @@ def objective(dfactors, x):
     if dfactors.gamma != 0.0:
         p = dfactors.f_xt.dims[1]
         spec_t = dft_mode3(reshape_mode3(x, p, q))
-        g += (
-            dfactors.gamma
-            * _half_weighted_sq(compose_spectral(dfactors.f_xt) - spec_t.slices, q)
-            / (2.0 * q)
-        )
+        prod_t = compose_spectral(dfactors.f_xt)
+        g += dfactors.gamma * _half_weighted_sq(prod_t - spec_t.slices, q) / (2.0 * q)
     return g
 
 
@@ -202,7 +209,8 @@ def solve(problem, config):
     t0 sweeps.  When the slice factors could interpolate the data, the run
     follows the matrix solver's RankGrowth schedule on the slice side, with
     the blended fill as the one that is over-relaxed; the regrouped side keeps
-    its starting ranks.  Returns (x, trace).
+    its starting ranks.  Each side's reconstruction (products and spatial
+    tensor) is reused until that side's factors change.  Returns (x, trace).
     """
     n1, n2, n3 = problem.dims
     p, q = config.geometry(n1, n2)
@@ -214,25 +222,34 @@ def solve(problem, config):
     if growth is not None:
         f_x = growth.start(f_x)
     gamma = x_gamma = float(config.gamma0)  # x_gamma: the weight that filled x
+    observed_index = _observed_index(problem)
+    on = np.ascontiguousarray(problem.mask.observed)  # generate_mask's masks are F-ordered
     x = problem.observed.copy()
     spec = dft_mode3(x)
     spec_t = dft_mode3(reshape_mode3(x, p, q))
     prev_x = compose_spectral(f_x)
     prev_xt = compose_spectral(f_xt)
-    trace = SolverTrace()
-    trace.termination = "max_iter"
-    rank_on = config.rank_cfg.enabled
-    rank_on_xt = config.rank_cfg.enabled
+    trace = SolverTrace(termination="max_iter")
+    rank_on = rank_on_xt = config.rank_cfg.enabled
     stable = stable_xt = 0
+    built = [(None,), (None,)]  # per side: (factors, products, spatial folded back)
+
+    def side(factors, regrouped):
+        """(products, spatial) of a side, rebuilt only when its factors changed."""
+        if built[regrouped][0] is not factors:
+            built[regrouped] = (None,)  # drop the stale pair before building its successor
+            products = compose_spectral(factors)
+            spatial = _irfft_checked(products, q if regrouped else n3, tol=1e-9)
+            if regrouped:
+                spatial = fold3_from_reshaped(spatial, problem.dims)
+            built[regrouped] = factors, products, spatial
+        return built[regrouped][1:]
 
     def refresh(cur_f_x, cur_f_xt):
-        base = _irfft_checked(compose_spectral(cur_f_x), n3, tol=1e-9)
-        if config.midstep_blend and gamma != 0.0:
-            other = _irfft_checked(compose_spectral(cur_f_xt), q, tol=1e-9)
-            filled = _blend(base, fold3_from_reshaped(other, problem.dims), gamma)
-        else:
-            filled = base
-        return project(filled, problem.mask, problem.observed)
+        weight = gamma if config.midstep_blend else 0.0
+        base = side(cur_f_x, False)[1]
+        other = side(cur_f_xt, True)[1] if weight != 0.0 else None
+        return _refill(_blend(base, other, weight), observed_index)
 
     for t in range(1, config.max_iter + 1):
         started = time.perf_counter()
@@ -240,49 +257,32 @@ def solve(problem, config):
             before = f_x, f_xt, rank_on, rank_on_xt, stable, stable_xt
         f_x = update_left(f_x, spec)
         if t <= config.t0:
-            x_mid = refresh(f_x, f_xt)
-            spec = dft_mode3(x_mid)
+            spec = dft_mode3(refresh(f_x, f_xt))
         f_x = update_right(f_x, spec)
         if t <= config.t0:
-            x_mid = refresh(f_x, f_xt)
-            spec_t = dft_mode3(reshape_mode3(x_mid, p, q))
+            spec_t = dft_mode3(reshape_mode3(refresh(f_x, f_xt), p, q))
         f_xt = update_left(f_xt, spec_t)
         if t <= config.t0:
-            x_mid = refresh(f_x, f_xt)
-            spec_t = dft_mode3(reshape_mode3(x_mid, p, q))
+            spec_t = dft_mode3(reshape_mode3(refresh(f_x, f_xt), p, q))
         f_xt = update_right(f_xt, spec_t)
         event = []
         if rank_on:
             f_x, _, changed = rank_decrease(f_x, config.rank_cfg)
-            if changed:
-                event.append("rank_decrease")
-                stable = 0
-            else:
-                stable += 1
-                if stable >= RANK_STABLE_ITERS:
-                    rank_on = False
+            rank_on, stable = _rank_settled(changed, stable, event, "rank_decrease")
         if rank_on_xt:
             f_xt, _, changed = rank_decrease(f_xt, config.rank_cfg)
-            if changed:
-                event.append("rank_decrease_xt")
-                stable_xt = 0
-            else:
-                stable_xt += 1
-                if stable_xt >= RANK_STABLE_ITERS:
-                    rank_on_xt = False
-        prod_x = compose_spectral(f_x)
-        prod_xt = compose_spectral(f_xt)
-        base = _irfft_checked(prod_x, n3, tol=1e-9)
-        other = None  # the regrouped side, folded back to the tensor's shape
-        if gamma != 0.0:
-            other = fold3_from_reshaped(_irfft_checked(prod_xt, q, tol=1e-9), problem.dims)
-        x_new = project(_blend(base, other, gamma), problem.mask, problem.observed)
-        spec_new = dft_mode3(x_new)
-        spec_t_new = dft_mode3(reshape_mode3(x_new, p, q))
-        g = _half_weighted_sq(prod_x - spec_new.slices, n3) / (2.0 * n3)
+            rank_on_xt, stable_xt = _rank_settled(changed, stable_xt, event, "rank_decrease_xt")
+        prod_x, base = side(f_x, False)
+        unread = gamma == 0.0 and not config.adaptive_gamma  # nothing reads the regrouped side
+        prod_xt, other = (None, None) if unread else side(f_xt, True)
+        x_new = _refill(_blend(base, other, gamma), observed_index)
+        # The sweep's own spectra are spent: replacing them now keeps one pair alive.
+        spec = dft_mode3(x_new)
+        spec_t = dft_mode3(reshape_mode3(x_new, p, q))
+        g = _half_weighted_sq(prod_x - spec.slices, n3) / (2.0 * n3)
         step_sq = _half_weighted_sq(prod_x - prev_x, n3) / (2.0 * n3)
         if gamma != 0.0:
-            g += gamma * _half_weighted_sq(prod_xt - spec_t_new.slices, q) / (2.0 * q)
+            g += gamma * _half_weighted_sq(prod_xt - spec_t.slices, q) / (2.0 * q)
             step_sq += gamma * _half_weighted_sq(prod_xt - prev_xt, q) / (2.0 * q)
         if not np.isfinite(g):
             raise FloatingPointError(f"objective became non-finite at sweep {t}")
@@ -306,31 +306,27 @@ def solve(problem, config):
         else:
             x_gamma = gamma
             if config.adaptive_gamma:
-                if other is None:
-                    other = fold3_from_reshaped(_irfft_checked(prod_xt, q, tol=1e-9), problem.dims)
-                num = fro_norm(np.where(problem.mask.observed, base - problem.observed, 0.0))
-                den = fro_norm(np.where(problem.mask.observed, other - problem.observed, 0.0))
+                num = fro_norm(_observed_residual(base, problem.observed, on))
+                den = fro_norm(_observed_residual(other, problem.observed, on))
                 if den >= GAMMA_GUARD:
                     gamma = num / den
             prev_x, prev_xt = prod_x, prod_xt
             if growth is None:
                 stop = rel < config.epsilon
-                x, spec, spec_t = x_new, spec_new, spec_t_new
             else:
                 stop = growth.converged(rel, config.epsilon)
                 if not stop and t < config.max_iter:
-                    f_x, grown = growth.grow(f_x, spec_new.slices - prod_x)
+                    f_x, grown = growth.grow(f_x, spec.slices - prod_x)
                     if grown:
                         event.append("rank_increase")
                         rank_on, stable = True, 0
-                if growth.omega == 1.0:
-                    spec, spec_t = spec_new, spec_t_new
-                else:
+                if growth.omega != 1.0:
                     # rebuilt from base and other, so the plain path holds no extra array
                     target = growth.relaxed(_blend(base, other, x_gamma), x_new)
                     spec = dft_mode3(target)
                     spec_t = dft_mode3(reshape_mode3(target, p, q))
-                x = x_new
+            x = x_new
+        base = other = None  # held by the cache alone, so that a rebuild frees them
         row.event = "+".join(event)
         row.elapsed_ms = (time.perf_counter() - started) * 1e3
         trace.rows.append(row)

@@ -14,11 +14,13 @@ from tubal import (
     SolverConfig,
     compose,
     dft_mode3,
+    fold3_from_reshaped,
     fro_norm,
     generate_mask,
     half_count,
     matrix_kkt_residuals,
     matrix_objective,
+    project,
     synth_low_tubal,
     tensor_to_matrix,
     tprod,
@@ -88,6 +90,25 @@ def test_problem_rejects_data_mask_mismatch():
         CompletionProblem(observed=np.ones((3, 4, 3)), mask=mask)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_problem_rejects_non_finite_observed_values(bad):
+    data = rand((8, 8, 4), 40)
+    mask = ObservationMask(np.ones(data.shape, dtype=bool))
+    data[3, 5, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        CompletionProblem.from_tensor(data, mask)
+
+
+def test_problem_accepts_non_finite_values_at_unobserved_entries():
+    data = rand((8, 8, 4), 41)
+    on = np.ones(data.shape, dtype=bool)
+    on[3, 5, 1] = on[0, 0, 0] = False
+    data[3, 5, 1], data[0, 0, 0] = np.nan, np.inf
+    prob = CompletionProblem.from_tensor(data, on)
+    assert prob.observed[3, 5, 1] == 0.0 and prob.observed[0, 0, 0] == 0.0
+    assert np.all(np.isfinite(prob.observed))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(init_ranks=2, epsilon=0.0)
@@ -119,6 +140,16 @@ def test_update_x_is_exact_on_observed_entries():
 
 
 # ---------------------------------------------------------------------- solve
+
+
+def test_index_refill_matches_project_on_a_strided_array():
+    _, prob = easy_problem(seed=42)
+    a = fold3_from_reshaped(rand((4, 24, 4), 43), prob.dims)  # a strided view
+    assert not a.flags.c_contiguous
+    want = project(a, prob.mask, prob.observed)
+    got = mc._refill(a.copy(order="K"), mc._observed_index(prob))
+    assert not got.flags.c_contiguous
+    assert np.array_equal(got, want)
 
 
 def test_fully_observed_problem_is_reproduced_exactly():

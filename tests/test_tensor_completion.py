@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+import tubal.tensor_completion as tc
 from tubal import (
     CompletionProblem,
     DoubleFactors,
     MultiRank,
     DoubleTubalConfig,
+    RankDecreaseConfig,
     SolverConfig,
     compose,
     dft_mode3,
@@ -301,6 +303,28 @@ def test_midstep_blend_toggle_matters_during_midsteps():
     x_on, _ = solve(prob, DoubleTubalConfig(midstep_blend=True, **kw))
     x_off, _ = solve(prob, DoubleTubalConfig(midstep_blend=False, **kw))
     assert not np.array_equal(x_on, x_off)
+
+
+def test_solver_rebuilds_only_the_side_whose_factors_changed(monkeypatch):
+    calls = []
+    orig = tc.compose_spectral
+
+    def counting(factors):
+        calls.append(factors.dims)
+        return orig(factors)
+
+    monkeypatch.setattr(tc, "compose_spectral", counting)
+    _, prob = partial_problem(seed=30)
+    cfg = DoubleTubalConfig(
+        init_ranks=3, seed=0, t0=2, max_iter=4, epsilon=1e-300,
+        rank_cfg=RankDecreaseConfig(enabled=False),
+    )
+    _, trace = solve(prob, cfg)
+    assert trace.iterations == 4
+    # 2 at the start; sweep 1 builds both sides, then one side per mid-sweep fill
+    # and the regrouped side at its end (5); sweep 2 reuses the regrouped side of
+    # sweep 1's end (4); sweeps 3 and 4 have no mid-sweep fills (2 each).
+    assert len(calls) == 2 + 5 + 4 + 2 + 2
 
 
 def test_solver_is_deterministic():
