@@ -80,34 +80,45 @@ def parse_rank_spec(text, n3):
 
 @dataclass
 class ExperimentSpec:
-    """Parsed invocation of one harness command."""
+    """Parsed invocation of one harness command.
+
+    The solver settings default to the solver configs' own defaults.
+    """
 
     command: str
     inputs: list = field(default_factory=list)
     output: str = None
     mask_path: str = None
     ratio: float = None
-    seed: int = 0
+    seed: int = SolverConfig.seed
     n2: int = 64
     init_rank: str = None
     init_rank_xt: str = None
     p: int = None
     q: int = None
-    t0: int = 10
-    eps: float = 1e-4
-    max_iter: int = 100
-    gamma0: float = 1.0
-    adaptive_gamma: bool = True
-    rank_decrease_tau: float = 10.0
-    midstep_blend: bool = True
+    t0: int = SolverConfig.t0
+    eps: float = SolverConfig.epsilon
+    max_iter: int = SolverConfig.max_iter
+    gamma0: float = DoubleTubalConfig.gamma0
+    adaptive_gamma: bool = DoubleTubalConfig.adaptive_gamma
+    rank_decrease_tau: float = RankDecreaseConfig.tau
     trace_path: str = None
     metrics_out: str = None
 
 
-def _rank_cfg(spec):
-    if spec.rank_decrease_tau and spec.rank_decrease_tau > 1:
-        return RankDecreaseConfig(enabled=True, tau=spec.rank_decrease_tau)
-    return RankDecreaseConfig(enabled=False)
+def _solver_config(spec, init_ranks, cls=SolverConfig, **extra):
+    """A solver config of type cls carrying the spec's shared solver settings."""
+    tau = spec.rank_decrease_tau
+    rank_cfg = RankDecreaseConfig(tau=tau) if tau and tau > 1 else RankDecreaseConfig(enabled=False)
+    return cls(
+        init_ranks=init_ranks,
+        t0=spec.t0,
+        epsilon=spec.eps,
+        max_iter=spec.max_iter,
+        rank_cfg=rank_cfg,
+        seed=spec.seed,
+        **extra,
+    )
 
 
 def _load_matrix(path):
@@ -191,6 +202,18 @@ def _metric_rows(reference, recovered, observed=None):
     return rows
 
 
+def _write_outputs(spec, recovered, trace, reference, on):
+    """Write the requested outputs (on marks reference's observed entries); return the exit code."""
+    if spec.output:
+        _write_recovered(spec.output, recovered)
+    if spec.trace_path:
+        trace.write_csv(spec.trace_path)
+    if spec.metrics_out:
+        observed = np.where(on, reference, 0.0)
+        _write_metrics(spec.metrics_out, _metric_rows(reference, recovered, observed))
+    return EXIT_OK if trace.converged else EXIT_MAX_ITER
+
+
 def _run_complete_matrix(spec):
     if len(spec.inputs) != 1:
         raise ValueError("complete-matrix takes exactly one --input")
@@ -202,23 +225,8 @@ def _run_complete_matrix(spec):
     init = parse_rank_spec(spec.init_rank, problem.dims[2]) if spec.init_rank else None
     if init is None:
         raise ValueError("--init-rank is required")
-    config = SolverConfig(
-        init_ranks=init,
-        t0=spec.t0,
-        epsilon=spec.eps,
-        max_iter=spec.max_iter,
-        rank_cfg=_rank_cfg(spec),
-        seed=spec.seed,
-    )
-    _, recovered, trace = solve_matrix(problem, config)
-    if spec.output:
-        _write_recovered(spec.output, recovered)
-    if spec.trace_path:
-        trace.write_csv(spec.trace_path)
-    if spec.metrics_out:
-        observed = np.where(mask2d, matrix, 0.0)
-        _write_metrics(spec.metrics_out, _metric_rows(matrix, recovered, observed))
-    return EXIT_OK if trace.converged else EXIT_MAX_ITER
+    _, recovered, trace = solve_matrix(problem, _solver_config(spec, init))
+    return _write_outputs(spec, recovered, trace, matrix, mask2d)
 
 
 def _run_complete_tensor(spec):
@@ -230,31 +238,20 @@ def _run_complete_tensor(spec):
     if not spec.init_rank:
         raise ValueError("--init-rank is required")
     n3 = problem.dims[2]
-    config = DoubleTubalConfig(
-        init_ranks=parse_rank_spec(spec.init_rank, n3),
-        t0=spec.t0,
-        epsilon=spec.eps,
-        max_iter=spec.max_iter,
-        rank_cfg=_rank_cfg(spec),
-        seed=spec.seed,
+    config = _solver_config(
+        spec,
+        parse_rank_spec(spec.init_rank, n3),
+        DoubleTubalConfig,
         p=spec.p,
         q=spec.q,
         gamma0=spec.gamma0,
         adaptive_gamma=spec.adaptive_gamma,
-        midstep_blend=spec.midstep_blend,
     )
     if spec.init_rank_xt:
         _, q = config.geometry(problem.dims[0], problem.dims[1])
         config.init_ranks_xt = parse_rank_spec(spec.init_rank_xt, q)
     x, trace = solve_tensor(problem, config)
-    if spec.output:
-        _write_recovered(spec.output, x)
-    if spec.trace_path:
-        trace.write_csv(spec.trace_path)
-    if spec.metrics_out:
-        observed = np.where(mask.observed, data, 0.0)
-        _write_metrics(spec.metrics_out, _metric_rows(data, x, observed))
-    return EXIT_OK if trace.converged else EXIT_MAX_ITER
+    return _write_outputs(spec, x, trace, data, mask.observed)
 
 
 def _run_synth(spec):
@@ -270,16 +267,8 @@ def _run_synth(spec):
     mask3 = generate_mask((SYNTH_N1, SYNTH_WIDTH, 1), ratio, spec.seed)
     mask2d = mask3.observed[:, :, 0]
     problem = CompletionProblem.from_matrix(matrix, mask2d, n2)
-    init = spec.init_rank if spec.init_rank else "8"
-    config = SolverConfig(
-        init_ranks=parse_rank_spec(init, problem.dims[2]),
-        t0=spec.t0,
-        epsilon=spec.eps,
-        max_iter=spec.max_iter,
-        rank_cfg=_rank_cfg(spec),
-        seed=spec.seed,
-    )
-    _, recovered, trace = solve_matrix(problem, config)
+    init = parse_rank_spec(spec.init_rank if spec.init_rank else "8", problem.dims[2])
+    _, recovered, trace = solve_matrix(problem, _solver_config(spec, init))
     err = rel_error(recovered, matrix)
     save_tensor(os.path.join(spec.output, "truth.t3"), truth)
     save_mask(os.path.join(spec.output, "mask.msk"), problem.mask)

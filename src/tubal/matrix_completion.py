@@ -1,4 +1,5 @@
-"""Matrix completion through low-rank factorization of a folded tensor.
+"""Matrix completion through low-rank factorization of a folded tensor, and
+the sweep engine that the tensor solver shares.
 
 The observed matrix is folded into a third-order tensor of consecutive column
 blocks, factored per frequency slice, and alternately refit: left factors,
@@ -7,11 +8,19 @@ factorization.  Early iterations refresh the iterate mid-sweep, which speeds
 up the initial descent; per-slice ranks shrink on the fly when the factor
 Gram spectrum shows a clear gap.  A start with enough factor capacity to
 interpolate the data instead grows its ranks from 1 (RankGrowth).
+
+The sweep engine (_sweeps) runs over a list of sides (_Side): factor pairs
+fitted to the same iterate, each through its own regrouping of it.  This
+solver is the engine on one side; tensor_completion adds the regrouped side,
+blended in with weight gamma.  The public step functions (update_x,
+objective, kkt_residuals, and their tensor counterparts) are built from the
+engine's own primitives.
 """
 
 import csv
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -21,16 +30,15 @@ from .core import (
     dft_mode3,
     fro_norm,
     pair_weights,
-    project,
+    project,  # noqa: F401 -- bound for perfbench/layertrace.py, which wraps it here
     reshape_matrix_to_tensor,
     tensor_to_matrix,
     _irfft_checked,
 )
 from .factors import (
     RankDecreaseConfig,
-    as_multirank,
     can_interpolate,
-    compose,
+    compose,  # noqa: F401 -- bound for perfbench/layertrace.py, which wraps it here
     compose_spectral,
     grow_ranks,
     init_factors,
@@ -44,15 +52,17 @@ RANK_STABLE_ITERS = 5  # rank detection switches off after this many quiet sweep
 PLATEAU = 1e-2  # mean residual ratio this close to 1 triggers rank growth
 RATE_WINDOW = 3  # sweeps averaged into the residual contraction rate
 SLOW_RATIO = 0.7  # contraction above this raises the relaxation weight
+GAMMA_GUARD = 1e-15  # below this reconstruction residual, gamma stays put
 
 
 @dataclass
 class CompletionProblem:
     """Observed entries of a tensor plus the pattern that marks them.
 
-    observed is zero outside the mask (enforced on construction).  For
-    problems that started as a matrix, original_width remembers how many
-    columns to keep when unfolding the recovered tensor back.
+    observed is zero outside the mask (enforced on construction), and the
+    mask must mark at least one entry.  For problems that started as a
+    matrix, original_width remembers how many columns to keep when unfolding
+    the recovered tensor back.
     """
 
     observed: np.ndarray
@@ -65,6 +75,8 @@ class CompletionProblem:
             raise ValueError(
                 f"data shape {self.observed.shape} != mask shape {self.mask.dims}"
             )
+        if not self.mask.observed.any():
+            raise ValueError("the mask marks no entry as observed")
         self.observed = np.where(self.mask.observed, self.observed, 0.0)
         if not np.isfinite(self.observed).all():
             raise ValueError("observed entries must be finite (NaN or inf found)")
@@ -84,6 +96,8 @@ class CompletionProblem:
         mask2d = np.asarray(mask2d, dtype=bool)
         if matrix.shape != mask2d.shape:
             raise ValueError(f"matrix {matrix.shape} and mask {mask2d.shape} differ")
+        if not mask2d.any():  # checked before the padding adds observed zeros
+            raise ValueError("the mask marks no entry as observed")
         h = matrix.shape[1]
         data, pad = reshape_matrix_to_tensor(np.where(mask2d, matrix, 0.0), n2)
         padded_mask = np.pad(mask2d, ((0, 0), (0, pad)), constant_values=True)
@@ -217,16 +231,17 @@ class RankGrowth:
         self._skip_stop = False
 
     @classmethod
-    def for_run(cls, problem, ranks, rank_cfg):
-        """The schedule for these starting ranks, or None below the capacity line."""
-        if rank_cfg.enabled and can_interpolate(problem.dims, ranks, problem.mask.count):
-            return cls(ranks.stored())
-        return None
+    def for_run(cls, problem, side, rank_cfg):
+        """The schedule for a slice side's starting ranks, or None below the capacity line.
 
-    def start(self, factors):
-        """Cut a factor pair drawn at the ceiling down to rank 1 per slice."""
-        stored = [min(1, r) for r in self.ceiling]
-        return truncate_ranks(factors, MultiRank.from_stored(stored, factors.dims[2]))
+        Above it, the side is cut down to rank 1 per slice.
+        """
+        ranks = side.factors.ranks
+        if not (rank_cfg.enabled and can_interpolate(problem.dims, ranks, problem.mask.count)):
+            return None
+        stored = [min(1, r) for r in ranks.stored()]
+        side.factors = truncate_ranks(side.factors, MultiRank.from_stored(stored, ranks.n3))
+        return cls(ranks.stored())
 
     def accept(self, residual):
         """Judge a sweep by its residual norm sqrt(2 * objective); False rejects it.
@@ -263,24 +278,19 @@ class RankGrowth:
         rho = self._rate()
         return rho < 1.0 and rel * max(1.0, rho / (1.0 - rho)) < epsilon
 
-    def grow(self, factors, residual):
-        """Grow every slice below its ceiling once the observed residual plateaus.
-
-        residual is the stored spectrum of the fitted refill minus the slice
-        products.  Returns (factors, grown).
-        """
+    def grow(self, side):
+        """Grow every slice of side below its ceiling, from the residual of the
+        spectrum it fits, once the observed residual plateaus; True if any grew."""
         if not self._ratios or abs(1.0 - self._rate()) >= PLATEAU:
-            return factors, False
-        factors, grown = grow_ranks(factors, residual, self.ceiling)
+            return False
+        side.factors, grown = grow_ranks(
+            side.factors, side.spec.slices - side.products(), self.ceiling
+        )
         if grown:
             self.omega = 1.0
             self._skip_stop = True
-        return factors, grown
-
-
-def update_x(factors, problem):
-    """Fill the unobserved entries with the current factorization."""
-    return project(compose(factors), problem.mask, problem.observed)
+            side.rank_on, side.stable = True, 0
+        return grown
 
 
 def _observed_index(problem):
@@ -296,32 +306,9 @@ def _refill(a, observed_index):
     return a
 
 
-def _rank_settled(changed, stable, event, name):
-    """Log a rank_decrease cut to event as name; detection stays on until
-    RANK_STABLE_ITERS sweeps in a row cut nothing.  Returns (on, stable)."""
-    if changed:
-        event.append(name)
-    stable = 0 if changed else stable + 1
-    return stable < RANK_STABLE_ITERS, stable
-
-
 def _half_weighted_sq(slices, n3):
     w = pair_weights(n3)
     return float(np.einsum("ijk,ijk,k->", slices, np.conj(slices), w).real)
-
-
-def _objective_spectral(products, spec, n3):
-    return _half_weighted_sq(products - spec.slices, n3) / (2.0 * n3)
-
-
-def objective(factors, x):
-    """Half squared distance between the factorization and x.
-
-    Evaluated on the stored half spectrum with conjugate-pair weights; equal
-    to 0.5 * ||compose(factors) - x||_F^2.
-    """
-    spec = dft_mode3(np.asarray(x, float))
-    return _objective_spectral(compose_spectral(factors), spec, factors.dims[2])
 
 
 def _rel_change(new, old):
@@ -330,8 +317,244 @@ def _rel_change(new, old):
     return diff / denom if denom > 1e-15 else diff
 
 
+def _blend(base, other, gamma):
+    """gamma-weighted mean of both sides, folded back, as a new C-contiguous array."""
+    if gamma == 0.0:
+        return base.copy()
+    out = np.multiply(other, gamma, order="C")
+    out += base
+    out /= 1.0 + gamma
+    return out
+
+
+def _observed_residual(a, observed, on):
+    """a minus observed where the mask on is set, zero elsewhere; fastest with on in C order."""
+    r = np.subtract(a, observed, order="C")
+    r *= on
+    return r
+
+
+def _refit_gamma(sides, observed, on, gamma):
+    """The blend weight refit to the two sides' reconstructions a and b:
+    ||P_Omega(a - observed)|| / ||P_Omega(b - observed)||, or gamma unchanged
+    when the denominator is below GAMMA_GUARD."""
+    num, den = (fro_norm(_observed_residual(s.spatial(), observed, on)) for s in sides)
+    return num / den if den >= GAMMA_GUARD else gamma
+
+
+class _Side:
+    """One factorization that the sweep engine fits to the iterate.
+
+    A side holds a factor pair; regroup, from the iterate to the tensor it
+    factors (None: the iterate itself), and fold, back; its rank-detection
+    state and the event its cuts are logged as; and its reconstruction (slice
+    products, and their spatial tensor in the iterate's layout), rebuilt only
+    when the factor pair object changes.
+    """
+
+    def __init__(self, factors, regroup=None, fold=None, event="rank_decrease"):
+        self.factors = factors
+        self.regroup, self.fold, self.event = regroup, fold, event
+        self.rank_on, self.stable = False, 0
+        self.spec = None  # spectrum of the tensor the next update fits
+        self.prev = None  # products of the last accepted sweep
+        self._built = self._products = self._spatial = None
+
+    def fit(self, x):
+        """Make x, in the iterate's layout, the tensor the next update fits."""
+        if self.regroup is not None:
+            x = self.regroup(x)  # rebinding x frees a caller's temporary before the transform
+        self.spec = dft_mode3(x)
+        return self
+
+    def refit(self, refresh=None):
+        """Refit the left factors, then the right ones; refresh(side), if given,
+        returns the iterate the right ones fit (the mid-sweep refill)."""
+        self.factors = update_left(self.factors, self.spec)
+        if refresh is not None:
+            self.fit(refresh(self))
+        self.factors = update_right(self.factors, self.spec)
+
+    def drop(self):
+        """Forget the reconstruction."""
+        self._built = self._products = self._spatial = None
+
+    def products(self):
+        """Stored slice products of the current factors."""
+        if self._built is not self.factors:
+            self.drop()  # the stale pair goes before its successor is built
+            self._products = compose_spectral(self.factors)
+            self._built = self.factors
+        return self._products
+
+    def spatial(self):
+        """The reconstruction in the iterate's layout."""
+        products = self.products()
+        if self._spatial is None:
+            spatial = _irfft_checked(products, self.factors.dims[2], tol=1e-9)
+            self._spatial = spatial if self.fold is None else self.fold(spatial)
+        return self._spatial
+
+
+def _fill(sides, gamma):
+    """The tensor that refills the iterate, as an array the caller owns.
+
+    Two sides give their gamma blend (the second unbuilt at gamma = 0).  A
+    lone side hands over its reconstruction uncopied: its factors change
+    before any later build, so nothing would reuse it.
+    """
+    if len(sides) == 1:
+        spatial, sides[0]._spatial = sides[0].spatial(), None  # the next call rebuilds it
+        return spatial
+    base, other = sides
+    return _blend(base.spatial(), other.spatial() if gamma != 0.0 else None, gamma)
+
+
+def _weighted_misfit(sides, gamma, reference):
+    """Half the squared distance from each side's products to the half spectrum
+    reference(side), summed with weight 1 for the first side and gamma for the second.
+
+    Conjugate-pair weights make each term half a squared Frobenius distance in
+    the side's own domain; a side of weight 0 is skipped, so it need not be built.
+    """
+    total = 0.0
+    for side, weight in zip(sides, (1.0, gamma)):
+        if weight != 0.0:
+            n3 = side.factors.dims[2]
+            total += weight * _half_weighted_sq(side.products() - reference(side), n3) / (2.0 * n3)
+    return total
+
+
+def _gradient_sq(side):
+    """Squared norms of the misfit's gradients in a side's left and right factors,
+    at the spectrum it fits, over all n3 slices (conjugate-pair weights)."""
+    f = side.factors
+    w = pair_weights(f.dims[2])
+    diff = side.spec.slices - side.products()
+    r_left = r_right = 0.0
+    for k in range(f.n_stored):
+        r_left += w[k] * np.linalg.norm(diff[:, :, k] @ f.right[k].conj().T) ** 2
+        r_right += w[k] * np.linalg.norm(f.left[k].conj().T @ diff[:, :, k]) ** 2
+    return r_left, r_right
+
+
+def update_x(factors, problem):
+    """Fill the unobserved entries with the current factorization."""
+    return _refill(_fill([_Side(factors)], None), _observed_index(problem))
+
+
+def objective(factors, x):
+    """Half squared distance between the factorization and x.
+
+    Evaluated on the stored half spectrum with conjugate-pair weights; equal
+    to 0.5 * ||compose(factors) - x||_F^2.
+    """
+    side = _Side(factors).fit(np.asarray(x, float))
+    return _weighted_misfit([side], None, attrgetter("spec.slices"))
+
+
+def _sweeps(problem, config, sides, gamma=None, adaptive_gamma=False):
+    """The sweep engine of both solvers, over sides fitted to one iterate.
+
+    The slice side comes first; a second side enters the fill and the
+    objective with weight gamma (None for a lone side), refit after every
+    accepted sweep when adaptive_gamma is set.  A sweep refits each side in
+    turn (during the first t0 sweeps, from a refill before every refit but
+    the first), shrinks ranks, refills the iterate and has every side fit it.
+    Returns (x, trace, the gamma whose fill made x); the sides keep the
+    final factors.
+    """
+    growth = RankGrowth.for_run(problem, sides[0], config.rank_cfg)
+    observed_index = _observed_index(problem)
+    # generate_mask's masks are F-ordered: the gamma refit reads a C-ordered copy
+    on = np.ascontiguousarray(problem.mask.observed) if adaptive_gamma else None
+    x = problem.observed.copy()
+    for side in sides:
+        side.rank_on = config.rank_cfg.enabled
+        side.fit(x)
+        side.prev = compose_spectral(side.factors)
+    x_gamma = gamma
+
+    def refill(spent=None):
+        """The refilled iterate.  spent, a side about to refit its right factors,
+        drops its reconstruction first: nothing reads it again, and the transform
+        of the fill can then reuse its memory."""
+        fill = _refill(_fill(sides, gamma), observed_index)
+        if spent is not None:
+            spent.drop()
+        return fill
+
+    trace = SolverTrace(termination="max_iter")
+    for t in range(1, config.max_iter + 1):
+        started = time.perf_counter()
+        if growth is not None:  # what a rejected sweep restores
+            before = [(s.factors, s.rank_on, s.stable) for s in sides]
+        refresh = refill if t <= config.t0 else None
+        for i, side in enumerate(sides):
+            if i and refresh is not None:  # a later side starts from the others' new fill
+                side.fit(refresh())
+            side.refit(refresh)
+        event = []
+        for side in sides:
+            if side.rank_on:  # on until RANK_STABLE_ITERS sweeps in a row cut nothing
+                side.factors, _, changed = rank_decrease(side.factors, config.rank_cfg)
+                side.stable = 0 if changed else side.stable + 1
+                side.rank_on = side.stable < RANK_STABLE_ITERS
+                if changed:
+                    event.append(side.event)
+        x_new = refill()
+        # the sweep's own spectra are spent: replacing them now keeps one set alive
+        for side in sides:
+            side.fit(x_new)
+        g = _weighted_misfit(sides, gamma, attrgetter("spec.slices"))
+        if not np.isfinite(g):
+            raise FloatingPointError(f"objective became non-finite at sweep {t}")
+        rel = _rel_change(x_new, x)
+        accepted = growth is None or growth.accept(np.sqrt(2.0 * g))
+        row = TraceRow(
+            iteration=t,
+            objective=g,
+            rel_change=rel,
+            ranks=sides[0].factors.ranks,
+            elapsed_ms=0.0,
+            step_sq=_weighted_misfit(sides, gamma, attrgetter("prev")),
+            gamma=gamma,
+            ranks_xt=sides[1].factors.ranks if len(sides) > 1 else None,
+        )
+        if not accepted:
+            event = ["sor_reject"]
+            for side, state in zip(sides, before):
+                side.factors, side.rank_on, side.stable = state
+                side.fit(x)
+        else:
+            x, x_gamma = x_new, gamma
+            if adaptive_gamma:
+                gamma = _refit_gamma(sides, problem.observed, on, gamma)
+            for side, weight in zip(sides, (1.0, gamma)):
+                side.prev = side.products() if weight != 0.0 else None  # weight 0: unread
+            if growth is None:
+                stop = rel < config.epsilon
+            else:
+                stop = growth.converged(rel, config.epsilon)
+                # growth on the last sweep would leave factors that do not match x
+                if not stop and t < config.max_iter and growth.grow(sides[0]):
+                    event.append("rank_increase")
+                if growth.omega != 1.0:
+                    # unchanged factors: the fill is rebuilt, so the plain path holds no extra array
+                    target = growth.relaxed(_fill(sides, x_gamma), x)
+                    for side in sides:
+                        side.fit(target)
+        row.event = "+".join(event)
+        row.elapsed_ms = (time.perf_counter() - started) * 1e3
+        trace.rows.append(row)
+        if accepted and stop:
+            trace.termination = "converged"
+            break
+    return x, trace, x_gamma
+
+
 def solve(problem, config):
-    """Alternating least-squares completion of a folded matrix.
+    """Alternating least-squares completion of a folded matrix: the sweep engine on one side.
 
     Returns
     -------
@@ -342,73 +565,9 @@ def solve(problem, config):
         original width.
     trace : SolverTrace
     """
-    n1, n2, n3 = problem.dims
-    ranks = as_multirank(config.init_ranks, n3)
-    factors = init_factors(n1, n2, n3, ranks, np.random.default_rng(config.seed))
-    growth = RankGrowth.for_run(problem, ranks, config.rank_cfg)
-    if growth is not None:
-        factors = growth.start(factors)
-    observed_index = _observed_index(problem)
-    x = problem.observed.copy()
-    spec = dft_mode3(x)
-    prev_products = compose_spectral(factors)
-    trace = SolverTrace(termination="max_iter")
-    rank_on = config.rank_cfg.enabled
-    stable = 0
-    for t in range(1, config.max_iter + 1):
-        started = time.perf_counter()
-        before = factors, rank_on, stable  # what a rejected sweep restores
-        factors = update_left(factors, spec)
-        if t <= config.t0:
-            spec = dft_mode3(_refill(compose(factors), observed_index))
-        factors = update_right(factors, spec)
-        event = []
-        if rank_on:
-            factors, _, changed = rank_decrease(factors, config.rank_cfg)
-            rank_on, stable = _rank_settled(changed, stable, event, "rank_decrease")
-        products = compose_spectral(factors)
-        x_new = _refill(_irfft_checked(products, n3, tol=1e-9), observed_index)
-        spec = dft_mode3(x_new)  # the sweep's own spectrum is spent: replace it now
-        g = _objective_spectral(products, spec, n3)
-        if not np.isfinite(g):
-            raise FloatingPointError(f"objective became non-finite at sweep {t}")
-        rel = _rel_change(x_new, x)
-        accepted = growth is None or growth.accept(np.sqrt(2.0 * g))
-        row = TraceRow(
-            iteration=t,
-            objective=g,
-            rel_change=rel,
-            ranks=factors.ranks,
-            elapsed_ms=0.0,
-            step_sq=_half_weighted_sq(products - prev_products, n3) / (2.0 * n3),
-        )
-        if not accepted:
-            event = ["sor_reject"]
-            factors, rank_on, stable = before
-            spec = dft_mode3(x)
-        elif growth is None:
-            stop = rel < config.epsilon
-            x, prev_products = x_new, products
-        else:
-            stop = growth.converged(rel, config.epsilon)
-            # growth on the last sweep would leave factors that do not match x
-            if not stop and t < config.max_iter:
-                factors, grown = growth.grow(factors, spec.slices - products)
-                if grown:
-                    event.append("rank_increase")
-                    rank_on, stable = True, 0
-            if growth.omega != 1.0:
-                # the fill is rebuilt rather than kept, so the plain path holds no extra array
-                fill = _irfft_checked(products, n3, tol=1e-9)
-                spec = dft_mode3(growth.relaxed(fill, x_new))
-            x, prev_products = x_new, products
-        row.event = "+".join(event)
-        row.elapsed_ms = (time.perf_counter() - started) * 1e3
-        trace.rows.append(row)
-        if accepted and stop:
-            trace.termination = "converged"
-            break
-    trace.final_factors = factors
+    sides = [_Side(init_factors(*problem.dims, config.init_ranks, config.seed))]
+    x, trace, _ = _sweeps(problem, config, sides)
+    trace.final_factors = sides[0].factors
     matrix = None
     if problem.original_width is not None:
         matrix = tensor_to_matrix(x, problem.original_width)
@@ -421,15 +580,8 @@ def kkt_residuals(factors, x, problem):
     Returns (left-factor residual, right-factor residual, complement-set
     residual), each normalized by the Frobenius norm of the observed data.
     """
-    n3 = factors.dims[2]
-    w = pair_weights(n3)
-    spec = dft_mode3(np.asarray(x, float))
-    products = compose_spectral(factors)
-    diff = spec.slices - products
-    r_left = r_right = 0.0
-    for k in range(factors.n_stored):
-        r_left += w[k] * np.linalg.norm(diff[:, :, k] @ factors.right[k].conj().T) ** 2
-        r_right += w[k] * np.linalg.norm(factors.left[k].conj().T @ diff[:, :, k]) ** 2
-    off = np.where(problem.mask.observed, 0.0, x - _irfft_checked(products, n3, tol=1e-9))
+    side = _Side(factors).fit(np.asarray(x, float))
+    r_left, r_right = _gradient_sq(side)
+    off = np.where(problem.mask.observed, 0.0, x - side.spatial())
     scale = fro_norm(problem.observed) or 1.0
     return np.sqrt(r_left) / scale, np.sqrt(r_right) / scale, fro_norm(off) / scale

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from tubal import (
+    DoubleTubalConfig,
     MultiRank,
+    SolverConfig,
     generate_mask,
     load_image,
     load_mask,
@@ -19,8 +21,8 @@ from tubal import (
     save_tensor,
     synth_low_tubal,
 )
-from tubal.cli import main
-from tubal.harness import EXIT_INPUT, EXIT_MAX_ITER, EXIT_OK
+from tubal.cli import _to_spec, build_parser, main
+from tubal.harness import EXIT_INPUT, EXIT_MAX_ITER, EXIT_OK, _solver_config
 
 
 def read_csv(path):
@@ -172,6 +174,18 @@ def test_complete_matrix_requires_mask_or_ratio(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_complete_matrix_rejects_an_empty_mask(tmp_path, capsys):
+    src = tmp_path / "in.pgm"
+    save_image(src, rank2_image(32, 30))
+    mask_path = tmp_path / "none.msk"
+    save_mask(mask_path, np.zeros((32, 30, 1), dtype=bool))
+    # --n2 8 pads the 30 columns to 32 with observed zeros; the mask itself marks none
+    code = main(["complete-matrix", "--input", str(src), "--mask", str(mask_path),
+                 "--n2", "8", "--init-rank", "2"])
+    assert code == EXIT_INPUT
+    assert "no entry as observed" in capsys.readouterr().err
+
+
 def test_complete_matrix_accepts_single_slice_tensor(tmp_path):
     m = rank2_image(16, 24, seed=3)
     src = tmp_path / "in.t3"
@@ -309,6 +323,14 @@ def test_complete_tensor_rejects_empty_directory(tmp_path, capsys):
     assert "no image frames" in capsys.readouterr().err
 
 
+def test_complete_tensor_rejects_a_zero_ratio(tmp_path, capsys):
+    src = tmp_path / "in.t3"
+    save_tensor(src, synth_low_tubal(6, 5, 4, 2, seed=0))
+    code = main(["complete-tensor", "--input", str(src), "--ratio", "0", "--init-rank", "2"])
+    assert code == EXIT_INPUT
+    assert "no entry as observed" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------- metrics
 
 
@@ -339,6 +361,17 @@ def test_metrics_requires_two_inputs(tmp_path, capsys):
 
 
 # --------------------------------------------------------------------- parser
+
+
+def test_subcommands_default_to_the_solver_configs():
+    tensor_defaults = DoubleTubalConfig(init_ranks=3)
+    for command, n2 in [("complete-matrix", 64), ("complete-tensor", 64), ("synth", 10),
+                        ("metrics", 64)]:
+        spec = _to_spec(build_parser().parse_args([command]))
+        assert spec.command == command and spec.n2 == n2 and spec.inputs == []
+        assert _solver_config(spec, 3) == SolverConfig(init_ranks=3)
+        assert spec.gamma0 == tensor_defaults.gamma0
+        assert spec.adaptive_gamma == tensor_defaults.adaptive_gamma
 
 
 def test_unknown_command_is_a_parse_error():

@@ -21,6 +21,7 @@ from tubal import (
     matrix_kkt_residuals,
     matrix_objective,
     project,
+    reshape_matrix_to_tensor,
     synth_low_tubal,
     tensor_to_matrix,
     tprod,
@@ -107,6 +108,23 @@ def test_problem_accepts_non_finite_values_at_unobserved_entries():
     prob = CompletionProblem.from_tensor(data, on)
     assert prob.observed[3, 5, 1] == 0.0 and prob.observed[0, 0, 0] == 0.0
     assert np.all(np.isfinite(prob.observed))
+
+
+def test_problem_rejects_an_empty_mask():
+    with pytest.raises(ValueError, match="no entry as observed"):
+        CompletionProblem.from_tensor(rand((4, 3, 2), 44), np.zeros((4, 3, 2), dtype=bool))
+
+
+def test_from_matrix_rejects_an_empty_mask_that_padding_would_fill():
+    empty = np.zeros((6, 10), dtype=bool)
+    # padding 10 columns to 3 blocks of 4 adds 12 observed zeros
+    _, pad = reshape_matrix_to_tensor(empty.astype(float), 4)
+    assert 6 * pad == 12
+    with pytest.raises(ValueError, match="no entry as observed"):
+        CompletionProblem.from_matrix(rand((6, 10), 45), empty, 4)
+    one = empty.copy()
+    one[2, 7] = True
+    assert CompletionProblem.from_matrix(rand((6, 10), 45), one, 4).mask.count == 13
 
 
 def test_config_validation():
@@ -213,9 +231,23 @@ def test_solver_is_deterministic():
     assert [r.rel_change for r in t1.rows] == [r.rel_change for r in t2.rows]
 
 
+def test_one_sweep_is_the_public_steps_composed():
+    for n3 in (1, 4, 5):
+        _, prob = easy_problem(seed=23 + n3, n3=n3)
+        cfg = SolverConfig(
+            init_ranks=3, seed=7, t0=0, max_iter=1, rank_cfg=RankDecreaseConfig(enabled=False)
+        )
+        x, _, trace = solve(prob, cfg)
+        spec = dft_mode3(prob.observed)
+        f = update_right(update_left(init_factors(*prob.dims, 3, seed=7), spec), spec)
+        want = update_x(f, prob)
+        assert x.tobytes() == want.tobytes()
+        assert trace.rows[0].objective == matrix_objective(f, want)
+
+
 def test_non_finite_objective_raises(monkeypatch):
     _, prob = easy_problem(seed=14)
-    monkeypatch.setattr(mc, "_objective_spectral", lambda *a: float("nan"))
+    monkeypatch.setattr(mc, "_weighted_misfit", lambda *a: float("nan"))
     with pytest.raises(FloatingPointError):
         solve(prob, SolverConfig(init_ranks=3, seed=0))
 

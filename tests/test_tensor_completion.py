@@ -1,9 +1,11 @@
 """Blended double-factorization solver: geometry, blending, gamma, ranks, KKT."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-import tubal.tensor_completion as tc
+import tubal.matrix_completion as mc
 from tubal import (
     CompletionProblem,
     DoubleFactors,
@@ -25,7 +27,9 @@ from tubal import (
     tensor_objective,
     tprod,
     update_gamma,
+    update_left,
     update_reshaped_factors,
+    update_right,
     update_x_blend,
 )
 from tubal.factors import compose_spectral, init_factors
@@ -154,14 +158,6 @@ def test_update_gamma_is_residual_ratio():
     assert abs(got - want) <= 1e-12 * want
 
 
-def test_update_gamma_reference_conventions_agree():
-    _, prob = partial_problem(seed=6)
-    d = dfactors_for(prob, gamma=0.3)
-    a = update_gamma(d, prob, from_reshaped_reference=False)
-    b = update_gamma(d, prob, from_reshaped_reference=True)
-    assert abs(a - b) <= 1e-12 * a
-
-
 def test_update_gamma_keeps_value_when_regrouped_side_is_exact():
     n1, n2, n3 = 6, 4, 3
     p, q = 8, 3
@@ -261,7 +257,7 @@ def test_fixed_gamma_objective_descends_in_plain_ordering():
     _, prob = partial_problem(seed=14, n1=14, n2=10)
     cfg = DoubleTubalConfig(
         init_ranks=3, init_ranks_xt=3, seed=1, t0=0, gamma0=1.0,
-        adaptive_gamma=False, midstep_blend=False, max_iter=30, epsilon=1e-13,
+        adaptive_gamma=False, max_iter=30, epsilon=1e-13,
         rank_cfg=RankDecreaseConfig(enabled=False),
     )
     _, trace = solve(prob, cfg)
@@ -288,32 +284,35 @@ def test_fixed_gamma_stays_put():
     assert all(r.gamma == 0.25 for r in trace.rows)
 
 
-def test_midstep_blend_toggle_changes_nothing_without_midsteps():
-    _, prob = partial_problem(seed=17)
-    kw = dict(init_ranks=2, seed=2, t0=0, gamma0=0.5, max_iter=8, epsilon=1e-13)
-    x_on, t_on = solve(prob, DoubleTubalConfig(midstep_blend=True, **kw))
-    x_off, t_off = solve(prob, DoubleTubalConfig(midstep_blend=False, **kw))
-    assert np.array_equal(x_on, x_off)
-    assert np.array_equal(t_on.objectives(), t_off.objectives())
-
-
-def test_midstep_blend_toggle_matters_during_midsteps():
-    _, prob = partial_problem(seed=18)
-    kw = dict(init_ranks=2, seed=2, t0=4, gamma0=0.5, max_iter=8, epsilon=1e-13)
-    x_on, _ = solve(prob, DoubleTubalConfig(midstep_blend=True, **kw))
-    x_off, _ = solve(prob, DoubleTubalConfig(midstep_blend=False, **kw))
-    assert not np.array_equal(x_on, x_off)
+def test_one_sweep_is_the_public_steps_composed():
+    for n3, gamma0 in [(4, 1.0), (5, 0.3), (4, 0.0)]:
+        _, prob = partial_problem(seed=31 + n3, n3=n3)
+        cfg = DoubleTubalConfig(
+            init_ranks=3, init_ranks_xt=2, seed=5, t0=0, gamma0=gamma0, max_iter=2,
+            epsilon=1e-300, rank_cfg=RankDecreaseConfig(enabled=False),
+        )
+        x_one, _ = solve(prob, replace(cfg, max_iter=1))
+        _, trace = solve(prob, cfg)
+        d = dfactors_for(prob, init_ranks=3, init_ranks_xt=2, gamma=gamma0, seed=5)
+        spec = dft_mode3(prob.observed)
+        d = update_reshaped_factors(
+            replace(d, f_x=update_right(update_left(d.f_x, spec), spec)), prob.observed
+        )
+        want = update_x_blend(d, prob)
+        assert x_one.tobytes() == want.tobytes()
+        assert trace.rows[0].objective == tensor_objective(d, want)
+        assert trace.rows[1].gamma == update_gamma(d, prob)
 
 
 def test_solver_rebuilds_only_the_side_whose_factors_changed(monkeypatch):
     calls = []
-    orig = tc.compose_spectral
+    orig = mc.compose_spectral
 
     def counting(factors):
         calls.append(factors.dims)
         return orig(factors)
 
-    monkeypatch.setattr(tc, "compose_spectral", counting)
+    monkeypatch.setattr(mc, "compose_spectral", counting)
     _, prob = partial_problem(seed=30)
     cfg = DoubleTubalConfig(
         init_ranks=3, seed=0, t0=2, max_iter=4, epsilon=1e-300,
