@@ -1,14 +1,14 @@
 """Command line entry point.
 
-Four commands: complete-matrix, complete-tensor, synth and metrics.  Slice
-solves run on the calling thread, batched by slice rank; the TUBAL_THREADS
-environment variable is no longer read.
+Four commands: complete-matrix, complete-tensor, synth and metrics.  The exit
+codes are listed in tubal.harness; a failure prints one "error:" line to stderr.
 """
 
 import argparse
+import functools
 import sys
 
-from .harness import EXIT_INPUT, ExperimentSpec, run
+from .harness import EXIT_INPUT, EXIT_SOLVER, SOLVER_ERRORS, ExperimentSpec, run
 
 
 def _add_common(p, n2_default):
@@ -34,9 +34,10 @@ def _add_common(p, n2_default):
     p.add_argument("--metrics-out", dest="metrics_out", help="write metrics CSV here")
 
 
+@functools.cache
 def build_parser():
-    """The tubal argument parser.  An option left off the command line stays out of
-    the namespace, so ExperimentSpec supplies it from the solver configs' defaults;
+    """The tubal argument parser, built once.  An option left off the command line stays
+    out of the namespace, so ExperimentSpec supplies it from the solver configs' defaults;
     only --n2 has a default of its own, per subcommand."""
     parser = argparse.ArgumentParser(
         prog="tubal", description="Low-rank tensor completion via per-frequency factorization"
@@ -79,6 +80,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return run(_to_spec(args))
+    except SOLVER_ERRORS as e:  # before ValueError, a base of two of them
+        print(f"error: solver failed: {e}", file=sys.stderr)
+        return EXIT_SOLVER
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

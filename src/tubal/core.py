@@ -103,9 +103,10 @@ def _imag_residual(slices, n3):
     return np.sqrt(bad / n3)
 
 
-def _spectral_mass(slices, n3):
+def _half_weighted_sq(slices, n3):
+    """Squared Frobenius mass of a half spectrum over all n3 slices (conjugate-pair weights)."""
     w = pair_weights(n3)
-    return np.sqrt(np.einsum("ijk,ijk,k->", slices, np.conj(slices), w).real / n3)
+    return float(np.einsum("ijk,ijk,k->", slices, np.conj(slices), w).real)
 
 
 def _irfft_checked(slices, n3, tol=1e-6):
@@ -113,7 +114,7 @@ def _irfft_checked(slices, n3, tol=1e-6):
     # ||DC slice|| / sqrt(n3) bounds the total mass from below, so the full sum is
     # needed only near tol times that bound (0.5 leaves room for rounding).
     if resid > 0.5 * tol * np.linalg.norm(slices[:, :, 0]) / np.sqrt(n3):
-        total = _spectral_mass(slices, n3)
+        total = np.sqrt(_half_weighted_sq(slices, n3) / n3)
         if resid > tol * total:
             raise SpectralSymmetryError(
                 f"spectrum is not conjugate-symmetric: imaginary mass {resid:.3e} "
@@ -143,18 +144,6 @@ def tprod(a, b):
     return np.fft.irfft(prod, n=a.shape[2], axis=2)
 
 
-def stack_slices(a):
-    """Stack frontal slices vertically into an (n1*n3, n2) matrix."""
-    a = _as_tensor3(a)
-    return a.transpose(2, 0, 1).reshape(a.shape[0] * a.shape[2], a.shape[1])
-
-
-def unstack_slices(m, dims):
-    """Invert stack_slices given the target shape (n1, n2, n3)."""
-    n1, n2, n3 = dims
-    return np.asarray(m).reshape(n3, n1, n2).transpose(1, 2, 0)
-
-
 def bcirc(a):
     """Block-circulant matrix of a tensor: block (i, j) is slice (i - j) mod n3."""
     a = _as_tensor3(a)
@@ -172,8 +161,9 @@ def tprod_reference(a, b):
     b = _as_tensor3(b, "right operand")
     if a.shape[1] != b.shape[0] or a.shape[2] != b.shape[2]:
         raise ValueError(f"inner dimensions do not match: {a.shape} * {b.shape}")
-    prod = bcirc(a) @ stack_slices(b)
-    return unstack_slices(prod, (a.shape[0], b.shape[1], a.shape[2]))
+    (n1, r, n3), n2 = a.shape, b.shape[1]
+    stacked = b.transpose(2, 0, 1).reshape(n3 * r, n2)  # b's frontal slices, one under another
+    return (bcirc(a) @ stacked).reshape(n3, n1, n2).transpose(1, 2, 0)  # unstacked the same way
 
 
 def mode_unfold(a, mode):
@@ -282,15 +272,10 @@ def multi_rank(a, tol_rel=1e-10):
     conjugate partner.
     """
     spec = dft_mode3(a)
-    n3 = spec.dims[2]
-    half = []
-    for k in range(spec.n_stored):
-        s = np.linalg.svd(spec.slices[:, :, k], compute_uv=False)
-        if s.size == 0 or s[0] <= 0:
-            half.append(0)
-        else:
-            half.append(int(np.count_nonzero(s > tol_rel * s[0])))
-    return MultiRank.from_stored(half, n3)
+    s = np.linalg.svd(spec.slices.transpose(2, 0, 1), compute_uv=False)
+    # an all-zero (or empty) slice counts nothing: no value exceeds tol_rel * 0
+    half = np.count_nonzero(s > tol_rel * s[:, :1], axis=1)
+    return MultiRank.from_stored(half, spec.dims[2])
 
 
 def tubal_rank(a, tol_rel=1e-10):

@@ -51,18 +51,15 @@ class RankDecreaseConfig:
     """Eigen-gap rank detection settings.
 
     tau is the minimal ratio between consecutive Gram eigenvalues treated as a
-    rank gap; floor is the smallest admissible slice rank.
+    rank gap.
     """
 
     enabled: bool = True
     tau: float = 10.0
-    floor: int = 1
 
     def __post_init__(self):
         if self.tau <= 1:
             raise ValueError(f"tau must exceed 1, got {self.tau}")
-        if self.floor < 1:
-            raise ValueError(f"floor must be at least 1, got {self.floor}")
 
 
 @dataclass
@@ -115,11 +112,7 @@ def init_factors(n_rows, n_cols, n3, init_ranks, seed=0):
         )
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     stored = ranks.stored()
-    if rmax == 0:
-        left = [np.zeros((n_rows, 0), complex) for _ in stored]
-        right = [np.zeros((0, n_cols), complex) for _ in stored]
-        return BlockFactors((n_rows, n_cols, n3), ranks, left, right)
-    scale = 1.0 / np.sqrt(rmax)
+    scale = 1.0 / np.sqrt(max(rmax, 1))
     p0 = rng.standard_normal((n_rows, rmax, n3)) * scale
     q0 = rng.standard_normal((rmax, n_cols, n3)) * scale
     pf = np.fft.rfft(p0, axis=2)
@@ -146,6 +139,16 @@ def as_multirank(value, n3):
 def _check_spec(factors, spec):
     if spec.dims != factors.dims:
         raise ValueError(f"data dims {spec.dims} != factor dims {factors.dims}")
+
+
+def _edit_slices(factors, pairs):
+    """The factor pair with each stored slice k in pairs replaced by pairs[k] = (left,
+    right); the ranks follow the new slices' shapes."""
+    left, right = list(factors.left), list(factors.right)
+    for k, (p, q) in pairs.items():
+        left[k], right[k] = p, q
+    stored = [q.shape[0] for q in right]
+    return BlockFactors(factors.dims, MultiRank.from_stored(stored, factors.dims[2]), left, right)
 
 
 def _rank_groups(factors):
@@ -237,37 +240,29 @@ def rank_decrease(factors, cfg=RankDecreaseConfig()):
 
     For each stored slice the eigenvalues of right_k @ right_k^H are scanned
     for a ratio gap above cfg.tau; when found, the slice product is truncated
-    to the leading directions of its thin SVD (never below cfg.floor, never
+    to the leading directions of its thin SVD (never below rank 1, never
     increased).  Returns (new_factors, new_ranks, changed).
     """
     if not cfg.enabled:
         return factors, factors.ranks, False
-    stored = list(factors.ranks.stored())
-    new_left = list(factors.left)
-    new_right = list(factors.right)
-    changed = False
+    cuts = {}
     for r, ks in _rank_groups(factors).items():
-        if r <= cfg.floor:
+        if r <= 1:
             continue
         q = _stack(factors.right, ks)
         lam = np.linalg.eigvalsh(q @ _h(q))[:, ::-1]
         for k, cut in zip(ks, _rank_cuts(lam, cfg.tau)):
-            new_r = max(cut, cfg.floor)
-            if cut == 0 or new_r >= r:
+            if cut == 0:
                 continue
             # Thin SVD of the slice product through a QR factor keeps the cost at
             # O(n r^2) instead of forming the full n_rows x n_cols product.
-            qmat, rmat = np.linalg.qr(new_left[k])
-            u, s, vh = np.linalg.svd(rmat @ new_right[k], full_matrices=False)
-            new_left[k] = qmat @ (u[:, :new_r] * s[:new_r])
-            new_right[k] = vh[:new_r, :]
-            stored[k] = new_r
-            changed = True
-    if not changed:
+            qmat, rmat = np.linalg.qr(factors.left[k])
+            u, s, vh = np.linalg.svd(rmat @ factors.right[k], full_matrices=False)
+            cuts[k] = (qmat @ (u[:, :cut] * s[:cut]), vh[:cut, :])
+    if not cuts:
         return factors, factors.ranks, False
-    ranks = MultiRank.from_stored(stored, factors.dims[2])
-    out = BlockFactors(factors.dims, ranks, new_left, new_right)
-    return out, ranks, True
+    out = _edit_slices(factors, cuts)
+    return out, out.ranks, True
 
 
 def can_interpolate(dims, ranks, n_observed):
@@ -283,11 +278,10 @@ def can_interpolate(dims, ranks, n_observed):
 
 
 def truncate_ranks(factors, ranks):
-    """Keep the leading ranks[k] columns and rows of every stored slice."""
-    stored = ranks.stored()
-    left = [factors.left[k][:, :r] for k, r in enumerate(stored)]
-    right = [factors.right[k][:r, :] for k, r in enumerate(stored)]
-    return BlockFactors(factors.dims, ranks, left, right)
+    """Keep the leading ranks[k] columns and rows of every stored slice (at most its rank)."""
+    return _edit_slices(factors, {
+        k: (factors.left[k][:, :r], factors.right[k][:r, :]) for k, r in enumerate(ranks.stored())
+    })
 
 
 def grow_ranks(factors, residual, ceiling):
@@ -298,21 +292,15 @@ def grow_ranks(factors, residual, ceiling):
     the leading singular pair of its residual slice.  ceiling lists the
     stored-slice rank limits.  Returns (new_factors, changed).
     """
-    stored = list(factors.ranks.stored())
-    new_left = list(factors.left)
-    new_right = list(factors.right)
-    changed = False
+    grown = {}
     for k, cap in enumerate(ceiling):
-        if stored[k] >= cap:
+        if factors.ranks[k] >= cap:
             continue
         u, s, vh = np.linalg.svd(residual[:, :, k], full_matrices=False)
         if s[0] <= 0:
             continue
-        new_left[k] = np.hstack([new_left[k], u[:, :1] * s[0]])
-        new_right[k] = np.vstack([new_right[k], vh[:1, :]])
-        stored[k] += 1
-        changed = True
-    if not changed:
+        left = np.hstack([factors.left[k], u[:, :1] * s[0]])
+        grown[k] = (left, np.vstack([factors.right[k], vh[:1, :]]))
+    if not grown:
         return factors, False
-    ranks = MultiRank.from_stored(stored, factors.dims[2])
-    return BlockFactors(factors.dims, ranks, new_left, new_right), True
+    return _edit_slices(factors, grown), True

@@ -3,7 +3,7 @@
 Knows how to read inputs (images, tensor files, frame directories), build the
 observation pattern, run a solver, and write the recovered data, trace and
 metrics.  Exit codes: 0 when the solver converged, 2 when it hit the sweep
-limit, 1 for unusable inputs.
+limit, 1 for unusable inputs, 3 when the solver raised one of SOLVER_ERRORS.
 """
 
 import csv
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MultiRank, ObservationMask, tensor_to_matrix, tprod
+from .core import MultiRank, ObservationMask, SpectralSymmetryError, tensor_to_matrix, tprod
 from .factors import RankDecreaseConfig
 from .io import load_image, load_mask, load_tensor, save_image, save_mask, save_tensor
 from .matrix_completion import CompletionProblem, SolverConfig
@@ -24,6 +24,8 @@ from .tensor_completion import solve as solve_tensor
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_MAX_ITER = 2
+EXIT_SOLVER = 3
+SOLVER_ERRORS = (FloatingPointError, np.linalg.LinAlgError, SpectralSymmetryError)
 
 SYNTH_N1 = 50
 SYNTH_WIDTH = 100

@@ -33,6 +33,7 @@ from .core import (
     project,  # noqa: F401 -- bound for perfbench/layertrace.py, which wraps it here
     reshape_matrix_to_tensor,
     tensor_to_matrix,
+    _half_weighted_sq,
     _irfft_checked,
 )
 from .factors import (
@@ -101,8 +102,8 @@ class CompletionProblem:
         h = matrix.shape[1]
         data, pad = reshape_matrix_to_tensor(np.where(mask2d, matrix, 0.0), n2)
         padded_mask = np.pad(mask2d, ((0, 0), (0, pad)), constant_values=True)
-        mask_t, _ = reshape_matrix_to_tensor(padded_mask.astype(float), n2)
-        mask = ObservationMask(mask_t > 0.5, pad_observed_zero=pad > 0)
+        mask_t, _ = reshape_matrix_to_tensor(padded_mask, n2)
+        mask = ObservationMask(mask_t, pad_observed_zero=pad > 0)
         return cls(observed=data, mask=mask, original_width=h)
 
     @classmethod
@@ -239,8 +240,7 @@ class RankGrowth:
         ranks = side.factors.ranks
         if not (rank_cfg.enabled and can_interpolate(problem.dims, ranks, problem.mask.count)):
             return None
-        stored = [min(1, r) for r in ranks.stored()]
-        side.factors = truncate_ranks(side.factors, MultiRank.from_stored(stored, ranks.n3))
+        side.factors = truncate_ranks(side.factors, MultiRank([min(1, r) for r in ranks]))
         return cls(ranks.stored())
 
     def accept(self, residual):
@@ -306,11 +306,6 @@ def _refill(a, observed_index):
     return a
 
 
-def _half_weighted_sq(slices, n3):
-    w = pair_weights(n3)
-    return float(np.einsum("ijk,ijk,k->", slices, np.conj(slices), w).real)
-
-
 def _rel_change(new, old):
     denom = fro_norm(old)
     diff = fro_norm(new - old)
@@ -319,8 +314,6 @@ def _rel_change(new, old):
 
 def _blend(base, other, gamma):
     """gamma-weighted mean of both sides, folded back, as a new C-contiguous array."""
-    if gamma == 0.0:
-        return base.copy()
     out = np.multiply(other, gamma, order="C")
     out += base
     out /= 1.0 + gamma
@@ -399,15 +392,14 @@ class _Side:
 def _fill(sides, gamma):
     """The tensor that refills the iterate, as an array the caller owns.
 
-    Two sides give their gamma blend (the second unbuilt at gamma = 0).  A
-    lone side hands over its reconstruction uncopied: its factors change
-    before any later build, so nothing would reuse it.
+    Two sides give their gamma blend.  A lone side hands over its reconstruction
+    uncopied: its factors change before any later build, so nothing would reuse it.
     """
     if len(sides) == 1:
         spatial, sides[0]._spatial = sides[0].spatial(), None  # the next call rebuilds it
         return spatial
     base, other = sides
-    return _blend(base.spatial(), other.spatial() if gamma != 0.0 else None, gamma)
+    return _blend(base.spatial(), other.spatial(), gamma)
 
 
 def _weighted_misfit(sides, gamma, reference):
@@ -415,13 +407,12 @@ def _weighted_misfit(sides, gamma, reference):
     reference(side), summed with weight 1 for the first side and gamma for the second.
 
     Conjugate-pair weights make each term half a squared Frobenius distance in
-    the side's own domain; a side of weight 0 is skipped, so it need not be built.
+    the side's own domain.
     """
     total = 0.0
     for side, weight in zip(sides, (1.0, gamma)):
-        if weight != 0.0:
-            n3 = side.factors.dims[2]
-            total += weight * _half_weighted_sq(side.products() - reference(side), n3) / (2.0 * n3)
+        n3 = side.factors.dims[2]
+        total += weight * _half_weighted_sq(side.products() - reference(side), n3) / (2.0 * n3)
     return total
 
 
@@ -457,7 +448,7 @@ def _sweeps(problem, config, sides, gamma=None, adaptive_gamma=False):
     """The sweep engine of both solvers, over sides fitted to one iterate.
 
     The slice side comes first; a second side enters the fill and the
-    objective with weight gamma (None for a lone side), refit after every
+    objective with weight gamma (logged on every row), refit after every
     accepted sweep when adaptive_gamma is set.  A sweep refits each side in
     turn (during the first t0 sweeps, from a refill before every refit but
     the first), shrinks ranks, refills the iterate and has every side fit it.
@@ -530,8 +521,8 @@ def _sweeps(problem, config, sides, gamma=None, adaptive_gamma=False):
             x, x_gamma = x_new, gamma
             if adaptive_gamma:
                 gamma = _refit_gamma(sides, problem.observed, on, gamma)
-            for side, weight in zip(sides, (1.0, gamma)):
-                side.prev = side.products() if weight != 0.0 else None  # weight 0: unread
+            for side in sides:
+                side.prev = side.products()
             if growth is None:
                 stop = rel < config.epsilon
             else:

@@ -158,7 +158,9 @@ def solve(problem, config):
     Each sweep refits the slice factors, then the regrouped ones.  When the
     slice factors could interpolate the data, the run follows RankGrowth on
     the slice side, over-relaxing the blended fill; the regrouped side keeps
-    its starting ranks.  Returns (x, trace).
+    its starting ranks.  A regrouped side of no weight (gamma0 = 0, adaptive_gamma
+    off) is left out: the run is the matrix solver's, logged with that side's
+    starting ranks.  Returns (x, trace).
     """
     n1, n2, n3 = problem.dims
     p, q = config.geometry(n1, n2)
@@ -172,7 +174,12 @@ def solve(problem, config):
         init_factors(n3, p, q, ranks_xt, rng),
         problem.dims,
     )
-    x, trace, gamma = _sweeps(problem, config, sides, float(config.gamma0), config.adaptive_gamma)
+    weightless = config.gamma0 == 0 and not config.adaptive_gamma
+    fitted = sides[:1] if weightless else sides
+    x, trace, gamma = _sweeps(problem, config, fitted, float(config.gamma0), config.adaptive_gamma)
+    if weightless:
+        for row in trace.rows:
+            row.ranks_xt = sides[1].factors.ranks
     trace.final_factors = DoubleFactors(sides[0].factors, sides[1].factors, gamma)
     return x, trace
 

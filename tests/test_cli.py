@@ -1,15 +1,18 @@
 """Command line and experiment harness: parsing, commands, artifacts, exit codes."""
 
+import argparse
 import csv
 import os
 
 import numpy as np
 import pytest
 
+import tubal.harness as harness
 from tubal import (
     DoubleTubalConfig,
     MultiRank,
     SolverConfig,
+    SpectralSymmetryError,
     generate_mask,
     load_image,
     load_mask,
@@ -22,7 +25,7 @@ from tubal import (
     synth_low_tubal,
 )
 from tubal.cli import _to_spec, build_parser, main
-from tubal.harness import EXIT_INPUT, EXIT_MAX_ITER, EXIT_OK, _solver_config
+from tubal.harness import EXIT_INPUT, EXIT_MAX_ITER, EXIT_OK, EXIT_SOLVER, _solver_config
 
 
 def read_csv(path):
@@ -377,6 +380,45 @@ def test_subcommands_default_to_the_solver_configs():
 def test_unknown_command_is_a_parse_error():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_main_reuses_one_parser(tmp_path, monkeypatch):
+    used = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(parser, *args, **kwargs):
+        used.append(parser)
+        return parse_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    src = tmp_path / "a.pgm"
+    save_image(src, rank2_image(8, 8))
+    for _ in range(2):
+        assert main(["metrics", "--input", str(src), "--input", str(src)]) == EXIT_OK
+    assert len(used) == 2 and used[0] is used[1]
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        FloatingPointError("objective became non-finite at sweep 3"),
+        np.linalg.LinAlgError("SVD did not converge"),
+        SpectralSymmetryError("spectrum is not conjugate-symmetric"),
+    ],
+    ids=["floating-point", "linalg", "spectral-symmetry"],
+)
+def test_solver_failure_has_its_own_exit_code(tmp_path, capsys, monkeypatch, error):
+    def failing(problem, config):
+        raise error
+
+    monkeypatch.setattr(harness, "solve_matrix", failing)
+    src = tmp_path / "in.pgm"
+    save_image(src, rank2_image(16, 16))
+    code = main(["complete-matrix", "--input", str(src), "--ratio", "0.5", "--n2", "4",
+                 "--init-rank", "2"])
+    assert code == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and str(error) in err
 
 
 def test_missing_input_file_exits_cleanly(tmp_path, capsys):

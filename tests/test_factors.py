@@ -307,8 +307,6 @@ def test_rank_decrease_never_increases_and_stays_symmetric():
 
 def test_rank_decrease_respects_floor_and_disable():
     f = spectrum_factors([1.0, 1e-12, 1e-14])
-    out, ranks, changed = rank_decrease(f, RankDecreaseConfig(floor=2))
-    assert changed and ranks.ranks == (2,)
     _, ranks2, changed2 = rank_decrease(f, RankDecreaseConfig(enabled=False))
     assert not changed2 and ranks2.ranks == (3,)
 
@@ -352,8 +350,6 @@ def test_grow_ranks_adds_the_leading_residual_direction_under_the_ceiling():
 def test_rank_config_validation():
     with pytest.raises(ValueError):
         RankDecreaseConfig(tau=1.0)
-    with pytest.raises(ValueError):
-        RankDecreaseConfig(floor=0)
 
 
 # ------------------------------------------------ batched rank-group layer
@@ -387,7 +383,7 @@ def reference_rank_decrease(f, cfg):
     """The eigen-gap test and truncation applied one slice at a time."""
     stored, left, right = list(f.ranks.stored()), list(f.left), list(f.right)
     for k, r in enumerate(stored):
-        if r <= cfg.floor:
+        if r <= 1:
             continue
         lam = np.clip(np.linalg.eigvalsh(right[k] @ right[k].conj().T)[::-1], 0.0, None)
         if lam[0] <= 0:
@@ -395,8 +391,8 @@ def reference_rank_decrease(f, cfg):
         lam = np.maximum(lam, np.finfo(float).eps * lam[0])
         ratios = lam[:-1] / lam[1:]
         best = int(np.argmax(ratios))
-        new_r = max(best + 1, cfg.floor)
-        if ratios[best] <= cfg.tau or new_r >= r:
+        new_r = best + 1
+        if ratios[best] <= cfg.tau:
             continue
         qmat, rmat = np.linalg.qr(left[k])
         u, s, vh = np.linalg.svd(rmat @ right[k], full_matrices=False)
@@ -434,10 +430,11 @@ def test_batched_updates_and_compose_match_per_slice_reference(n3):
 
 
 @pytest.mark.parametrize("n3", [1, 2, 5, 6])
-@pytest.mark.parametrize("floor", [1, 2])
-def test_batched_rank_decrease_matches_per_slice_reference(n3, floor):
-    f = mixed_factors(n3, seed=n3)
-    cfg = RankDecreaseConfig(floor=floor)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_batched_rank_decrease_matches_per_slice_reference(n3, seed):
+    # the cuts depend only on the fixed Gram spectra; the seed draws the bases
+    f = mixed_factors(n3, seed=seed)
+    cfg = RankDecreaseConfig()
     out, ranks, changed = rank_decrease(f, cfg)
     stored, left, right = reference_rank_decrease(f, cfg)
     assert ranks.stored() == tuple(stored) and out.ranks == ranks
@@ -450,10 +447,6 @@ def test_batched_rank_decrease_cuts_within_one_rank_group():
     f = mixed_factors(6)
     _, ranks, changed = rank_decrease(f, RankDecreaseConfig())
     assert changed and ranks.stored() == (2, 3, 0, 1)
-    _, ranks, _ = rank_decrease(f, RankDecreaseConfig(floor=2))
-    assert ranks.stored() == (2, 3, 0, 2)
-    _, ranks, changed = rank_decrease(f, RankDecreaseConfig(floor=3))
-    assert not changed and ranks == f.ranks
 
 
 # ---------------------------------------------------------------- concurrency

@@ -272,10 +272,11 @@ def test_rank_detection_switches_off_after_quiet_sweeps(monkeypatch):
 
     monkeypatch.setattr(mc, "rank_decrease", counting)
     _, prob = easy_problem(seed=16)
-    # floor == init rank: the check runs but can never change anything
+    # no eigenvalue ratio can pass tau (_rank_cuts caps them at 1/eps): the check
+    # runs but can never change anything
     cfg = SolverConfig(
         init_ranks=3, seed=0, max_iter=12, epsilon=1e-15,
-        rank_cfg=RankDecreaseConfig(floor=3),
+        rank_cfg=RankDecreaseConfig(tau=1e16),
     )
     solve(prob, cfg)
     assert len(calls) == RANK_STABLE_ITERS

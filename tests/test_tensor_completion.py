@@ -32,7 +32,7 @@ from tubal import (
     update_right,
     update_x_blend,
 )
-from tubal.factors import compose_spectral, init_factors
+from tubal.factors import compose_spectral, init_factors, slice_solves
 from tubal.matrix_completion import solve as msolve
 from tubal.tensor_completion import GAMMA_GUARD, default_geometry, solve
 
@@ -212,6 +212,25 @@ def test_zero_gamma_reduces_to_the_single_factorization_solver():
     assert ttrace.iterations == mtrace.iterations
     assert np.array_equal(ttrace.objectives(), mtrace.objectives())
     assert [r.rel_change for r in ttrace.rows] == [r.rel_change for r in mtrace.rows]
+
+
+def test_pinned_zero_gamma_runs_the_slice_side_alone(tmp_path):
+    _, prob = partial_problem(seed=13, n1=12, n2=10)
+    kw = dict(init_ranks=3, seed=4, t0=5, max_iter=25, epsilon=1e-10)
+    slice_solves.reset()
+    _, ttrace = solve(prob, DoubleTubalConfig(gamma0=0.0, adaptive_gamma=False, **kw))
+    tensor_solves = slice_solves.count
+    slice_solves.reset()
+    msolve(prob, SolverConfig(**kw))
+    assert tensor_solves == slice_solves.count
+    start = dfactors_for(prob, init_ranks=3, init_ranks_xt=2, seed=4).f_xt
+    f_xt = ttrace.final_factors.f_xt
+    assert all(np.array_equal(a, b) for a, b in zip(f_xt.left + f_xt.right, start.left + start.right))
+    assert all(r.gamma == 0.0 and r.ranks_xt == start.ranks for r in ttrace.rows)
+    assert not any("rank_decrease_xt" in r.event for r in ttrace.rows)
+    path = tmp_path / "trace.csv"
+    ttrace.write_csv(path)
+    assert path.read_text().splitlines()[0].split(",")[-2:] == ["gamma", "ranks_xt"]
 
 
 def interpolating_problem(seed=0):
