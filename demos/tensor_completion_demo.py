@@ -1,6 +1,7 @@
 """Complete a partially observed tensor with two factorizations at once:
 one of the tensor itself and one of its mode-3 regrouping, blended by an
-adaptive weight.
+adaptive weight that switches the regrouped side off when it keeps fitting
+worse than the slice side.
 
     python3 demos/tensor_completion_demo.py
 """
@@ -17,6 +18,13 @@ from tubal import (
     tensor_kkt_residuals,
 )
 from tubal.tensor_completion import default_geometry, solve
+
+
+def side_status(trace):
+    """Where the regrouped side was switched off, if it was."""
+    off = [row.iteration for row in trace.rows if "side_off" in row.event]
+    return f"side_off at sweep {off[0]}" if off else "regrouped side kept for the whole run"
+
 
 # ------------------------------------------------------------------
 # Act one: data that is low rank on both sides.  A rank-2 CP tensor has
@@ -42,7 +50,8 @@ x, trace = solve(problem, DoubleTubalConfig(**common))
 x0, trace0 = solve(
     problem, DoubleTubalConfig(gamma0=0.0, adaptive_gamma=False, **common)
 )
-print(f"blended solve:      rel error {rel_error(x, truth):.2e} ({trace.iterations} sweeps)")
+print(f"blended solve:      rel error {rel_error(x, truth):.2e} ({trace.iterations} sweeps, "
+      f"{side_status(trace)})")
 print(f"single side only:   rel error {rel_error(x0, truth):.2e} ({trace0.iterations} sweeps)")
 print("the regrouped factorization is a second structural prior, and with")
 print("this few observations it is the difference between recovery and not")
@@ -57,7 +66,8 @@ print(
 # ------------------------------------------------------------------
 # Act two: data structured on one side only.  The regrouped view of this
 # tensor is full rank, and the adaptive weight discovers that by comparing
-# the two residuals, steering gamma toward zero on its own.
+# the two residuals: gamma falls sweep after sweep, and once it has fallen
+# three times in a row to below 1/4 the regrouped side is switched off.
 truth = synth_low_tubal(40, 40, 10, 3, seed=0)
 p, q = 160, 10
 print(f"\ntruth {truth.shape}, double tubal rank {double_tubal_rank(truth, p, q)}")
@@ -69,6 +79,6 @@ x, trace = solve(problem, DoubleTubalConfig(init_ranks=3, p=p, q=q, seed=0))
 
 gammas = [row.gamma for row in trace.rows]
 print(f"gamma path: {gammas[0]:.3f} -> {gammas[1]:.3f} -> {gammas[2]:.3f} -> "
-      f"... -> {gammas[-1]:.4f} over {trace.iterations} sweeps")
-print(f"rel error {rel_error(x, truth):.2e}: the weight shrank the unhelpful "
-      f"side instead of letting it poison the fit")
+      f"... -> {gammas[-1]:.4f} over {trace.iterations} sweeps, {side_status(trace)}")
+print(f"rel error {rel_error(x, truth):.2e}: with the unhelpful side switched off, "
+      f"the slice side alone finished the fit")

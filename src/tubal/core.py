@@ -105,8 +105,9 @@ def _imag_residual(slices, n3):
 
 def _half_weighted_sq(slices, n3):
     """Squared Frobenius mass of a half spectrum over all n3 slices (conjugate-pair weights)."""
-    w = pair_weights(n3)
-    return float(np.einsum("ijk,ijk,k->", slices, np.conj(slices), w).real)
+    w = np.repeat(pair_weights(n3), 2)  # a float64 view interleaves real and imaginary parts
+    v = np.ascontiguousarray(slices, dtype=complex).view(np.float64).reshape(-1, w.size)
+    return float(np.einsum("ij,ij->j", v, v) @ w)
 
 
 def _irfft_checked(slices, n3, tol=1e-6):

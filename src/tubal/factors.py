@@ -51,15 +51,15 @@ class RankDecreaseConfig:
     """Eigen-gap rank detection settings.
 
     tau is the minimal ratio between consecutive Gram eigenvalues treated as a
-    rank gap.
+    rank gap, a finite value above 1.
     """
 
     enabled: bool = True
     tau: float = 10.0
 
     def __post_init__(self):
-        if self.tau <= 1:
-            raise ValueError(f"tau must exceed 1, got {self.tau}")
+        if not 1 < self.tau < np.inf:  # NaN fails too
+            raise ValueError(f"tau must be finite and exceed 1, got {self.tau}")
 
 
 @dataclass

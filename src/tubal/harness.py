@@ -110,8 +110,8 @@ class ExperimentSpec:
 
 def _solver_config(spec, init_ranks, cls=SolverConfig, **extra):
     """A solver config of type cls carrying the spec's shared solver settings."""
-    tau = spec.rank_decrease_tau
-    rank_cfg = RankDecreaseConfig(tau=tau) if tau and tau > 1 else RankDecreaseConfig(enabled=False)
+    tau = spec.rank_decrease_tau  # 0 disables; RankDecreaseConfig rejects other values <= 1
+    rank_cfg = RankDecreaseConfig(enabled=False) if tau == 0 else RankDecreaseConfig(tau=tau)
     return cls(
         init_ranks=init_ranks,
         t0=spec.t0,

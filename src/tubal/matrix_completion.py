@@ -54,6 +54,8 @@ PLATEAU = 1e-2  # mean residual ratio this close to 1 triggers rank growth
 RATE_WINDOW = 3  # sweeps averaged into the residual contraction rate
 SLOW_RATIO = 0.7  # contraction above this raises the relaxation weight
 GAMMA_GUARD = 1e-15  # below this reconstruction residual, gamma stays put
+SIDE_OFF_FALLS = 3  # adaptive gamma falling this many refits in a row, to below
+SIDE_OFF_GAMMA = 0.25  # this weight, switches the second side off
 
 
 @dataclass
@@ -154,7 +156,7 @@ class TraceRow:
     rel_change: float
     ranks: object
     elapsed_ms: float
-    event: str = ""  # "+"-joined rank_decrease[_xt], rank_increase; or sor_reject
+    event: str = ""  # "+"-joined rank_decrease[_xt], rank_increase, side_off; or sor_reject
     step_sq: float = 0.0  # squared factor-product step, kept in memory only
     gamma: float = None
     ranks_xt: object = None
@@ -444,17 +446,21 @@ def objective(factors, x):
     return _weighted_misfit([side], None, attrgetter("spec.slices"))
 
 
-def _sweeps(problem, config, sides, gamma=None, adaptive_gamma=False):
+def _sweeps(problem, config, all_sides, gamma=None, adaptive_gamma=False):
     """The sweep engine of both solvers, over sides fitted to one iterate.
 
     The slice side comes first; a second side enters the fill and the
-    objective with weight gamma (logged on every row), refit after every
-    accepted sweep when adaptive_gamma is set.  A sweep refits each side in
-    turn (during the first t0 sweeps, from a refill before every refit but
-    the first), shrinks ranks, refills the iterate and has every side fit it.
-    Returns (x, trace, the gamma whose fill made x); the sides keep the
-    final factors.
+    objective with weight gamma, refit after every accepted sweep when
+    adaptive_gamma is set.  It is left out at a fixed gamma of 0, and leaves
+    once adaptive gamma has fallen on SIDE_OFF_FALLS refits in a row to below
+    SIDE_OFF_GAMMA (event side_off; gamma is then 0, and the next sweep is not
+    stop-tested).  Every row logs gamma and the second side's ranks.  A sweep
+    refits each side in turn (during the first t0 sweeps, from a refill before
+    every refit but the first), shrinks ranks, refills the iterate and has
+    every side fit it.  Returns (x, trace, the gamma whose fill made x); the
+    sides keep the final factors.
     """
+    sides = all_sides[:1] if gamma == 0 and not adaptive_gamma else list(all_sides)
     growth = RankGrowth.for_run(problem, sides[0], config.rank_cfg)
     observed_index = _observed_index(problem)
     # generate_mask's masks are F-ordered: the gamma refit reads a C-ordered copy
@@ -464,7 +470,7 @@ def _sweeps(problem, config, sides, gamma=None, adaptive_gamma=False):
         side.rank_on = config.rank_cfg.enabled
         side.fit(x)
         side.prev = compose_spectral(side.factors)
-    x_gamma = gamma
+    x_gamma, falls, tested = gamma, 0, True
 
     def refill(spent=None):
         """The refilled iterate.  spent, a side about to refit its right factors,
@@ -510,7 +516,7 @@ def _sweeps(problem, config, sides, gamma=None, adaptive_gamma=False):
             elapsed_ms=0.0,
             step_sq=_weighted_misfit(sides, gamma, attrgetter("prev")),
             gamma=gamma,
-            ranks_xt=sides[1].factors.ranks if len(sides) > 1 else None,
+            ranks_xt=all_sides[1].factors.ranks if len(all_sides) > 1 else None,
         )
         if not accepted:
             event = ["sor_reject"]
@@ -520,13 +526,14 @@ def _sweeps(problem, config, sides, gamma=None, adaptive_gamma=False):
         else:
             x, x_gamma = x_new, gamma
             if adaptive_gamma:
-                gamma = _refit_gamma(sides, problem.observed, on, gamma)
+                refit = _refit_gamma(sides, problem.observed, on, gamma)
+                falls, gamma = falls + 1 if refit < gamma else 0, refit
             for side in sides:
                 side.prev = side.products()
             if growth is None:
-                stop = rel < config.epsilon
+                stop = tested and rel < config.epsilon
             else:
-                stop = growth.converged(rel, config.epsilon)
+                stop = growth.converged(rel, config.epsilon) and tested
                 # growth on the last sweep would leave factors that do not match x
                 if not stop and t < config.max_iter and growth.grow(sides[0]):
                     event.append("rank_increase")
@@ -535,6 +542,14 @@ def _sweeps(problem, config, sides, gamma=None, adaptive_gamma=False):
                     target = growth.relaxed(_fill(sides, x_gamma), x)
                     for side in sides:
                         side.fit(target)
+            tested = True
+            if adaptive_gamma and falls >= SIDE_OFF_FALLS and gamma < SIDE_OFF_GAMMA and not stop:
+                # the second side keeps losing ground to the first: go on as the one-side engine
+                off = sides.pop()
+                off.drop()
+                off.spec = off.prev = None
+                gamma, adaptive_gamma, tested = 0.0, False, False
+                event.append("side_off")
         row.event = "+".join(event)
         row.elapsed_ms = (time.perf_counter() - started) * 1e3
         trace.rows.append(row)

@@ -158,9 +158,11 @@ def solve(problem, config):
     Each sweep refits the slice factors, then the regrouped ones.  When the
     slice factors could interpolate the data, the run follows RankGrowth on
     the slice side, over-relaxing the blended fill; the regrouped side keeps
-    its starting ranks.  A regrouped side of no weight (gamma0 = 0, adaptive_gamma
-    off) is left out: the run is the matrix solver's, logged with that side's
-    starting ranks.  Returns (x, trace).
+    its starting ranks.  The regrouped side is left out at a fixed gamma0 of
+    0, and switched off (event side_off) once adaptive gamma has fallen on
+    SIDE_OFF_FALLS refits in a row to below SIDE_OFF_GAMMA; sweeps without it
+    are the matrix solver's, logged with gamma 0 and that side's last ranks.
+    Returns (x, trace); trace.final_factors has the gamma whose fill made x.
     """
     n1, n2, n3 = problem.dims
     p, q = config.geometry(n1, n2)
@@ -174,12 +176,7 @@ def solve(problem, config):
         init_factors(n3, p, q, ranks_xt, rng),
         problem.dims,
     )
-    weightless = config.gamma0 == 0 and not config.adaptive_gamma
-    fitted = sides[:1] if weightless else sides
-    x, trace, gamma = _sweeps(problem, config, fitted, float(config.gamma0), config.adaptive_gamma)
-    if weightless:
-        for row in trace.rows:
-            row.ranks_xt = sides[1].factors.ranks
+    x, trace, gamma = _sweeps(problem, config, sides, float(config.gamma0), config.adaptive_gamma)
     trace.final_factors = DoubleFactors(sides[0].factors, sides[1].factors, gamma)
     return x, trace
 

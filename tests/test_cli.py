@@ -260,6 +260,20 @@ def test_rank_decrease_tau_zero_disables_drops(tmp_path):
     assert row0[5] == "" and set(row0[3].split(";")) == {"6"}
 
 
+@pytest.mark.parametrize("tau", ["0.5", "1", "-3", "nan", "inf"])
+def test_rank_decrease_tau_other_than_zero_must_exceed_one(tmp_path, capsys, tau):
+    src = tmp_path / "in.t3"
+    save_tensor(src, rank2_image(24, 32, seed=6)[:, :, None])
+    code = main(
+        ["complete-matrix", "--input", str(src), "--ratio", "0.8",
+         "--n2", "8", "--init-rank", "3", "--rank-decrease-tau", tau]
+    )
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: tau must be finite and exceed 1, got ")
+    assert str(float(tau)) in err
+
+
 # ------------------------------------------------------------- complete-tensor
 
 

@@ -1,7 +1,8 @@
 """Property tests: the regroup and fold against their unfolding definitions, the
-inverse transform's conjugate-symmetry guard against its defining inequality, the
-t-product and multi-rank against per-slice definitions, and the rank edits'
-bookkeeping."""
+matrix folding's round trip, the inverse transform's conjugate-symmetry guard
+against its defining inequality, the half-spectrum mass against Parseval and its
+conjugate-product form, the t-product and multi-rank against per-slice
+definitions, and the rank edits' bookkeeping."""
 
 import numpy as np
 import pytest
@@ -24,10 +25,11 @@ from tubal import (  # noqa: E402
     rank_decrease,
     reshape_matrix_to_tensor,
     reshape_mode3,
+    tensor_to_matrix,
     tprod,
     tprod_reference,
 )
-from tubal.core import _irfft_checked  # noqa: E402
+from tubal.core import _half_weighted_sq, _irfft_checked  # noqa: E402
 from tubal.factors import grow_ranks, truncate_ranks  # noqa: E402
 
 dims = st.integers(1, 6)
@@ -63,6 +65,19 @@ def test_regroup_and_fold_match_their_unfolding_definitions(n1, n2, n3, seed):
         assert np.array_equal(back, a)
         u = rng.standard_normal((n3, p, q))
         assert np.array_equal(reshape_mode3(fold3_from_reshaped(u, a.shape), p, q), u)
+
+
+@given(dims, st.integers(1, 12), st.integers(1, 8), seeds)
+@example(3, 7, 3, 0)
+@example(3, 6, 3, 0)
+@example(2, 1, 4, 0)
+@example(2, 5, 8, 0)
+def test_matrix_folding_round_trips_through_its_padding(n1, h, n2, seed):
+    m = np.random.default_rng(seed).standard_normal((n1, h))
+    t, pad = reshape_matrix_to_tensor(m, n2)
+    assert pad == -h % n2 and t.shape == (n1, n2, (h + pad) // n2)
+    assert np.array_equal(tensor_to_matrix(t, h), m)
+    assert not t.transpose(0, 2, 1).reshape(n1, -1)[:, h:].any()
 
 
 # ------------------------------------------------------------ symmetry guard
@@ -126,6 +141,37 @@ def test_symmetry_guard_raises_iff_imaginary_mass_exceeds_tol_of_total(
     else:
         got = _irfft_checked(slices, n3, tol=tol)
         assert np.array_equal(got, np.fft.irfft(slices, n=n3, axis=2))
+
+
+# ------------------------------------------------------- half-spectrum mass
+
+
+@given(dims, dims, depths, seeds, st.sampled_from(["C", "F", "strided"]))
+@example(3, 4, 1, 0, "strided")
+@example(3, 4, 2, 0, "F")
+@example(2, 5, 7, 0, "strided")
+def test_half_spectrum_mass_is_parseval_with_pair_weights(n1, n2, n3, seed, layout):
+    rng = np.random.default_rng(seed)
+    wide = rng.standard_normal((n1, 2 * n2, n3))
+    a = wide[:, ::2]
+    spec = {
+        "C": lambda: np.fft.rfft(a, axis=2),
+        "F": lambda: np.asfortranarray(np.fft.rfft(a, axis=2)),
+        "strided": lambda: np.fft.rfft(wide, axis=2)[:, ::2],
+    }[layout]()
+    assert np.isclose(_half_weighted_sq(spec, n3) / n3, np.sum(a * a), rtol=1e-12, atol=0)
+
+
+@given(dims, dims, depths, seeds)
+@example(3, 4, 1, 0)
+@example(3, 4, 2, 0)
+@example(4, 4, 7, 0)
+def test_half_spectrum_mass_matches_the_conjugate_product_form(n1, n2, n3, seed):
+    rng = np.random.default_rng(seed)
+    shape = (n1, n2, half_count(n3))
+    slices = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = np.einsum("ijk,ijk,k->", slices, np.conj(slices), pair_weights(n3)).real
+    assert abs(_half_weighted_sq(slices, n3) - want) <= 1e-12 * want
 
 
 # ------------------------------------------------------- t-product and ranks

@@ -20,6 +20,7 @@ from tubal import (
     fro_norm,
     generate_mask,
     half_count,
+    rel_error,
     reshape_mode3,
     synth_low_tubal,
     tensor_kkt_residuals,
@@ -33,6 +34,7 @@ from tubal import (
     update_x_blend,
 )
 from tubal.factors import compose_spectral, init_factors, slice_solves
+from tubal.matrix_completion import SIDE_OFF_GAMMA
 from tubal.matrix_completion import solve as msolve
 from tubal.tensor_completion import GAMMA_GUARD, default_geometry, solve
 
@@ -301,6 +303,74 @@ def test_fixed_gamma_stays_put():
     )
     _, trace = solve(prob, cfg)
     assert all(r.gamma == 0.25 for r in trace.rows)
+
+
+def criterion_5_problem(seed=0):
+    """Criterion 5's instance: a tubal-rank-3 40x40x10 tensor, 60% observed, whose
+    (160, 10) regrouping is full rank, so the regrouped side is the wrong model."""
+    truth = synth_low_tubal(40, 40, 10, 3, seed)
+    mask = generate_mask(truth.shape, 0.6, seed)
+    return truth, CompletionProblem.from_tensor(truth * mask.observed, mask)
+
+
+def counted_solves(run, *args):
+    slice_solves.reset()
+    out = run(*args)
+    return out, slice_solves.count
+
+
+def test_adaptive_gamma_switches_an_unhelpful_side_off():
+    truth, prob = criterion_5_problem()
+    kw = dict(init_ranks=3, p=160, q=10, seed=0)
+    (x, trace), solves = counted_solves(solve, prob, DoubleTubalConfig(**kw))
+    off = [r.iteration for r in trace.rows if "side_off" in r.event]
+    assert len(off) == 1
+    t = off[0]
+    ranks_xt = trace.rows[t - 1].ranks_xt
+    later = trace.rows[t:]
+    assert later and all(r.gamma == 0.0 and r.ranks_xt == ranks_xt for r in later)
+    assert trace.final_factors.gamma == 0.0 and trace.final_factors.f_xt.ranks == ranks_xt
+    assert trace.converged and rel_error(x, truth) < 1e-3
+    # every sweep after the switch costs what a matrix-solver sweep costs
+    _, upto_switch = counted_solves(solve, prob, DoubleTubalConfig(max_iter=t, **kw))
+    matrix_cfg = dict(init_ranks=3, seed=0)
+    _, one = counted_solves(msolve, prob, SolverConfig(max_iter=1, **matrix_cfg))
+    _, two = counted_solves(msolve, prob, SolverConfig(max_iter=2, **matrix_cfg))
+    assert solves - upto_switch == len(later) * (two - one)
+
+
+def test_a_helpful_side_is_never_switched_off(monkeypatch):
+    # the tensor demo's first act: a CP-rank-2 tensor, low rank on both sides
+    rng = np.random.default_rng(3)
+    truth = np.einsum(
+        "ir,jr,rk->ijk",
+        rng.standard_normal((20, 2)),
+        rng.standard_normal((18, 2)),
+        rng.standard_normal((2, 8)),
+    )
+    mask = generate_mask(truth.shape, 0.4, seed=5)
+    prob = CompletionProblem.from_tensor(truth * mask.observed, mask)
+    cfg = DoubleTubalConfig(
+        init_ranks=2, init_ranks_xt=2, p=20, q=18, seed=0, epsilon=1e-10, max_iter=500
+    )
+    x, trace = solve(prob, cfg)
+    assert not any("side_off" in r.event for r in trace.rows)
+    assert rel_error(x, truth) < 1e-3
+    monkeypatch.setattr(mc, "SIDE_OFF_FALLS", trace.iterations + 1)  # cannot fire
+    x_kept, _ = solve(prob, cfg)
+    assert np.array_equal(x, x_kept)
+
+
+def test_a_fixed_gamma_never_switches_the_side_off():
+    _, prob = criterion_5_problem()
+    gamma = SIDE_OFF_GAMMA / 2
+    cfg = DoubleTubalConfig(
+        init_ranks=3, p=160, q=10, seed=0, gamma0=gamma, adaptive_gamma=False, max_iter=8
+    )
+    (_, trace), solves = counted_solves(solve, prob, cfg)
+    assert all(r.gamma == gamma and "side_off" not in r.event for r in trace.rows)
+    # both sides refit every sweep: 6 stored slices each, left and right
+    assert solves == trace.iterations * 2 * (half_count(10) + half_count(10))
 
 
 def test_one_sweep_is_the_public_steps_composed():
