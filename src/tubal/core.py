@@ -46,7 +46,10 @@ class SpectralTensor:
         Shape (n1, n2, n3) of the spatial tensor.
     slices : ndarray
         Complex array of shape (n1, n2, n3 // 2 + 1); slices[:, :, k] is the
-        k-th frequency slice.  Remaining slices are conjugate mirrors.
+        k-th frequency slice.  Remaining slices are conjugate mirrors.  The
+        library stores it slice-major, as the transposed view of a C-contiguous
+        (n3 // 2 + 1, n1, n2) buffer, so each slices[:, :, k] is one contiguous
+        matrix; a spectrum in any other layout works too, only slower.
     """
 
     dims: tuple
@@ -79,14 +82,16 @@ def _as_tensor3(a, name="tensor"):
 
 
 def dft_mode3(a):
-    """Transform a real tensor along mode 3.
+    """Transform a real tensor along mode 3 into a slice-major half spectrum.
 
     Forward transform is unnormalized (the inverse carries the 1/n3 factor),
     so Frobenius mass satisfies ||a||^2 = (1/n3) * sum_k ||slice_k||^2 over
-    the full spectrum.
+    the full spectrum.  Each stored slice slices[:, :, k] of the result is one
+    contiguous matrix (see SpectralTensor).
     """
     a = _as_tensor3(a)
-    return SpectralTensor(dims=a.shape, slices=np.fft.rfft(a, axis=2))
+    out = np.empty((half_count(a.shape[2]),) + a.shape[:2], complex).transpose(1, 2, 0)
+    return SpectralTensor(dims=a.shape, slices=np.fft.rfft(a, axis=2, out=out))
 
 
 def _imag_residual(slices, n3):
@@ -105,9 +110,9 @@ def _imag_residual(slices, n3):
 
 def _half_weighted_sq(slices, n3):
     """Squared Frobenius mass of a half spectrum over all n3 slices (conjugate-pair weights)."""
-    w = np.repeat(pair_weights(n3), 2)  # a float64 view interleaves real and imaginary parts
-    v = np.ascontiguousarray(slices, dtype=complex).view(np.float64).reshape(-1, w.size)
-    return float(np.einsum("ij,ij->j", v, v) @ w)
+    s = np.ascontiguousarray(np.moveaxis(slices, 2, 0), dtype=complex)  # slice-major: no copy
+    v = s.view(np.float64).reshape(s.shape[0], -1)  # per slice, its real and imaginary parts
+    return float(np.einsum("ij,ij->i", v, v) @ pair_weights(n3))
 
 
 def _irfft_checked(slices, n3, tol=1e-6):
@@ -121,7 +126,8 @@ def _irfft_checked(slices, n3, tol=1e-6):
                 f"spectrum is not conjugate-symmetric: imaginary mass {resid:.3e} "
                 f"exceeds {tol:g} of total mass {total:.3e}"
             )
-    return np.fft.irfft(slices, n=n3, axis=2)
+    # a C-ordered out: irfft would otherwise lay its result out like a slice-major input
+    return np.fft.irfft(slices, n=n3, axis=2, out=np.empty(slices.shape[:2] + (n3,)))
 
 
 def idft_mode3(spec):

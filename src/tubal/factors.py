@@ -163,6 +163,11 @@ def _stack(mats, ks):
     return np.stack([mats[k] for k in ks])
 
 
+def _run(ks):
+    """ks as a basic slice when it is one contiguous run: a view of a stack, not a gather."""
+    return slice(ks[0], ks[-1] + 1) if ks[-1] - ks[0] + 1 == len(ks) else ks
+
+
 def _h(a):
     """Conjugate transpose of every matrix in a stack."""
     return a.conj().swapaxes(-1, -2)
@@ -179,7 +184,7 @@ def update_left(factors, spec):
     for ks in _rank_groups(factors).values():
         q = _stack(factors.right, ks)
         qh = _h(q)
-        for k, m in zip(ks, data[ks] @ qh @ pinv(q @ qh)):
+        for k, m in zip(ks, data[_run(ks)] @ qh @ pinv(q @ qh)):
             new_left[k] = m
     slice_solves.add(factors.n_stored)
     return replace(factors, left=new_left)
@@ -195,22 +200,18 @@ def update_right(factors, spec):
     new_right = [None] * factors.n_stored
     for ks in _rank_groups(factors).values():
         ph = _h(_stack(factors.left, ks))
-        for k, m in zip(ks, pinv(ph @ _h(ph)) @ ph @ data[ks]):
+        for k, m in zip(ks, pinv(ph @ _h(ph)) @ ph @ data[_run(ks)]):
             new_right[k] = m
     slice_solves.add(factors.n_stored)
     return replace(factors, right=new_right)
 
 
 def compose_spectral(factors):
-    """Stored-slice products left[k] @ right[k] as an (n_rows, n_cols, half) array."""
-    n_rows, n_cols, n3 = factors.dims
-    out = np.empty((n_rows, n_cols, factors.n_stored), complex)
-    by_slice = out.transpose(2, 0, 1)
+    """Stored-slice products left[k] @ right[k] as a slice-major (n_rows, n_cols, half) array."""
+    by_slice = np.empty((factors.n_stored,) + factors.dims[:2], complex)
     for ks in _rank_groups(factors).values():
-        # a contiguous run of slices (every slice at uniform rank) is a basic slice
-        run = slice(ks[0], ks[-1] + 1) if ks[-1] - ks[0] + 1 == len(ks) else ks
-        by_slice[run] = _stack(factors.left, ks) @ _stack(factors.right, ks)
-    return out
+        by_slice[_run(ks)] = _stack(factors.left, ks) @ _stack(factors.right, ks)
+    return by_slice.transpose(1, 2, 0)
 
 
 def compose(factors):
@@ -250,15 +251,16 @@ def rank_decrease(factors, cfg=RankDecreaseConfig()):
         if r <= 1:
             continue
         q = _stack(factors.right, ks)
-        lam = np.linalg.eigvalsh(q @ _h(q))[:, ::-1]
-        for k, cut in zip(ks, _rank_cuts(lam, cfg.tau)):
-            if cut == 0:
-                continue
-            # Thin SVD of the slice product through a QR factor keeps the cost at
-            # O(n r^2) instead of forming the full n_rows x n_cols product.
-            qmat, rmat = np.linalg.qr(factors.left[k])
-            u, s, vh = np.linalg.svd(rmat @ factors.right[k], full_matrices=False)
-            cuts[k] = (qmat @ (u[:, :cut] * s[:cut]), vh[:cut, :])
+        keep = _rank_cuts(np.linalg.eigvalsh(q @ _h(q))[:, ::-1], cfg.tau)
+        at = np.flatnonzero(keep)  # the group's slices that cut
+        if not at.size:
+            continue
+        # One stacked thin SVD of the cut slices' products, through QR factors, costs
+        # O(n r^2) per slice instead of forming the full n_rows x n_cols products.
+        qmat, rmat = np.linalg.qr(_stack(factors.left, [ks[i] for i in at]))
+        u, s, vh = np.linalg.svd(rmat @ q[at], full_matrices=False)
+        for i, c, qm, ui, si, vi in zip(at, keep[at], qmat, u, s, vh):
+            cuts[ks[i]] = (qm @ (ui[:, :c] * si[:c]), vi[:c, :])
     if not cuts:
         return factors, factors.ranks, False
     out = _edit_slices(factors, cuts)

@@ -2,7 +2,8 @@
 matrix folding's round trip, the inverse transform's conjugate-symmetry guard
 against its defining inequality, the half-spectrum mass against Parseval and its
 conjugate-product form, the t-product and multi-rank against per-slice
-definitions, and the rank edits' bookkeeping."""
+definitions, the rank edits' bookkeeping, and both solvers' invariants: a finite
+output, exact observed entries, and the same bytes on a repeated run."""
 
 import numpy as np
 import pytest
@@ -12,9 +13,14 @@ from hypothesis import example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from tubal import (  # noqa: E402
+    CompletionProblem,
+    DoubleTubalConfig,
     MultiRank,
     RankDecreaseConfig,
+    SolverConfig,
     SpectralSymmetryError,
+    complete_matrix,
+    complete_tensor,
     fold3_from_reshaped,
     half_count,
     init_factors,
@@ -276,3 +282,36 @@ def test_rank_decrease_cuts_to_matching_shapes_and_leaves_other_slices(n1, n2, n
     assert changed == (ranks != f.ranks)
     assert all(1 <= new <= old or new == old for new, old in zip(ranks, f.ranks))
     _check_edit(f, out, [k for k in range(f.n_stored) if ranks[k] == f.ranks[k]])
+
+
+# ------------------------------------------------------------ solver invariants
+
+
+def _run_solver(solver, problem, rank, seed):
+    if solver == "matrix":
+        x, _, trace = complete_matrix(problem, SolverConfig(init_ranks=rank, max_iter=8, seed=seed))
+    else:
+        x, trace = complete_tensor(problem, DoubleTubalConfig(init_ranks=rank, max_iter=8, seed=seed))
+    history = [(r.objective, r.rel_change, r.gamma, tuple(r.ranks), r.event) for r in trace.rows]
+    return x, history
+
+
+@given(dims, dims, depths, st.integers(1, 3), seeds, st.sampled_from(["matrix", "tensor"]))
+@example(4, 5, 1, 2, 0, "matrix")
+@example(4, 5, 1, 2, 0, "tensor")
+@example(4, 5, 2, 2, 0, "matrix")
+@example(4, 5, 2, 2, 0, "tensor")
+@example(3, 6, 7, 3, 0, "tensor")
+@example(6, 3, 6, 1, 0, "tensor")
+def test_solvers_return_finite_output_exact_on_observed_and_repeatable(n1, n2, n3, rank, seed, solver):
+    rng = np.random.default_rng(seed)
+    truth = rng.standard_normal((n1, n2, n3))
+    mask = rng.random(truth.shape) < 0.6
+    mask.flat[rng.integers(mask.size)] = True
+    problem = CompletionProblem.from_tensor(truth * mask, mask)
+    rank = min(rank, n1, n2)
+    x, history = _run_solver(solver, problem, rank, seed)
+    assert x.shape == truth.shape and np.isfinite(x).all()
+    assert np.array_equal(x[mask], truth[mask])
+    again, history_again = _run_solver(solver, problem, rank, seed)
+    assert again.tobytes() == x.tobytes() and history_again == history
