@@ -7,11 +7,12 @@ conjugate symmetry, so only n3 // 2 + 1 solves happen per sweep.  Slices of
 equal rank are solved together, as one stacked matmul/pinv per rank group.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import MultiRank, _irfft_checked
+from .core import MultiRank, _irfft_checked, half_count
 
 
 class SliceSolveCounter:
@@ -62,39 +63,50 @@ class RankDecreaseConfig:
             raise ValueError(f"tau must be finite and exceed 1, got {self.tau}")
 
 
-@dataclass
 class BlockFactors:
     """Per-slice factor pair for a tensor of shape dims = (n_rows, n_cols, n3).
 
     left[k] is (n_rows, r_k) complex, right[k] is (r_k, n_cols) complex, for
-    the stored frequency slices k = 0 .. n3 // 2.
+    the stored frequency slices k = 0 .. n3 // 2.  groups stores them as one
+    triple (ks, left, right) per rank r: the slices' ascending indices and
+    C-contiguous (len(ks), n_rows, r) and (len(ks), r, n_cols) stacks.  left
+    and right are tuples of views into the stacks, made on first use.
+    BlockFactors(dims, ranks, left, right) stacks per-slice sequences once.
     """
 
-    dims: tuple
-    ranks: MultiRank
-    left: list
-    right: list
-
-    def __post_init__(self):
-        n_rows, n_cols, n3 = self.dims
-        stored = self.ranks.stored()
-        if self.ranks.n3 != n3:
-            raise ValueError(f"rank vector length {self.ranks.n3} != n3 {n3}")
-        if len(self.left) != len(stored) or len(self.right) != len(stored):
+    def __init__(self, dims, ranks, left, right):
+        if ranks.n3 != dims[2]:
+            raise ValueError(f"rank vector length {ranks.n3} != n3 {dims[2]}")
+        if len(left) != half_count(dims[2]) or len(right) != len(left):
             raise ValueError("factor lists must cover every stored slice")
-        for k, r in enumerate(stored):
-            if self.left[k].shape != (n_rows, r):
-                raise ValueError(
-                    f"left slice {k} has shape {self.left[k].shape}, expected {(n_rows, r)}"
-                )
-            if self.right[k].shape != (r, n_cols):
-                raise ValueError(
-                    f"right slice {k} has shape {self.right[k].shape}, expected {(r, n_cols)}"
-                )
+        self._set(dims, ranks, [(ks, *(np.stack([m[k] for k in ks]) for m in (left, right)))
+                                for ks in _rank_groups(ranks.stored()).values()])
+
+    @classmethod
+    def _stacked(cls, dims, ranks, groups):
+        f = cls.__new__(cls)
+        f._set(dims, ranks, groups)
+        return f
+
+    def _set(self, dims, ranks, groups):
+        n_rows, n_cols, _ = dims
+        for ks, p, q in groups:  # one shape check per group
+            r = ranks[ks[0]]
+            if p.shape != (len(ks), n_rows, r) or q.shape != (len(ks), r, n_cols):
+                raise ValueError(f"rank-{r} slices {list(ks)} have stacks {p.shape}, {q.shape}")
+        self.dims, self.ranks, self.groups = dims, ranks, tuple(groups)
+
+    @cached_property
+    def _views(self):
+        views = {k: pair for ks, p, q in self.groups for k, pair in zip(ks, zip(p, q))}
+        return tuple(zip(*(views[k] for k in range(self.n_stored))))
+
+    left = property(lambda self: self._views[0])
+    right = property(lambda self: self._views[1])
 
     @property
     def n_stored(self):
-        return len(self.left)
+        return half_count(self.dims[2])
 
 
 def init_factors(n_rows, n_cols, n3, init_ranks, seed=0):
@@ -111,15 +123,12 @@ def init_factors(n_rows, n_cols, n3, init_ranks, seed=0):
             f"initial rank {rmax} exceeds min(n_rows, n_cols) = {min(n_rows, n_cols)}"
         )
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    stored = ranks.stored()
     scale = 1.0 / np.sqrt(max(rmax, 1))
     p0 = rng.standard_normal((n_rows, rmax, n3)) * scale
     q0 = rng.standard_normal((rmax, n_cols, n3)) * scale
-    pf = np.fft.rfft(p0, axis=2)
-    qf = np.fft.rfft(q0, axis=2)
-    left = [np.ascontiguousarray(pf[:, : stored[k], k]) for k in range(len(stored))]
-    right = [np.ascontiguousarray(qf[: stored[k], :, k]) for k in range(len(stored))]
-    return BlockFactors((n_rows, n_cols, n3), ranks, left, right)
+    pf, qf = (np.moveaxis(np.fft.rfft(a, axis=2), 2, 0) for a in (p0, q0))
+    dims, groups = (n_rows, n_cols, n3), [(np.arange(len(pf)), pf, qf)]
+    return truncate_ranks(BlockFactors._stacked(dims, MultiRank.constant(rmax, n3), groups), ranks)
 
 
 def as_multirank(value, n3):
@@ -141,26 +150,25 @@ def _check_spec(factors, spec):
         raise ValueError(f"data dims {spec.dims} != factor dims {factors.dims}")
 
 
-def _edit_slices(factors, pairs):
-    """The factor pair with each stored slice k in pairs replaced by pairs[k] = (left,
-    right); the ranks follow the new slices' shapes."""
-    left, right = list(factors.left), list(factors.right)
-    for k, (p, q) in pairs.items():
-        left[k], right[k] = p, q
-    stored = [q.shape[0] for q in right]
-    return BlockFactors(factors.dims, MultiRank.from_stored(stored, factors.dims[2]), left, right)
+def _rank_groups(stored):
+    """Stored-slice indices keyed by slice rank, as ascending arrays in order of first rank."""
+    stored = np.asarray(stored)
+    return {r: np.flatnonzero(stored == r) for r in dict.fromkeys(stored.tolist())}
 
 
-def _rank_groups(factors):
-    """Stored-slice indices keyed by slice rank, each list in stored order."""
-    groups = {}
-    for k, r in enumerate(factors.ranks.stored()):
-        groups.setdefault(r, []).append(k)
-    return groups
-
-
-def _stack(mats, ks):
-    return np.stack([mats[k] for k in ks])
+def _regroup(factors, pieces):
+    """The pair made of pieces, (ks, left, right) stacks of one rank each that together
+    cover every stored slice once: the pieces of a rank merge into its group."""
+    stored = np.empty(factors.n_stored, int)
+    for ks, _, q in pieces:
+        stored[ks] = q.shape[1]
+    groups = []
+    for r, ks in _rank_groups(stored).items():
+        same = [piece for piece in pieces if piece[2].shape[1] == r]
+        order = np.argsort(np.concatenate([piece[0] for piece in same]))
+        groups.append((ks, *(np.concatenate([piece[i] for piece in same])[order] for i in (1, 2))))
+    ranks = MultiRank.from_stored(stored, factors.dims[2])
+    return BlockFactors._stacked(factors.dims, ranks, groups)
 
 
 def _run(ks):
@@ -180,14 +188,12 @@ def update_left(factors, spec):
     """
     _check_spec(factors, spec)
     data = np.moveaxis(spec.slices, 2, 0)
-    new_left = [None] * factors.n_stored
-    for ks in _rank_groups(factors).values():
-        q = _stack(factors.right, ks)
+    groups = []
+    for ks, _, q in factors.groups:
         qh = _h(q)
-        for k, m in zip(ks, data[_run(ks)] @ qh @ pinv(q @ qh)):
-            new_left[k] = m
+        groups.append((ks, data[_run(ks)] @ qh @ pinv(q @ qh), q))
     slice_solves.add(factors.n_stored)
-    return replace(factors, left=new_left)
+    return BlockFactors._stacked(factors.dims, factors.ranks, groups)
 
 
 def update_right(factors, spec):
@@ -197,20 +203,23 @@ def update_right(factors, spec):
     """
     _check_spec(factors, spec)
     data = np.moveaxis(spec.slices, 2, 0)
-    new_right = [None] * factors.n_stored
-    for ks in _rank_groups(factors).values():
-        ph = _h(_stack(factors.left, ks))
-        for k, m in zip(ks, pinv(ph @ _h(ph)) @ ph @ data[_run(ks)]):
-            new_right[k] = m
+    groups = []
+    for ks, p, _ in factors.groups:
+        ph = _h(p)
+        groups.append((ks, p, pinv(ph @ _h(ph)) @ ph @ data[_run(ks)]))
     slice_solves.add(factors.n_stored)
-    return replace(factors, right=new_right)
+    return BlockFactors._stacked(factors.dims, factors.ranks, groups)
 
 
 def compose_spectral(factors):
     """Stored-slice products left[k] @ right[k] as a slice-major (n_rows, n_cols, half) array."""
     by_slice = np.empty((factors.n_stored,) + factors.dims[:2], complex)
-    for ks in _rank_groups(factors).values():
-        by_slice[_run(ks)] = _stack(factors.left, ks) @ _stack(factors.right, ks)
+    for ks, p, q in factors.groups:
+        at = _run(ks)
+        if isinstance(at, slice):  # one run: written in place
+            np.matmul(p, q, out=by_slice[at])
+        else:
+            by_slice[at] = p @ q
     return by_slice.transpose(1, 2, 0)
 
 
@@ -246,24 +255,24 @@ def rank_decrease(factors, cfg=RankDecreaseConfig()):
     """
     if not cfg.enabled:
         return factors, factors.ranks, False
-    cuts = {}
-    for r, ks in _rank_groups(factors).items():
-        if r <= 1:
-            continue
-        q = _stack(factors.right, ks)
-        keep = _rank_cuts(np.linalg.eigvalsh(q @ _h(q))[:, ::-1], cfg.tau)
+    pieces = []
+    for ks, p, q in factors.groups:
+        keep = _rank_cuts(np.linalg.eigvalsh(q @ _h(q))[:, ::-1], cfg.tau) if p.shape[2] > 1 else 0
         at = np.flatnonzero(keep)  # the group's slices that cut
         if not at.size:
+            pieces.append((ks, p, q))
             continue
         # One stacked thin SVD of the cut slices' products, through QR factors, costs
         # O(n r^2) per slice instead of forming the full n_rows x n_cols products.
-        qmat, rmat = np.linalg.qr(_stack(factors.left, [ks[i] for i in at]))
+        qmat, rmat = np.linalg.qr(p[at])
         u, s, vh = np.linalg.svd(rmat @ q[at], full_matrices=False)
-        for i, c, qm, ui, si, vi in zip(at, keep[at], qmat, u, s, vh):
-            cuts[ks[i]] = (qm @ (ui[:, :c] * si[:c]), vi[:c, :])
-    if not cuts:
+        pieces.append((ks[keep == 0], p[keep == 0], q[keep == 0]))
+        for c in set(keep[at].tolist()):
+            i = keep[at] == c
+            pieces.append((ks[at[i]], qmat[i] @ (u[i, :, :c] * s[i, None, :c]), vh[i, :c, :]))
+    if len(pieces) == len(factors.groups):  # a group that cut left two or more pieces
         return factors, factors.ranks, False
-    out = _edit_slices(factors, cuts)
+    out = _regroup(factors, pieces)
     return out, out.ranks, True
 
 
@@ -281,9 +290,13 @@ def can_interpolate(dims, ranks, n_observed):
 
 def truncate_ranks(factors, ranks):
     """Keep the leading ranks[k] columns and rows of every stored slice (at most its rank)."""
-    return _edit_slices(factors, {
-        k: (factors.left[k][:, :r], factors.right[k][:r, :]) for k, r in enumerate(ranks.stored())
-    })
+    target = np.array(ranks.stored())
+    pieces = []
+    for ks, p, q in factors.groups:
+        for t in set(target[ks].tolist()):
+            i = target[ks] == t
+            pieces.append((ks[i], p[i, :, :t], q[i, :t, :]))
+    return _regroup(factors, pieces)
 
 
 def grow_ranks(factors, residual, ceiling):
@@ -291,18 +304,22 @@ def grow_ranks(factors, residual, ceiling):
 
     residual holds the stored slices of the fitted data minus the current
     slice products, shape (n_rows, n_cols, n_stored); each growing slice gains
-    the leading singular pair of its residual slice.  ceiling lists the
-    stored-slice rank limits.  Returns (new_factors, changed).
+    the leading singular pair of its residual slice, from one stacked SVD per
+    rank group.  ceiling lists the stored-slice rank limits.  Returns (new_factors, changed).
     """
-    grown = {}
-    for k, cap in enumerate(ceiling):
-        if factors.ranks[k] >= cap:
+    residual, ceiling = np.moveaxis(residual, 2, 0), np.asarray(ceiling)
+    pieces = []
+    for ks, p, q in factors.groups:
+        at = np.flatnonzero(ceiling[ks] > p.shape[2])
+        u, s, vh = np.linalg.svd(residual[ks[at]], full_matrices=False)
+        i = s[:, 0] > 0
+        if not i.any():
+            pieces.append((ks, p, q))
             continue
-        u, s, vh = np.linalg.svd(residual[:, :, k], full_matrices=False)
-        if s[0] <= 0:
-            continue
-        left = np.hstack([factors.left[k], u[:, :1] * s[0]])
-        grown[k] = (left, np.vstack([factors.right[k], vh[:1, :]]))
-    if not grown:
+        at = at[i]
+        pieces.append((np.delete(ks, at), np.delete(p, at, 0), np.delete(q, at, 0)))
+        p_new = np.concatenate([p[at], u[i, :, :1] * s[i, None, :1]], axis=2)
+        pieces.append((ks[at], p_new, np.concatenate([q[at], vh[i, :1, :]], axis=1)))
+    if len(pieces) == len(factors.groups):  # a group that grew left two pieces
         return factors, False
-    return _edit_slices(factors, grown), True
+    return _regroup(factors, pieces), True

@@ -47,6 +47,8 @@ from .factors import (
     truncate_ranks,
     update_left,
     update_right,
+    _h,
+    _run,
 )
 
 RANK_STABLE_ITERS = 5  # rank detection switches off after this many quiet sweeps
@@ -421,13 +423,13 @@ def _weighted_misfit(sides, gamma, reference):
 def _gradient_sq(side):
     """Squared norms of the misfit's gradients in a side's left and right factors,
     at the spectrum it fits, over all n3 slices (conjugate-pair weights)."""
-    f = side.factors
-    w = pair_weights(f.dims[2])
-    diff = side.spec.slices - side.products()
+    w = pair_weights(side.factors.dims[2])
+    diff = np.moveaxis(side.spec.slices - side.products(), 2, 0)
     r_left = r_right = 0.0
-    for k in range(f.n_stored):
-        r_left += w[k] * np.linalg.norm(diff[:, :, k] @ f.right[k].conj().T) ** 2
-        r_right += w[k] * np.linalg.norm(f.left[k].conj().T @ diff[:, :, k]) ** 2
+    for ks, p, q in side.factors.groups:  # one stacked product per factor and rank group
+        d = diff[_run(ks)]
+        r_left += w[ks] @ np.linalg.norm(d @ _h(q), axis=(1, 2)) ** 2
+        r_right += w[ks] @ np.linalg.norm(_h(p) @ d, axis=(1, 2)) ** 2
     return r_left, r_right
 
 

@@ -449,6 +449,51 @@ def test_batched_rank_decrease_cuts_within_one_rank_group():
     assert changed and ranks.stored() == (2, 3, 0, 1)
 
 
+# ------------------------------------------------------ stacked rank groups
+
+
+def library_pairs():
+    """A pair from each library operation that builds one; stored ranks 3, 1, 3, 2, 1
+    put the rank-3 and rank-1 groups out of one contiguous run."""
+    f = init_factors(7, 6, 8, MultiRank.from_stored([3, 1, 3, 2, 1], 8), seed=1)
+    x = dft_mode3(rand((7, 6, 8), 2))
+    return {
+        "init_factors": f,
+        "update_left": update_left(f, x),
+        "update_right": update_right(f, x),
+        "rank_decrease": rank_decrease(update_right(f, x), RankDecreaseConfig(tau=1.5))[0],
+        "truncate_ranks": truncate_ranks(f, MultiRank.from_stored([2, 1, 1, 2, 1], 8)),
+        "grow_ranks": grow_ranks(f, x.slices - compose_spectral(f), (4, 2, 3, 2, 2))[0],
+    }
+
+
+@pytest.mark.parametrize("op", list(library_pairs()))
+def test_slice_factors_are_views_of_contiguous_group_stacks(op):
+    f = library_pairs()[op]
+    stacks = [s for _, p, q in f.groups for s in (p, q)]
+    assert all(s.flags.c_contiguous for s in stacks)
+    assert sorted(k for ks, _, _ in f.groups for k in ks) == list(range(f.n_stored))
+    for k, r in enumerate(f.ranks.stored()):
+        assert f.left[k].shape == (7, r) and f.right[k].shape == (r, 6)
+        assert any(np.shares_memory(f.left[k], s) for s in stacks)
+        assert any(np.shares_memory(f.right[k], s) for s in stacks)
+
+
+def test_factor_layer_makes_no_stack_copies(monkeypatch):
+    # rank-2 data and mixed starting ranks up to 6: the rank cut regroups every slice above 2
+    x = dft_mode3(tprod(rand((7, 2, 8), 60), rand((2, 6, 8), 61)))
+    f = init_factors(7, 6, 8, MultiRank.from_stored([6, 3, 6, 4, 2], 8), seed=62)
+    calls = []
+    stack = np.stack
+    monkeypatch.setattr(np, "stack", lambda *a, **kw: calls.append(1) or stack(*a, **kw))
+    f = update_right(update_left(f, x), x)
+    compose_spectral(f)
+    out, ranks, changed = rank_decrease(f, RankDecreaseConfig())
+    compose_spectral(out)
+    assert changed and ranks.tubal == 2
+    assert calls == []
+
+
 # ---------------------------------------------------------------- concurrency
 
 

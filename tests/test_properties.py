@@ -2,8 +2,9 @@
 matrix folding's round trip, the inverse transform's conjugate-symmetry guard
 against its defining inequality, the half-spectrum mass against Parseval and its
 conjugate-product form, the t-product and multi-rank against per-slice
-definitions, the rank edits' bookkeeping, and both solvers' invariants: a finite
-output, exact observed entries, and the same bytes on a repeated run."""
+definitions, the rank edits' bookkeeping, the factor layer's rank-group stacks
+against per-slice references, and both solvers' invariants: a finite output,
+exact observed entries, and the same bytes on a repeated run."""
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from tubal import (  # noqa: E402
+    BlockFactors,
     CompletionProblem,
     DoubleTubalConfig,
     MultiRank,
@@ -21,6 +23,8 @@ from tubal import (  # noqa: E402
     SpectralSymmetryError,
     complete_matrix,
     complete_tensor,
+    compose_spectral,
+    dft_mode3,
     fold3_from_reshaped,
     half_count,
     init_factors,
@@ -34,9 +38,13 @@ from tubal import (  # noqa: E402
     tensor_to_matrix,
     tprod,
     tprod_reference,
+    update_left,
+    update_right,
 )
 from tubal.core import _half_weighted_sq, _irfft_checked  # noqa: E402
 from tubal.factors import grow_ranks, truncate_ranks  # noqa: E402
+
+from test_factors import assert_slices_close, reference_rank_decrease  # noqa: E402
 
 dims = st.integers(1, 6)
 depths = st.integers(1, 7)
@@ -282,6 +290,45 @@ def test_rank_decrease_cuts_to_matching_shapes_and_leaves_other_slices(n1, n2, n
     assert changed == (ranks != f.ranks)
     assert all(1 <= new <= old or new == old for new, old in zip(ranks, f.ranks))
     _check_edit(f, out, [k for k in range(f.n_stored) if ranks[k] == f.ranks[k]])
+
+
+@given(dims, dims, depths, seeds)
+@example(3, 4, 1, 0)
+@example(3, 4, 2, 0)
+@example(4, 4, 5, 0)
+@example(4, 4, 6, 0)
+def test_rank_group_stacks_match_the_per_slice_references(n1, n2, n3, seed):
+    """Random stored ranks (0 allowed, equal ranks interleaved): a pair built from
+    lists, the same pair rebuilt by grow_ranks and truncate_ranks, and that pair after
+    a round of updates and a rank cut, each against the per-slice formulas."""
+    rng = np.random.default_rng(seed)
+    stored = [int(r) for r in rng.integers(0, min(n1, n2) + 1, half_count(n3))]
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    listed = BlockFactors(
+        (n1, n2, n3), MultiRank.from_stored(stored, n3),
+        [cplx(n1, r) for r in stored], [cplx(r, n2) for r in stored],
+    )
+    grown, _ = grow_ranks(listed, cplx(n1, n2, len(stored)), [r + 1 for r in stored])
+    rebuilt = truncate_ranks(grown, listed.ranks)
+    assert_slices_close(rebuilt.left + rebuilt.right, listed.left + listed.right)
+    spec = dft_mode3(rng.standard_normal((n1, n2, n3)))
+    d = [spec.slices[:, :, k] for k in range(len(stored))]
+    cfg = RankDecreaseConfig(tau=1.5)
+    after = rank_decrease(update_right(update_left(rebuilt, spec), spec), cfg)[0]
+    for f in (listed, rebuilt, after):
+        want = [d[k] @ q.conj().T @ np.linalg.pinv(q @ q.conj().T) for k, q in enumerate(f.right)]
+        assert_slices_close(update_left(f, spec).left, want)
+        want = [np.linalg.pinv(p.conj().T @ p) @ p.conj().T @ d[k] for k, p in enumerate(f.left)]
+        assert_slices_close(update_right(f, spec).right, want)
+        prods = compose_spectral(f)
+        assert_slices_close([prods[:, :, k] for k in range(len(d))], [p @ q for p, q in zip(f.left, f.right)])
+        out, ranks, _ = rank_decrease(f, cfg)
+        ref_stored, ref_left, ref_right = reference_rank_decrease(f, cfg)
+        assert ranks.stored() == tuple(ref_stored)
+        assert_slices_close(out.left + out.right, ref_left + ref_right)
 
 
 # ------------------------------------------------------------ solver invariants
