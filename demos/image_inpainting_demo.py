@@ -2,12 +2,14 @@
 
 Column blocks of the image fold into frontal slices of a tensor, and the
 folded image is approximately low tubal rank, which is the structure the
-solver restores.  Writes the observed and recovered images next to this
-script under demos/out/.
+solver restores.  Writes the observed and recovered images into the
+directory given as the first argument, by default demos/out/ next to this
+script.
 
-    python3 demos/image_inpainting_demo.py
+    python3 demos/image_inpainting_demo.py [OUTPUT_DIR]
 """
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +39,8 @@ def synthetic_scene(n=256):
     return np.clip(img, 0.0, 1.0)
 
 
-out_dir = Path(__file__).parent / "out"
-out_dir.mkdir(exist_ok=True)
+out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).parent / "out"
+out_dir.mkdir(parents=True, exist_ok=True)
 
 image = synthetic_scene()
 mask2d = generate_mask((*image.shape, 1), 0.7, seed=0).observed[:, :, 0]

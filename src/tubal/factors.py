@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import MultiRank, _irfft_checked, half_count
+from .core import MultiRank, _irfft_checked, dft_mode3, half_count, pair_weights
 
 
 class SliceSolveCounter:
@@ -126,7 +126,7 @@ def init_factors(n_rows, n_cols, n3, init_ranks, seed=0):
     scale = 1.0 / np.sqrt(max(rmax, 1))
     p0 = rng.standard_normal((n_rows, rmax, n3)) * scale
     q0 = rng.standard_normal((rmax, n_cols, n3)) * scale
-    pf, qf = (np.moveaxis(np.fft.rfft(a, axis=2), 2, 0) for a in (p0, q0))
+    pf, qf = (np.moveaxis(dft_mode3(a).slices, 2, 0) for a in (p0, q0))  # C-contiguous stacks
     dims, groups = (n_rows, n_cols, n3), [(np.arange(len(pf)), pf, qf)]
     return truncate_ranks(BlockFactors._stacked(dims, MultiRank.constant(rmax, n3), groups), ranks)
 
@@ -211,6 +211,19 @@ def update_right(factors, spec):
     return BlockFactors._stacked(factors.dims, factors.ranks, groups)
 
 
+def gradient_sq(factors, residual):
+    """Squared norms (left, right) of the half misfit's gradients in the two factors, over
+    all n3 slices, at residual: the fitted data's stored slices minus the slice products."""
+    w = pair_weights(factors.dims[2])
+    diff = np.moveaxis(residual, 2, 0)
+    r_left = r_right = 0.0
+    for ks, p, q in factors.groups:  # one stacked product per factor and rank group
+        d = diff[_run(ks)]
+        r_left += w[ks] @ np.linalg.norm(d @ _h(q), axis=(1, 2)) ** 2
+        r_right += w[ks] @ np.linalg.norm(_h(p) @ d, axis=(1, 2)) ** 2
+    return r_left, r_right
+
+
 def compose_spectral(factors):
     """Stored-slice products left[k] @ right[k] as a slice-major (n_rows, n_cols, half) array."""
     by_slice = np.empty((factors.n_stored,) + factors.dims[:2], complex)
@@ -289,8 +302,11 @@ def can_interpolate(dims, ranks, n_observed):
 
 
 def truncate_ranks(factors, ranks):
-    """Keep the leading ranks[k] columns and rows of every stored slice (at most its rank)."""
+    """Keep the leading ranks[k] columns and rows of every stored slice (at most its
+    rank); factors itself when no slice's rank changes."""
     target = np.array(ranks.stored())
+    if (target >= factors.ranks.stored()).all():
+        return factors
     pieces = []
     for ks, p, q in factors.groups:
         for t in set(target[ks].tolist()):

@@ -260,8 +260,8 @@ def _run_synth(spec):
     if not spec.output:
         raise ValueError("synth needs --output DIRECTORY")
     n2 = spec.n2
-    if SYNTH_WIDTH % n2:
-        raise ValueError(f"--n2 must divide {SYNTH_WIDTH} for synth")
+    if n2 < 1 or SYNTH_WIDTH % n2:
+        raise ValueError(f"--n2 must be a positive divisor of {SYNTH_WIDTH} for synth, got {n2}")
     os.makedirs(spec.output, exist_ok=True)
     ratio = spec.ratio if spec.ratio is not None else 0.6
     truth = synth_low_tubal(SYNTH_N1, n2, SYNTH_WIDTH // n2, SYNTH_RANK, spec.seed)

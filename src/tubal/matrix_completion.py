@@ -2,19 +2,25 @@
 the sweep engine that the tensor solver shares.
 
 The observed matrix is folded into a third-order tensor of consecutive column
-blocks, factored per frequency slice, and alternately refit: left factors,
-right factors, then the unobserved entries are replaced by the current
-factorization.  Early iterations refresh the iterate mid-sweep, which speeds
-up the initial descent; per-slice ranks shrink on the fly when the factor
-Gram spectrum shows a clear gap.  A start with enough factor capacity to
-interpolate the data instead grows its ranks from 1 (RankGrowth).
+blocks and factored per frequency slice.  Per-slice ranks shrink on the fly
+when the factor Gram spectrum shows a clear gap.  A start with enough factor
+capacity to interpolate the data instead grows its ranks from 1 (RankGrowth).
 
 The sweep engine (_sweeps) runs over a list of sides (_Side): factor pairs
 fitted to the same iterate, each through its own regrouping of it.  This
 solver is the engine on one side; tensor_completion adds the regrouped side,
-blended in with weight gamma.  The public step functions (update_x,
-objective, kkt_residuals, and their tensor counterparts) are built from the
-engine's own primitives.
+blended in with weight gamma.  A sweep, written out in _sweeps alone:
+
+1. Each side in turn updates its left factors, then its right ones.  In
+   stage one (the first t0 sweeps) the iterate is refilled after every
+   factor update, so a side's right update and each later side fit the
+   newest refill; in stage two all fit the last sweep's iterate.
+2. Ranks shrink where a Gram eigen-gap shows.
+3. The iterate is refilled from the sides' reconstructions; every side fits it.
+
+The sweep after a sor_reject, a rank_increase or a side_off is not
+stop-tested.  The public step functions (update_x, objective, kkt_residuals,
+and their tensor counterparts) are built from the engine's own primitives.
 """
 
 import csv
@@ -29,7 +35,6 @@ from .core import (
     ObservationMask,
     dft_mode3,
     fro_norm,
-    pair_weights,
     project,  # noqa: F401 -- bound for perfbench/layertrace.py, which wraps it here
     reshape_matrix_to_tensor,
     tensor_to_matrix,
@@ -41,14 +46,13 @@ from .factors import (
     can_interpolate,
     compose,  # noqa: F401 -- bound for perfbench/layertrace.py, which wraps it here
     compose_spectral,
+    gradient_sq,
     grow_ranks,
     init_factors,
     rank_decrease,
     truncate_ranks,
     update_left,
     update_right,
-    _h,
-    _run,
 )
 
 RANK_STABLE_ITERS = 5  # rank detection switches off after this many quiet sweeps
@@ -143,8 +147,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < np.inf:  # NaN fails too
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.t0 < 0:
@@ -224,7 +228,7 @@ class RankGrowth:
     The relative-change stop is scaled by max(1, rho / (1 - rho)), rho being
     the observed residual's contraction per sweep over the last RATE_WINDOW
     sweeps, which bounds the remaining distance of a linearly convergent
-    iteration; a sweep that follows a growth or a rejection is not tested.
+    iteration.
     """
 
     def __init__(self, ceiling):
@@ -233,7 +237,6 @@ class RankGrowth:
         self._step = 1.0
         self._residual = None
         self._ratios = []
-        self._skip_stop = False
 
     @classmethod
     def for_run(cls, problem, side, rank_cfg):
@@ -258,7 +261,6 @@ class RankGrowth:
             if self.omega > 1.0 and ratio >= 1.0:
                 self._step = max(0.1 * (self.omega - 1.0), 0.1 * self._step)
                 self.omega = 1.0
-                self._skip_stop = True
                 return False
             self._ratios.append(ratio)
             if ratio > SLOW_RATIO:
@@ -276,9 +278,6 @@ class RankGrowth:
 
     def converged(self, rel, epsilon):
         """The rate-aware stop test on a sweep's relative change."""
-        if self._skip_stop:
-            self._skip_stop = False
-            return False
         rho = self._rate()
         return rho < 1.0 and rel * max(1.0, rho / (1.0 - rho)) < epsilon
 
@@ -292,7 +291,6 @@ class RankGrowth:
         )
         if grown:
             self.omega = 1.0
-            self._skip_stop = True
             side.rank_on, side.stable = True, 0
         return grown
 
@@ -324,18 +322,12 @@ def _blend(base, other, gamma):
     return out
 
 
-def _observed_residual(a, observed, on):
-    """a minus observed where the mask on is set, zero elsewhere; fastest with on in C order."""
-    r = np.subtract(a, observed, order="C")
-    r *= on
-    return r
-
-
-def _refit_gamma(sides, observed, on, gamma):
+def _refit_gamma(sides, observed_index, gamma):
     """The blend weight refit to the two sides' reconstructions a and b:
     ||P_Omega(a - observed)|| / ||P_Omega(b - observed)||, or gamma unchanged
-    when the denominator is below GAMMA_GUARD."""
-    num, den = (fro_norm(_observed_residual(s.spatial(), observed, on)) for s in sides)
+    when the denominator is below GAMMA_GUARD.  observed_index is _observed_index's pair."""
+    idx, values = observed_index
+    num, den = (fro_norm(s.spatial().take(idx) - values) for s in sides)
     return num / den if den >= GAMMA_GUARD else gamma
 
 
@@ -363,14 +355,6 @@ class _Side:
             x = self.regroup(x)  # rebinding x frees a caller's temporary before the transform
         self.spec = dft_mode3(x)
         return self
-
-    def refit(self, refresh=None):
-        """Refit the left factors, then the right ones; refresh(side), if given,
-        returns the iterate the right ones fit (the mid-sweep refill)."""
-        self.factors = update_left(self.factors, self.spec)
-        if refresh is not None:
-            self.fit(refresh(self))
-        self.factors = update_right(self.factors, self.spec)
 
     def drop(self):
         """Forget the reconstruction."""
@@ -420,19 +404,6 @@ def _weighted_misfit(sides, gamma, reference):
     return total
 
 
-def _gradient_sq(side):
-    """Squared norms of the misfit's gradients in a side's left and right factors,
-    at the spectrum it fits, over all n3 slices (conjugate-pair weights)."""
-    w = pair_weights(side.factors.dims[2])
-    diff = np.moveaxis(side.spec.slices - side.products(), 2, 0)
-    r_left = r_right = 0.0
-    for ks, p, q in side.factors.groups:  # one stacked product per factor and rank group
-        d = diff[_run(ks)]
-        r_left += w[ks] @ np.linalg.norm(d @ _h(q), axis=(1, 2)) ** 2
-        r_right += w[ks] @ np.linalg.norm(_h(p) @ d, axis=(1, 2)) ** 2
-    return r_left, r_right
-
-
 def update_x(factors, problem):
     """Fill the unobserved entries with the current factorization."""
     return _refill(_fill([_Side(factors)], None), _observed_index(problem))
@@ -455,18 +426,14 @@ def _sweeps(problem, config, all_sides, gamma=None, adaptive_gamma=False):
     objective with weight gamma, refit after every accepted sweep when
     adaptive_gamma is set.  It is left out at a fixed gamma of 0, and leaves
     once adaptive gamma has fallen on SIDE_OFF_FALLS refits in a row to below
-    SIDE_OFF_GAMMA (event side_off; gamma is then 0, and the next sweep is not
-    stop-tested).  Every row logs gamma and the second side's ranks.  A sweep
-    refits each side in turn (during the first t0 sweeps, from a refill before
-    every refit but the first), shrinks ranks, refills the iterate and has
-    every side fit it.  Returns (x, trace, the gamma whose fill made x); the
-    sides keep the final factors.
+    SIDE_OFF_GAMMA (event side_off; gamma is then 0).  Every row logs gamma
+    and the second side's ranks.  The sweep order and the stop-skip rule are
+    the module docstring's.  Returns (x, trace, the gamma whose fill made x);
+    the sides keep the final factors.
     """
     sides = all_sides[:1] if gamma == 0 and not adaptive_gamma else list(all_sides)
     growth = RankGrowth.for_run(problem, sides[0], config.rank_cfg)
     observed_index = _observed_index(problem)
-    # generate_mask's masks are F-ordered: the gamma refit reads a C-ordered copy
-    on = np.ascontiguousarray(problem.mask.observed) if adaptive_gamma else None
     x = problem.observed.copy()
     for side in sides:
         side.rank_on = config.rank_cfg.enabled
@@ -474,25 +441,24 @@ def _sweeps(problem, config, all_sides, gamma=None, adaptive_gamma=False):
         side.prev = compose_spectral(side.factors)
     x_gamma, falls, tested = gamma, 0, True
 
-    def refill(spent=None):
-        """The refilled iterate.  spent, a side about to refit its right factors,
-        drops its reconstruction first: nothing reads it again, and the transform
-        of the fill can then reuse its memory."""
-        fill = _refill(_fill(sides, gamma), observed_index)
-        if spent is not None:
-            spent.drop()
-        return fill
+    refill = lambda: _refill(_fill(sides, gamma), observed_index)  # noqa: E731 -- reads gamma when called
 
     trace = SolverTrace(termination="max_iter")
     for t in range(1, config.max_iter + 1):
         started = time.perf_counter()
         if growth is not None:  # what a rejected sweep restores
             before = [(s.factors, s.rank_on, s.stable) for s in sides]
-        refresh = refill if t <= config.t0 else None
+        stage_one = t <= config.t0
         for i, side in enumerate(sides):
-            if i and refresh is not None:  # a later side starts from the others' new fill
-                side.fit(refresh())
-            side.refit(refresh)
+            if i and stage_one:  # a later side starts from the others' new fill
+                side.fit(refill())
+            side.factors = update_left(side.factors, side.spec)
+            if stage_one:
+                fill = refill()
+                side.drop()  # stale once the right factors change; the transform can reuse its memory
+                side.fit(fill)
+                del fill  # not held through the next refill
+            side.factors = update_right(side.factors, side.spec)
         event = []
         for side in sides:
             if side.rank_on:  # on until RANK_STABLE_ITERS sweeps in a row cut nothing
@@ -528,14 +494,14 @@ def _sweeps(problem, config, all_sides, gamma=None, adaptive_gamma=False):
         else:
             x, x_gamma = x_new, gamma
             if adaptive_gamma:
-                refit = _refit_gamma(sides, problem.observed, on, gamma)
+                refit = _refit_gamma(sides, observed_index, gamma)
                 falls, gamma = falls + 1 if refit < gamma else 0, refit
             for side in sides:
                 side.prev = side.products()
-            if growth is None:
-                stop = tested and rel < config.epsilon
-            else:
-                stop = growth.converged(rel, config.epsilon) and tested
+            stop = tested and (
+                rel < config.epsilon if growth is None else growth.converged(rel, config.epsilon)
+            )
+            if growth is not None:
                 # growth on the last sweep would leave factors that do not match x
                 if not stop and t < config.max_iter and growth.grow(sides[0]):
                     event.append("rank_increase")
@@ -544,15 +510,15 @@ def _sweeps(problem, config, all_sides, gamma=None, adaptive_gamma=False):
                     target = growth.relaxed(_fill(sides, x_gamma), x)
                     for side in sides:
                         side.fit(target)
-            tested = True
             if adaptive_gamma and falls >= SIDE_OFF_FALLS and gamma < SIDE_OFF_GAMMA and not stop:
                 # the second side keeps losing ground to the first: go on as the one-side engine
                 off = sides.pop()
                 off.drop()
                 off.spec = off.prev = None
-                gamma, adaptive_gamma, tested = 0.0, False, False
+                gamma, adaptive_gamma = 0.0, False
                 event.append("side_off")
         row.event = "+".join(event)
+        tested = not {"sor_reject", "rank_increase", "side_off"}.intersection(event)
         row.elapsed_ms = (time.perf_counter() - started) * 1e3
         trace.rows.append(row)
         if accepted and stop:
@@ -589,7 +555,7 @@ def kkt_residuals(factors, x, problem):
     residual), each normalized by the Frobenius norm of the observed data.
     """
     side = _Side(factors).fit(np.asarray(x, float))
-    r_left, r_right = _gradient_sq(side)
+    r_left, r_right = gradient_sq(factors, side.spec.slices - side.products())
     off = np.where(problem.mask.observed, 0.0, x - side.spatial())
     scale = fro_norm(problem.observed) or 1.0
     return np.sqrt(r_left) / scale, np.sqrt(r_right) / scale, fro_norm(off) / scale

@@ -18,12 +18,11 @@ from operator import attrgetter
 import numpy as np
 
 from .core import fold3_from_reshaped, fro_norm, multi_rank, reshape_mode3
-from .factors import as_multirank, init_factors
+from .factors import as_multirank, gradient_sq, init_factors, update_left, update_right
 from .matrix_completion import GAMMA_GUARD  # noqa: F401 -- part of this module's interface
 from .matrix_completion import (
     SolverConfig,
     _fill,
-    _gradient_sq,
     _observed_index,
     _refill,
     _refit_gamma,
@@ -35,7 +34,7 @@ from .matrix_completion import (
 # perfbench/layertrace.py wraps these names in this module's namespace when a traced
 # run starts, so they stay bound here, although the engine in matrix_completion calls them.
 from .core import _irfft_checked, dft_mode3, project  # noqa: F401
-from .factors import compose_spectral, rank_decrease, update_left, update_right  # noqa: F401
+from .factors import compose_spectral, rank_decrease  # noqa: F401
 from .matrix_completion import _blend, _half_weighted_sq, _rel_change  # noqa: F401
 
 
@@ -48,6 +47,8 @@ def default_geometry(n1, n2, q_cap=64):
 
 def _complete_geometry(n1, n2, p, q):
     """(p, q) with p * q = n1 * n2, the one of them left None filled in."""
+    if min(v for v in (p, q) if v is not None) < 1:
+        raise ValueError(f"p and q must be at least 1, got p={p}, q={q}")
     total = n1 * n2
     if q is None:
         if total % p:
@@ -80,8 +81,8 @@ class DoubleTubalConfig(SolverConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.gamma0 < 0:
-            raise ValueError(f"gamma0 must be nonnegative, got {self.gamma0}")
+        if not 0 <= self.gamma0 < np.inf:  # NaN fails too
+            raise ValueError(f"gamma0 must be nonnegative and finite, got {self.gamma0}")
 
     def geometry(self, n1, n2):
         if self.p is None and self.q is None:
@@ -125,8 +126,7 @@ def update_x_blend(dfactors, problem):
 def update_reshaped_factors(dfactors, x):
     """Refit both factors of the regrouped iterate (left, then right)."""
     side = _sides(dfactors.f_x, dfactors.f_xt, np.shape(x))[1].fit(np.asarray(x, float))
-    side.refit()
-    return replace(dfactors, f_xt=side.factors)
+    return replace(dfactors, f_xt=update_right(update_left(side.factors, side.spec), side.spec))
 
 
 def update_gamma(dfactors, problem):
@@ -137,7 +137,7 @@ def update_gamma(dfactors, problem):
     gamma as is.
     """
     sides = _sides(dfactors.f_x, dfactors.f_xt, problem.dims)
-    return _refit_gamma(sides, problem.observed, problem.mask.observed, dfactors.gamma)
+    return _refit_gamma(sides, _observed_index(problem), dfactors.gamma)
 
 
 def objective(dfactors, x):
@@ -221,7 +221,9 @@ def kkt_residuals(dfactors, x, problem):
     x = np.asarray(x, float)
     gamma = dfactors.gamma
     sides = [side.fit(x) for side in _sides(dfactors.f_x, dfactors.f_xt, problem.dims)]
-    (x_left, x_right), (xt_left, xt_right) = (_gradient_sq(side) for side in sides)
+    (x_left, x_right), (xt_left, xt_right) = (
+        gradient_sq(side.factors, side.spec.slices - side.products()) for side in sides
+    )
     blend = _fill(sides, gamma)
     on = problem.mask.observed
     scale = fro_norm(problem.observed) or 1.0

@@ -3,6 +3,8 @@
 import argparse
 import csv
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -346,6 +348,32 @@ def test_complete_tensor_rejects_a_zero_ratio(tmp_path, capsys):
     code = main(["complete-tensor", "--input", str(src), "--ratio", "0", "--init-rank", "2"])
     assert code == EXIT_INPUT
     assert "no entry as observed" in capsys.readouterr().err
+
+
+BAD_SETTINGS = [
+    (["complete-tensor", "--p", "0"], "p=0"),
+    (["complete-tensor", "--q", "0"], "q=0"),
+    (["complete-tensor", "--p", "-8"], "p=-8"),
+    (["complete-tensor", "--gamma0", "nan"], "got nan"),
+    (["complete-tensor", "--gamma0", "inf"], "got inf"),
+    (["complete-tensor", "--eps", "nan"], "got nan"),
+    (["synth", "--n2", "0"], "got 0"),
+]
+
+
+@pytest.mark.parametrize("argv, named", BAD_SETTINGS, ids=[" ".join(a) for a, _ in BAD_SETTINGS])
+def test_bad_settings_are_input_errors(tmp_path, argv, named):
+    src = tmp_path / "in.t3"
+    save_tensor(src, synth_low_tubal(8, 5, 4, 2, seed=0))  # -8 divides n1 * n2
+    rest = ["--output", str(tmp_path / "out")]
+    if argv[0] == "complete-tensor":
+        rest = ["--input", str(src), "--ratio", "0.5", "--init-rank", "2", "--max-iter", "3"]
+    r = subprocess.run(
+        [sys.executable, "-m", "tubal.cli", *argv, *rest], capture_output=True, text=True
+    )
+    assert r.returncode == EXIT_INPUT
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: ") and named in r.stderr
 
 
 # --------------------------------------------------------------------- metrics

@@ -347,8 +347,17 @@ def test_rank_growth_rejects_a_relaxed_sweep_that_does_not_descend():
     assert growth.omega > 1.0  # slow contraction raises the relaxation weight
     assert not growth.accept(9.5)
     assert growth.omega == 1.0
-    assert not growth.converged(0.0, 1e-4)  # the redo sweep is not stop-tested
     assert growth.accept(9.5)  # at omega = 1 no sweep is rejected
+
+
+def test_the_sweep_after_a_rejection_is_not_stop_tested(monkeypatch):
+    verdicts = iter([False])  # reject sweep 1, accept every later one
+    monkeypatch.setattr(RankGrowth, "accept", lambda self, residual: next(verdicts, True))
+    monkeypatch.setattr(RankGrowth, "converged", lambda self, rel, epsilon: True)
+    _, prob = interpolating_problem()
+    _, _, trace = solve(prob, SolverConfig(init_ranks=8, seed=0))
+    assert trace.rows[0].event == "sor_reject"
+    assert trace.converged and trace.iterations == 3  # the redo, sweep 2, does not stop
 
 
 def test_rank_growth_stop_scales_relative_change_by_contraction():

@@ -3,8 +3,9 @@ matrix folding's round trip, the inverse transform's conjugate-symmetry guard
 against its defining inequality, the half-spectrum mass against Parseval and its
 conjugate-product form, the t-product and multi-rank against per-slice
 definitions, the rank edits' bookkeeping, the factor layer's rank-group stacks
-against per-slice references, and both solvers' invariants: a finite output,
-exact observed entries, and the same bytes on a repeated run."""
+against per-slice references, MultiRank's conjugate symmetry, the .t3, .msk
+and PGM round trips, and both solvers' invariants: a finite output, exact
+observed entries, and the same bytes on a repeated run."""
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from tubal import (  # noqa: E402
     CompletionProblem,
     DoubleTubalConfig,
     MultiRank,
+    ObservationMask,
     RankDecreaseConfig,
     SolverConfig,
     SpectralSymmetryError,
@@ -28,6 +30,9 @@ from tubal import (  # noqa: E402
     fold3_from_reshaped,
     half_count,
     init_factors,
+    load_image,
+    load_mask,
+    load_tensor,
     mode_fold,
     mode_unfold,
     multi_rank,
@@ -35,6 +40,9 @@ from tubal import (  # noqa: E402
     rank_decrease,
     reshape_matrix_to_tensor,
     reshape_mode3,
+    save_image,
+    save_mask,
+    save_tensor,
     tensor_to_matrix,
     tprod,
     tprod_reference,
@@ -329,6 +337,57 @@ def test_rank_group_stacks_match_the_per_slice_references(n1, n2, n3, seed):
         ref_stored, ref_left, ref_right = reference_rank_decrease(f, cfg)
         assert ranks.stored() == tuple(ref_stored)
         assert_slices_close(out.left + out.right, ref_left + ref_right)
+
+
+# ----------------------------------------------------------- ranks and formats
+
+
+@given(depths, seeds)
+@example(1, 0)
+@example(2, 0)
+@example(6, 0)
+def test_multi_rank_is_its_stored_half_mirrored(n3, seed):
+    rng = np.random.default_rng(seed)
+    r = MultiRank.from_stored(rng.integers(0, 6, half_count(n3)), n3)
+    assert MultiRank.from_stored(r.stored(), n3) == r
+    assert all(r[k] == r[n3 - k] for k in range(1, n3))
+    for k in range(1, n3):
+        if k != n3 - k:  # raising one entry of a mirrored pair breaks the symmetry
+            with pytest.raises(ValueError, match="not conjugate-symmetric"):
+                MultiRank(r.ranks[:k] + (r[k] + 1,) + r.ranks[k + 1 :])
+
+
+@given(dims, dims, depths, seeds)
+@example(1, 1, 1, 0)
+@example(3, 4, 2, 0)
+def test_tensor_files_round_trip(tmp_path_factory, n1, n2, n3, seed):
+    a = np.random.default_rng(seed).standard_normal((n1, n2, n3))
+    path = tmp_path_factory.mktemp("t3") / "a.t3"
+    save_tensor(path, a)
+    assert load_tensor(path).tobytes() == a.tobytes()
+
+
+@given(dims, dims, depths, seeds, st.booleans())
+@example(1, 1, 1, 0, True)
+@example(3, 4, 2, 0, False)
+def test_mask_files_round_trip(tmp_path_factory, n1, n2, n3, seed, pad_observed_zero):
+    observed = np.random.default_rng(seed).random((n1, n2, n3)) < 0.5
+    path = tmp_path_factory.mktemp("msk") / "m.msk"
+    save_mask(path, ObservationMask(observed, pad_observed_zero))
+    got = load_mask(path)
+    assert np.array_equal(got.observed, observed) and got.pad_observed_zero == pad_observed_zero
+
+
+@given(dims, dims, seeds, st.sampled_from([255, 65535]))
+@example(1, 1, 0, 255)
+@example(3, 4, 0, 65535)
+def test_pgm_files_round_trip_within_half_a_step(tmp_path_factory, h, w, seed, maxval):
+    img = np.random.default_rng(seed).random((h, w))
+    path = tmp_path_factory.mktemp("pgm") / "img.pgm"
+    save_image(path, img, maxval=maxval)
+    got = load_image(path)
+    assert got.shape == img.shape
+    assert np.abs(got - img).max() <= 0.5 / maxval * (1 + 1e-9)
 
 
 # ------------------------------------------------------------ solver invariants

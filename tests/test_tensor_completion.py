@@ -373,6 +373,25 @@ def test_a_fixed_gamma_never_switches_the_side_off():
     assert solves == trace.iterations * 2 * (half_count(10) + half_count(10))
 
 
+@pytest.mark.parametrize("two_sides", [False, True], ids=["matrix", "fixed-gamma tensor"])
+def test_stage_one_refills_after_every_factor_update(monkeypatch, two_sides):
+    transforms = []
+    orig = mc.dft_mode3
+    monkeypatch.setattr(mc, "dft_mode3", lambda a: transforms.append(1) or orig(a))
+    _, prob = partial_problem()
+    kw = dict(init_ranks=3, t0=3, max_iter=5, epsilon=1e-300, rank_cfg=RankDecreaseConfig(enabled=False))
+    if two_sides:
+        cfg = DoubleTubalConfig(init_ranks_xt=2, gamma0=0.5, adaptive_gamma=False, **kw)
+        _, solves = counted_solves(solve, prob, cfg)
+    else:
+        _, solves = counted_solves(msolve, prob, SolverConfig(**kw))
+    # Per side, one transform at the start and one closing each of the 5 sweeps; each of
+    # the 3 stage-one sweeps adds one refill per side between its left and right updates,
+    # and one opening the second side.  Every sweep makes 2 solves per stored slice, and
+    # the regrouped side of this (10, 8, 4) problem is (4, 2, 40): 3 + 21 stored slices.
+    assert (len(transforms), solves) == ((2 + 10 + 9, 240) if two_sides else (1 + 5 + 3, 30))
+
+
 def test_one_sweep_is_the_public_steps_composed():
     for n3, gamma0 in [(4, 1.0), (5, 0.3), (4, 0.0)]:
         _, prob = partial_problem(seed=31 + n3, n3=n3)
