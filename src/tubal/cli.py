@@ -8,11 +8,14 @@ import argparse
 import functools
 import sys
 
-from .harness import EXIT_INPUT, EXIT_SOLVER, SOLVER_ERRORS, ExperimentSpec, run
+from .harness import EXIT_INPUT, EXIT_SOLVER, SOLVER_ERRORS, run
 
 
 def _add_common(p, n2_default):
-    p.add_argument("--input", dest="inputs", action="append", help="input file (image or .t3)")
+    p.add_argument(
+        "--input", dest="inputs", action="append", default=[],
+        help="input: .pgm/.ppm image, .t3 tensor or directory of frames",
+    )
     p.add_argument("--output", help="output file or directory")
     p.add_argument("--mask", dest="mask_path", help="observation mask (.msk)")
     p.add_argument("--ratio", type=float, help="observed fraction when sampling a mask")
@@ -25,7 +28,7 @@ def _add_common(p, n2_default):
         "when rank drops are on and these ranks could interpolate the observed entries",
     )
     p.add_argument("--t0", type=int, help="last sweep with mid-sweep refreshes")
-    p.add_argument("--eps", type=float, help="relative-change stop threshold")
+    p.add_argument("--eps", dest="epsilon", type=float, help="relative-change stop threshold")
     p.add_argument("--max-iter", type=int, help="sweep limit")
     p.add_argument(
         "--rank-decrease-tau", type=float, help="eigen-gap threshold for rank drops; 0 disables"
@@ -36,21 +39,21 @@ def _add_common(p, n2_default):
 
 @functools.cache
 def build_parser():
-    """The tubal argument parser, built once.  An option left off the command line stays
-    out of the namespace, so ExperimentSpec supplies it from the solver configs' defaults;
-    only --n2 has a default of its own, per subcommand."""
+    """The tubal argument parser, built once; tubal.harness.run takes its namespace.
+
+    An option left off the command line is None, and the setting it names takes the
+    solver config's default.  A solver option's dest is the config field it sets.
+    Only --n2 (per subcommand) and --input (no files) have defaults of their own.
+    """
     parser = argparse.ArgumentParser(
         prog="tubal", description="Low-rank tensor completion via per-frequency factorization"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, summary):
-        return sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
-
-    pm = command("complete-matrix", "complete a partially observed matrix/image")
+    pm = sub.add_parser("complete-matrix", help="complete a partially observed matrix/image")
     _add_common(pm, n2_default=64)
 
-    pt = command("complete-tensor", "complete a partially observed tensor")
+    pt = sub.add_parser("complete-tensor", help="complete a partially observed tensor")
     _add_common(pt, n2_default=64)
     pt.add_argument("--init-rank-xt", dest="init_rank_xt", help="ranks for the regrouped side")
     pt.add_argument("--p", type=int, help="rows of the regrouped tensor")
@@ -62,24 +65,22 @@ def build_parser():
         help="refit the blend weight every sweep",
     )
 
-    ps = command("synth", "generate a synthetic instance, recover it, report error")
+    ps = sub.add_parser("synth", help="generate a synthetic instance, recover it, report error")
     _add_common(ps, n2_default=10)
 
-    pq = command("metrics", "PSNR/SSIM/relative error between two files")
-    pq.add_argument("--input", dest="inputs", action="append", help="reference, then test")
+    pq = sub.add_parser("metrics", help="PSNR/SSIM/relative error between two files")
+    pq.add_argument(
+        "--input", dest="inputs", action="append", default=[], help="reference, then test"
+    )
     pq.add_argument("--metrics-out", dest="metrics_out", help="write metrics CSV here")
 
     return parser
 
 
-def _to_spec(args):
-    return ExperimentSpec(**vars(args))
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return run(_to_spec(args))
+        return run(args)
     except SOLVER_ERRORS as e:  # before ValueError, a base of two of them
         print(f"error: solver failed: {e}", file=sys.stderr)
         return EXIT_SOLVER

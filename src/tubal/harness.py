@@ -7,8 +7,9 @@ limit, 1 for unusable inputs, 3 when the solver raised one of SOLVER_ERRORS.
 """
 
 import csv
+import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import fields
 
 import numpy as np
 
@@ -40,6 +41,8 @@ def generate_mask(dims, ratio, seed=0, pad_observed_zero=False):
     """
     if not 0 <= ratio <= 1:
         raise ValueError(f"ratio must be in [0, 1], got {ratio}")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     n = int(np.prod(dims))
     count = int(np.floor(ratio * n))
     picked = np.random.default_rng(seed).choice(n, size=count, replace=False)
@@ -80,62 +83,27 @@ def parse_rank_spec(text, n3):
     return MultiRank(tuple(values))
 
 
-@dataclass
-class ExperimentSpec:
-    """Parsed invocation of one harness command.
+def _solver_config(args, init_ranks, cls=SolverConfig):
+    """A config of type cls holding the solver settings given on the command line.
 
-    The solver settings default to the solver configs' own defaults.
+    A setting is given when its option was passed; the rest take cls's defaults.
     """
-
-    command: str
-    inputs: list = field(default_factory=list)
-    output: str = None
-    mask_path: str = None
-    ratio: float = None
-    seed: int = SolverConfig.seed
-    n2: int = 64
-    init_rank: str = None
-    init_rank_xt: str = None
-    p: int = None
-    q: int = None
-    t0: int = SolverConfig.t0
-    eps: float = SolverConfig.epsilon
-    max_iter: int = SolverConfig.max_iter
-    gamma0: float = DoubleTubalConfig.gamma0
-    adaptive_gamma: bool = DoubleTubalConfig.adaptive_gamma
-    rank_decrease_tau: float = RankDecreaseConfig.tau
-    trace_path: str = None
-    metrics_out: str = None
+    given = {f.name: getattr(args, f.name, None) for f in fields(cls)}
+    tau = args.rank_decrease_tau  # 0 disables; RankDecreaseConfig rejects other values <= 1
+    if tau == 0:
+        given["rank_cfg"] = RankDecreaseConfig(enabled=False)
+    elif tau is not None:
+        given["rank_cfg"] = RankDecreaseConfig(tau=tau)
+    given["init_ranks"] = init_ranks
+    return cls(**{name: value for name, value in given.items() if value is not None})
 
 
-def _solver_config(spec, init_ranks, cls=SolverConfig, **extra):
-    """A solver config of type cls carrying the spec's shared solver settings."""
-    tau = spec.rank_decrease_tau  # 0 disables; RankDecreaseConfig rejects other values <= 1
-    rank_cfg = RankDecreaseConfig(enabled=False) if tau == 0 else RankDecreaseConfig(tau=tau)
-    return cls(
-        init_ranks=init_ranks,
-        t0=spec.t0,
-        epsilon=spec.eps,
-        max_iter=spec.max_iter,
-        rank_cfg=rank_cfg,
-        seed=spec.seed,
-        **extra,
-    )
+def _seed(args):
+    return SolverConfig.seed if args.seed is None else args.seed
 
 
-def _load_matrix(path):
-    ext = os.path.splitext(path)[1].lower()
-    if ext == ".pgm":
-        return load_image(path)
-    if ext == ".t3":
-        t = load_tensor(path)
-        if t.shape[2] != 1:
-            raise ValueError(f"{path} has n3={t.shape[2]}, expected a single-slice tensor")
-        return t[:, :, 0]
-    raise ValueError(f"cannot read a matrix from {path} (use .pgm or single-slice .t3)")
-
-
-def _load_tensor_input(path):
+def _load(path):
+    """Read a .pgm/.ppm image, a .t3 tensor, or a directory of equally sized frames."""
     if os.path.isdir(path):
         frames = sorted(
             f for f in os.listdir(path) if f.lower().endswith((".pgm", ".ppm"))
@@ -150,20 +118,20 @@ def _load_tensor_input(path):
     ext = os.path.splitext(path)[1].lower()
     if ext == ".t3":
         return load_tensor(path)
-    if ext in (".ppm", ".pgm"):
-        return np.atleast_3d(load_image(path))
-    raise ValueError(f"cannot read a tensor from {path}")
+    if ext in (".pgm", ".ppm"):
+        return load_image(path)
+    raise ValueError(f"cannot read {path} (use .pgm, .ppm, .t3 or a directory of frames)")
 
 
-def _mask_for(spec, dims):
-    if spec.mask_path:
-        mask = load_mask(spec.mask_path)
+def _mask_for(args, dims):
+    if args.mask_path:
+        mask = load_mask(args.mask_path)
         if mask.dims != tuple(dims):
             raise ValueError(f"mask dims {mask.dims} do not match data dims {tuple(dims)}")
         return mask
-    if spec.ratio is None:
+    if args.ratio is None:
         raise ValueError("either --mask or --ratio is required")
-    return generate_mask(tuple(dims), spec.ratio, spec.seed)
+    return generate_mask(tuple(dims), args.ratio, _seed(args))
 
 
 def _write_recovered(path, data):
@@ -204,116 +172,99 @@ def _metric_rows(reference, recovered, observed=None):
     return rows
 
 
-def _write_outputs(spec, recovered, trace, reference, on):
+def _write_outputs(args, recovered, trace, reference, on):
     """Write the requested outputs (on marks reference's observed entries); return the exit code."""
-    if spec.output:
-        _write_recovered(spec.output, recovered)
-    if spec.trace_path:
-        trace.write_csv(spec.trace_path)
-    if spec.metrics_out:
+    if args.output:
+        _write_recovered(args.output, recovered)
+    if args.trace_path:
+        trace.write_csv(args.trace_path)
+    if args.metrics_out:
         observed = np.where(on, reference, 0.0)
-        _write_metrics(spec.metrics_out, _metric_rows(reference, recovered, observed))
+        _write_metrics(args.metrics_out, _metric_rows(reference, recovered, observed))
     return EXIT_OK if trace.converged else EXIT_MAX_ITER
 
 
-def _run_complete_matrix(spec):
-    if len(spec.inputs) != 1:
+def _run_complete_matrix(args):
+    if len(args.inputs) != 1:
         raise ValueError("complete-matrix takes exactly one --input")
-    matrix = _load_matrix(spec.inputs[0])
-    dims2 = matrix.shape
-    mask3 = _mask_for(spec, (dims2[0], dims2[1], 1))
-    mask2d = mask3.observed[:, :, 0]
-    problem = CompletionProblem.from_matrix(matrix, mask2d, spec.n2)
-    init = parse_rank_spec(spec.init_rank, problem.dims[2]) if spec.init_rank else None
-    if init is None:
+    path = args.inputs[0]
+    matrix = _load(path)
+    if matrix.ndim == 3:
+        if matrix.shape[2] != 1:
+            raise ValueError(f"{path} has n3={matrix.shape[2]}, expected a single-slice input")
+        matrix = matrix[:, :, 0]
+    mask2d = _mask_for(args, matrix.shape + (1,)).observed[:, :, 0]
+    problem = CompletionProblem.from_matrix(matrix, mask2d, args.n2)
+    if not args.init_rank:
         raise ValueError("--init-rank is required")
-    _, recovered, trace = solve_matrix(problem, _solver_config(spec, init))
-    return _write_outputs(spec, recovered, trace, matrix, mask2d)
+    init = parse_rank_spec(args.init_rank, problem.dims[2])
+    _, recovered, trace = solve_matrix(problem, _solver_config(args, init))
+    return _write_outputs(args, recovered, trace, matrix, mask2d)
 
 
-def _run_complete_tensor(spec):
-    if len(spec.inputs) != 1:
+def _run_complete_tensor(args):
+    if len(args.inputs) != 1:
         raise ValueError("complete-tensor takes exactly one --input")
-    data = _load_tensor_input(spec.inputs[0])
-    mask = _mask_for(spec, data.shape)
+    data = np.atleast_3d(_load(args.inputs[0]))
+    mask = _mask_for(args, data.shape)
     problem = CompletionProblem.from_tensor(data, mask)
-    if not spec.init_rank:
+    if not args.init_rank:
         raise ValueError("--init-rank is required")
-    n3 = problem.dims[2]
-    config = _solver_config(
-        spec,
-        parse_rank_spec(spec.init_rank, n3),
-        DoubleTubalConfig,
-        p=spec.p,
-        q=spec.q,
-        gamma0=spec.gamma0,
-        adaptive_gamma=spec.adaptive_gamma,
-    )
-    if spec.init_rank_xt:
+    init = parse_rank_spec(args.init_rank, problem.dims[2])
+    config = _solver_config(args, init, DoubleTubalConfig)
+    if args.init_rank_xt:
         _, q = config.geometry(problem.dims[0], problem.dims[1])
-        config.init_ranks_xt = parse_rank_spec(spec.init_rank_xt, q)
+        config.init_ranks_xt = parse_rank_spec(args.init_rank_xt, q)
     x, trace = solve_tensor(problem, config)
-    return _write_outputs(spec, x, trace, data, mask.observed)
+    return _write_outputs(args, x, trace, data, mask.observed)
 
 
-def _run_synth(spec):
-    if not spec.output:
+def _run_synth(args):
+    if not args.output:
         raise ValueError("synth needs --output DIRECTORY")
-    n2 = spec.n2
+    n2 = args.n2
     if n2 < 1 or SYNTH_WIDTH % n2:
         raise ValueError(f"--n2 must be a positive divisor of {SYNTH_WIDTH} for synth, got {n2}")
-    os.makedirs(spec.output, exist_ok=True)
-    ratio = spec.ratio if spec.ratio is not None else 0.6
-    truth = synth_low_tubal(SYNTH_N1, n2, SYNTH_WIDTH // n2, SYNTH_RANK, spec.seed)
+    os.makedirs(args.output, exist_ok=True)
+    ratio = args.ratio if args.ratio is not None else 0.6
+    mask2d = generate_mask((SYNTH_N1, SYNTH_WIDTH, 1), ratio, _seed(args)).observed[:, :, 0]
+    truth = synth_low_tubal(SYNTH_N1, n2, SYNTH_WIDTH // n2, SYNTH_RANK, _seed(args))
     matrix = tensor_to_matrix(truth, SYNTH_WIDTH)
-    mask3 = generate_mask((SYNTH_N1, SYNTH_WIDTH, 1), ratio, spec.seed)
-    mask2d = mask3.observed[:, :, 0]
     problem = CompletionProblem.from_matrix(matrix, mask2d, n2)
-    init = parse_rank_spec(spec.init_rank if spec.init_rank else "8", problem.dims[2])
-    _, recovered, trace = solve_matrix(problem, _solver_config(spec, init))
+    init = parse_rank_spec(args.init_rank if args.init_rank else "8", problem.dims[2])
+    _, recovered, trace = solve_matrix(problem, _solver_config(args, init))
     err = rel_error(recovered, matrix)
-    save_tensor(os.path.join(spec.output, "truth.t3"), truth)
-    save_mask(os.path.join(spec.output, "mask.msk"), problem.mask)
-    save_tensor(os.path.join(spec.output, "recovered.t3"), recovered[:, :, None])
-    trace.write_csv(os.path.join(spec.output, "trace.csv"))
+    save_tensor(os.path.join(args.output, "truth.t3"), truth)
+    save_mask(os.path.join(args.output, "mask.msk"), problem.mask)
+    save_tensor(os.path.join(args.output, "recovered.t3"), recovered[:, :, None])
+    trace.write_csv(os.path.join(args.output, "trace.csv"))
     _write_metrics(
-        os.path.join(spec.output, "metrics.csv"),
+        os.path.join(args.output, "metrics.csv"),
         _metric_rows(matrix, recovered),
     )
     print(f"rel_error={err:.6e}")
     return EXIT_OK if trace.converged else EXIT_MAX_ITER
 
 
-def _load_metric_input(path):
-    ext = os.path.splitext(path)[1].lower()
-    if ext == ".t3":
-        return load_tensor(path)
-    if ext in (".pgm", ".ppm"):
-        return load_image(path)
-    raise ValueError(f"cannot read metrics input {path}")
-
-
-def _run_metrics(spec):
-    if len(spec.inputs) != 2:
+def _run_metrics(args):
+    if len(args.inputs) != 2:
         raise ValueError("metrics takes --input REFERENCE --input TEST")
-    ref = _load_metric_input(spec.inputs[0])
-    test = _load_metric_input(spec.inputs[1])
-    rows = _metric_rows(ref, test)
-    if spec.metrics_out:
-        _write_metrics(spec.metrics_out, rows)
+    rows = _metric_rows(_load(args.inputs[0]), _load(args.inputs[1]))
+    if args.metrics_out:
+        _write_metrics(args.metrics_out, rows)
     for name, value in rows:
         print(f"{name}={value:.17g}")
     return EXIT_OK
 
 
-def run(spec):
-    """Execute one harness command; returns the process exit code."""
+def run(args):
+    """Execute one command line as parsed by tubal.cli.build_parser; returns the exit code."""
     handlers = {
         "complete-matrix": _run_complete_matrix,
         "complete-tensor": _run_complete_tensor,
         "synth": _run_synth,
         "metrics": _run_metrics,
     }
-    if spec.command not in handlers:
-        raise ValueError(f"unknown command {spec.command!r}")
-    return handlers[spec.command](spec)
+    if args.command not in handlers:
+        raise ValueError(f"unknown command {args.command!r}")
+    return handlers[args.command](args)

@@ -6,6 +6,8 @@ with a 4-byte magic, three uint64 dimensions, and a payload laid out
 frontal-slice-major, column-major within each slice (Fortran order).
 """
 
+import math
+import re
 import struct
 
 import numpy as np
@@ -16,32 +18,10 @@ T3_MAGIC = b"T3F1"
 MASK_MAGIC = b"T3M1"
 
 
-def _read_header_tokens(data, count):
-    """Read whitespace-separated header tokens, skipping '#' comments.
-
-    Returns the tokens and the offset of the first payload byte (one
-    whitespace character after the last token).
-    """
-    tokens = []
-    i = 0
-    while len(tokens) < count:
-        if i >= len(data):
-            raise ValueError("truncated image header")
-        c = data[i : i + 1]
-        if c == b"#":
-            while i < len(data) and data[i : i + 1] not in (b"\n", b"\r"):
-                i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(data) and not data[j : j + 1].isspace() and data[j : j + 1] != b"#":
-                j += 1
-            tokens.append(data[i:j])
-            i = j
-    if i >= len(data) or not data[i : i + 1].isspace():
-        raise ValueError("missing whitespace after image header")
-    return tokens, i + 1
+# Magic, then width, height and maxval, each after whitespace or '#' comment lines,
+# then the one whitespace byte that ends the header.  A comment takes its line end,
+# so each header has one parse and a failed match backtracks in linear time.
+_NETPBM_HEADER = re.compile(rb"(P[56])" + rb"(?:\s|#[^\n\r]*[\n\r])+(\d+)" * 3 + rb"\s")
 
 
 def load_image(path):
@@ -52,14 +32,11 @@ def load_image(path):
     """
     with open(path, "rb") as f:
         data = f.read()
-    if data[:2] not in (b"P5", b"P6"):
-        raise ValueError(f"unsupported image magic {data[:2]!r} in {path}")
-    color = data[:2] == b"P6"
-    tokens, offset = _read_header_tokens(data, 4)
-    try:
-        width, height, maxval = (int(t) for t in tokens[1:])
-    except ValueError:
-        raise ValueError(f"non-numeric image header in {path}") from None
+    header = _NETPBM_HEADER.match(data)
+    if header is None:
+        raise ValueError(f"no binary PGM/PPM header (P5 or P6, width, height, maxval) in {path}")
+    color = header[1] == b"P6"
+    width, height, maxval = map(int, header.group(2, 3, 4))
     if width < 1 or height < 1:
         raise ValueError(f"bad image dimensions {width}x{height} in {path}")
     if not 0 < maxval < 65536:
@@ -68,7 +45,7 @@ def load_image(path):
     count = width * height * channels
     dtype = ">u2" if maxval > 255 else np.uint8
     try:
-        raw = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
+        raw = np.frombuffer(data, dtype=dtype, count=count, offset=header.end())
     except ValueError:
         raise ValueError(f"truncated pixel data in {path}") from None
     img = raw.astype(float).reshape(height, width, channels) / maxval
@@ -100,54 +77,51 @@ def save_image(path, img, maxval=255):
         f.write(payload)
 
 
+def _write_container(path, magic, dims, payload, trailer=b""):
+    with open(path, "wb") as f:
+        f.writelines((magic, struct.pack("<3Q", *dims), payload, trailer))
+
+
+def _read_container(path, magic, dtype, trailer=0):
+    """A container's dims, its payload as a flat dtype array, and its trailer bytes.
+
+    The file must be exactly as long as its dims and the trailer need.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    if data[:4] != magic:
+        raise ValueError(f"bad magic in {path}, expected {magic.decode()}")
+    if len(data) < 28:
+        raise ValueError(f"truncated header in {path}")
+    dims = struct.unpack("<3Q", data[4:28])
+    count = math.prod(dims)
+    if len(data) != 28 + np.dtype(dtype).itemsize * count + trailer:
+        raise ValueError(f"payload size mismatch in {path}")
+    return dims, np.frombuffer(data, dtype, count, offset=28), data[len(data) - trailer :]
+
+
 def save_tensor(path, a):
     a = np.asarray(a, dtype=float)
     if a.ndim != 3:
         raise ValueError(f"tensor file stores 3 modes, got shape {a.shape}")
-    with open(path, "wb") as f:
-        f.write(T3_MAGIC)
-        f.write(struct.pack("<3Q", *a.shape))
-        f.write(np.ravel(a, order="F").astype("<f8").tobytes())
+    _write_container(path, T3_MAGIC, a.shape, np.ravel(a, order="F").astype("<f8").tobytes())
 
 
 def load_tensor(path):
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != T3_MAGIC:
-        raise ValueError(f"bad magic in tensor file {path}")
-    if len(data) < 28:
-        raise ValueError(f"truncated tensor header in {path}")
-    dims = struct.unpack("<3Q", data[4:28])
-    count = dims[0] * dims[1] * dims[2]
-    payload = np.frombuffer(data, dtype="<f8", count=count, offset=28)
-    if payload.size < count or len(data) != 28 + 8 * count:
-        raise ValueError(f"tensor payload size mismatch in {path}")
+    dims, payload, _ = _read_container(path, T3_MAGIC, "<f8")
     return payload.reshape(dims, order="F").copy()
 
 
 def save_mask(path, mask):
     if not isinstance(mask, ObservationMask):
         mask = ObservationMask(mask)
-    with open(path, "wb") as f:
-        f.write(MASK_MAGIC)
-        f.write(struct.pack("<3Q", *mask.dims))
-        f.write(np.ravel(mask.observed, order="F").astype(np.uint8).tobytes())
-        f.write(struct.pack("B", int(mask.pad_observed_zero)))
+    flags = np.ravel(mask.observed, order="F").astype(np.uint8).tobytes()
+    _write_container(path, MASK_MAGIC, mask.dims, flags, bytes([mask.pad_observed_zero]))
 
 
 def load_mask(path):
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != MASK_MAGIC:
-        raise ValueError(f"bad magic in mask file {path}")
-    if len(data) < 28:
-        raise ValueError(f"truncated mask header in {path}")
-    dims = struct.unpack("<3Q", data[4:28])
-    count = dims[0] * dims[1] * dims[2]
-    if len(data) != 28 + count + 1:
-        raise ValueError(f"mask payload size mismatch in {path}")
-    flags = np.frombuffer(data, dtype=np.uint8, count=count, offset=28)
+    dims, flags, trailer = _read_container(path, MASK_MAGIC, np.uint8, trailer=1)
     if np.any(flags > 1):
         raise ValueError(f"mask bytes must be 0 or 1 in {path}")
     observed = flags.astype(bool).reshape(dims, order="F")
-    return ObservationMask(observed, pad_observed_zero=bool(data[-1]))
+    return ObservationMask(observed, pad_observed_zero=bool(trailer[0]))

@@ -24,6 +24,7 @@ and their tensor counterparts) are built from the engine's own primitives.
 """
 
 import csv
+import numbers
 import time
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -153,6 +154,8 @@ class SolverConfig:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.t0 < 0:
             raise ValueError(f"t0 must be nonnegative, got {self.t0}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
 
 
 @dataclass

@@ -26,7 +26,7 @@ from tubal import (
     save_tensor,
     synth_low_tubal,
 )
-from tubal.cli import _to_spec, build_parser, main
+from tubal.cli import build_parser, main
 from tubal.harness import EXIT_INPUT, EXIT_MAX_ITER, EXIT_OK, EXIT_SOLVER, _solver_config
 
 
@@ -332,6 +332,21 @@ def test_complete_tensor_reads_frame_directory(tmp_path):
     assert load_tensor(out).shape == (16, 16, 3)
 
 
+def test_complete_tensor_reads_and_writes_a_color_image(tmp_path):
+    base = rank2_image(16, 16, seed=13)
+    src, out = tmp_path / "in.ppm", tmp_path / "out.ppm"
+    save_image(src, np.stack([base, 0.8 * base, 0.6 * base], axis=2))
+    code = main(
+        ["complete-tensor", "--input", str(src), "--output", str(out),
+         "--ratio", "0.9", "--init-rank", "2", "--max-iter", "30"]
+    )
+    assert code in (EXIT_OK, EXIT_MAX_ITER)
+    rec = load_image(out)
+    assert rec.shape == (16, 16, 3)
+    on = generate_mask((16, 16, 3), 0.9, SolverConfig.seed).observed
+    assert np.array_equal(rec[on], load_image(src)[on])
+
+
 def test_complete_tensor_rejects_empty_directory(tmp_path, capsys):
     frames = tmp_path / "frames"
     os.makedirs(frames)
@@ -357,7 +372,9 @@ BAD_SETTINGS = [
     (["complete-tensor", "--gamma0", "nan"], "got nan"),
     (["complete-tensor", "--gamma0", "inf"], "got inf"),
     (["complete-tensor", "--eps", "nan"], "got nan"),
+    (["complete-tensor", "--seed", "-1"], "seed must be a nonnegative integer, got -1"),
     (["synth", "--n2", "0"], "got 0"),
+    (["synth", "--seed", "-1"], "seed must be a nonnegative integer, got -1"),
 ]
 
 
@@ -397,6 +414,17 @@ def test_metrics_command_prints_and_writes(tmp_path, capsys):
     assert abs(printed_psnr - float(rows[1][1])) <= 1e-9
 
 
+def test_metrics_command_reads_tensor_files(tmp_path, capsys):
+    a = synth_low_tubal(10, 9, 3, 2, seed=14)
+    pa, pb = tmp_path / "a.t3", tmp_path / "b.t3"
+    save_tensor(pa, a)
+    save_tensor(pb, 1.1 * a)
+    assert main(["metrics", "--input", str(pa), "--input", str(pb)]) == EXIT_OK
+    got = dict(line.split("=") for line in capsys.readouterr().out.split())
+    assert sorted(got) == ["psnr", "rel_error", "ssim"]
+    assert abs(float(got["rel_error"]) - 0.1) < 1e-12
+
+
 def test_metrics_requires_two_inputs(tmp_path, capsys):
     src = tmp_path / "a.pgm"
     save_image(src, rank2_image(16, 16, seed=12))
@@ -409,14 +437,14 @@ def test_metrics_requires_two_inputs(tmp_path, capsys):
 
 
 def test_subcommands_default_to_the_solver_configs():
-    tensor_defaults = DoubleTubalConfig(init_ranks=3)
-    for command, n2 in [("complete-matrix", 64), ("complete-tensor", 64), ("synth", 10),
-                        ("metrics", 64)]:
-        spec = _to_spec(build_parser().parse_args([command]))
-        assert spec.command == command and spec.n2 == n2 and spec.inputs == []
-        assert _solver_config(spec, 3) == SolverConfig(init_ranks=3)
-        assert spec.gamma0 == tensor_defaults.gamma0
-        assert spec.adaptive_gamma == tensor_defaults.adaptive_gamma
+    for command, n2, cls in [
+        ("complete-matrix", 64, SolverConfig),
+        ("complete-tensor", 64, DoubleTubalConfig),
+        ("synth", 10, SolverConfig),
+    ]:
+        args = build_parser().parse_args([command])
+        assert args.command == command and args.n2 == n2 and args.inputs == []
+        assert _solver_config(args, 3, cls) == cls(init_ranks=3)
 
 
 def test_unknown_command_is_a_parse_error():
@@ -461,6 +489,22 @@ def test_solver_failure_has_its_own_exit_code(tmp_path, capsys, monkeypatch, err
     assert code == EXIT_SOLVER
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and str(error) in err
+
+
+@pytest.mark.parametrize(
+    "src_name, out_name, named",
+    [("in.png", "out.pgm", "cannot read"), ("in.pgm", "out.png", "unsupported output")],
+    ids=["input", "output"],
+)
+def test_unsupported_extensions_are_input_errors(tmp_path, capsys, src_name, out_name,
+                                                 named):
+    src = tmp_path / src_name
+    save_image(src, rank2_image(16, 16))  # PGM bytes whatever the name says
+    code = main(["complete-matrix", "--input", str(src), "--output", str(tmp_path / out_name),
+                 "--ratio", "0.9", "--n2", "8", "--init-rank", "2", "--max-iter", "2"])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and named in err
 
 
 def test_missing_input_file_exits_cleanly(tmp_path, capsys):

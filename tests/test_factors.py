@@ -1,9 +1,5 @@
 """Per-frequency factor pairs: initialization, least-squares updates, truncation."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -492,26 +488,3 @@ def test_factor_layer_makes_no_stack_copies(monkeypatch):
     compose_spectral(out)
     assert changed and ranks.tubal == 2
     assert calls == []
-
-
-# ---------------------------------------------------------------- concurrency
-
-
-def test_thread_cap_does_not_change_results():
-    script = (
-        "import numpy as np\n"
-        "from tubal import init_factors, update_left, update_right, dft_mode3, compose\n"
-        "x = dft_mode3(np.random.default_rng(0).standard_normal((8, 7, 6)))\n"
-        "f = init_factors(8, 7, 6, 3, seed=1)\n"
-        "f = update_right(update_left(f, x), x)\n"
-        "print(repr(compose(f).tobytes().hex()))\n"
-    )
-    outs = []
-    for width in ("1", "4"):
-        env = dict(os.environ, TUBAL_THREADS=width)
-        r = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env
-        )
-        assert r.returncode == 0, r.stderr
-        outs.append(r.stdout)
-    assert outs[0] == outs[1]

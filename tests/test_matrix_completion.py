@@ -134,6 +134,9 @@ def test_config_validation():
         SolverConfig(init_ranks=2, max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(init_ranks=2, t0=-1)
+    for seed in (-1, 1.5):
+        with pytest.raises(ValueError, match=f"seed must be a nonnegative integer, got {seed}"):
+            SolverConfig(init_ranks=2, seed=seed)
 
 
 # -------------------------------------------------------------------- objective
