@@ -11,16 +11,13 @@ import sys
 from .harness import EXIT_INPUT, EXIT_SOLVER, SOLVER_ERRORS, run
 
 
-def _add_common(p, n2_default):
-    p.add_argument(
-        "--input", dest="inputs", action="append", default=[],
-        help="input: .pgm/.ppm image, .t3 tensor or directory of frames",
-    )
+def _add_solver_options(p, n2_default=None):
+    """Options of every solving command; --n2 only where a matrix is folded (n2_default)."""
     p.add_argument("--output", help="output file or directory")
-    p.add_argument("--mask", dest="mask_path", help="observation mask (.msk)")
     p.add_argument("--ratio", type=float, help="observed fraction when sampling a mask")
     p.add_argument("--seed", type=int, help="random seed (mask and init)")
-    p.add_argument("--n2", type=int, default=n2_default, help="columns per frontal slice")
+    if n2_default is not None:
+        p.add_argument("--n2", type=int, default=n2_default, help="columns per frontal slice")
     p.add_argument(
         "--init-rank",
         dest="init_rank",
@@ -33,6 +30,15 @@ def _add_common(p, n2_default):
     p.add_argument(
         "--rank-decrease-tau", type=float, help="eigen-gap threshold for rank drops; 0 disables"
     )
+
+
+def _add_data_options(p):
+    """Options of the commands that complete given data: its files, mask and reports."""
+    p.add_argument(
+        "--input", dest="inputs", action="append", default=[],
+        help="input: .pgm/.ppm image, .t3 tensor or directory of frames",
+    )
+    p.add_argument("--mask", dest="mask_path", help="observation mask (.msk)")
     p.add_argument("--trace", dest="trace_path", help="write per-sweep trace CSV here")
     p.add_argument("--metrics-out", dest="metrics_out", help="write metrics CSV here")
 
@@ -51,10 +57,12 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     pm = sub.add_parser("complete-matrix", help="complete a partially observed matrix/image")
-    _add_common(pm, n2_default=64)
+    _add_solver_options(pm, n2_default=64)
+    _add_data_options(pm)
 
     pt = sub.add_parser("complete-tensor", help="complete a partially observed tensor")
-    _add_common(pt, n2_default=64)
+    _add_solver_options(pt)
+    _add_data_options(pt)
     pt.add_argument("--init-rank-xt", dest="init_rank_xt", help="ranks for the regrouped side")
     pt.add_argument("--p", type=int, help="rows of the regrouped tensor")
     pt.add_argument("--q", type=int, help="slices of the regrouped tensor")
@@ -66,7 +74,7 @@ def build_parser():
     )
 
     ps = sub.add_parser("synth", help="generate a synthetic instance, recover it, report error")
-    _add_common(ps, n2_default=10)
+    _add_solver_options(ps, n2_default=10)
 
     pq = sub.add_parser("metrics", help="PSNR/SSIM/relative error between two files")
     pq.add_argument(

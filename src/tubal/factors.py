@@ -3,8 +3,9 @@
 A factor pair approximates each stored frequency slice of a data tensor as
 left[k] @ right[k] with a slice-dependent rank.  Updates solve one regularized
 least-squares problem per stored slice; mirrored slices are implied by
-conjugate symmetry, so only n3 // 2 + 1 solves happen per sweep.  Slices of
-equal rank are solved together, as one stacked matmul/pinv per rank group.
+conjugate symmetry, so only n3 // 2 + 1 solves happen per sweep.  The slices are
+zero-padded to the largest rank and solved as one stacked matmul/pinv; the padding
+adds nothing to a slice's product, and its pseudo-inverted Gram is zero there.
 """
 
 from dataclasses import dataclass
@@ -67,11 +68,12 @@ class BlockFactors:
     """Per-slice factor pair for a tensor of shape dims = (n_rows, n_cols, n3).
 
     left[k] is (n_rows, r_k) complex, right[k] is (r_k, n_cols) complex, for
-    the stored frequency slices k = 0 .. n3 // 2.  groups stores them as one
-    triple (ks, left, right) per rank r: the slices' ascending indices and
-    C-contiguous (len(ks), n_rows, r) and (len(ks), r, n_cols) stacks.  left
-    and right are tuples of views into the stacks, made on first use.
-    BlockFactors(dims, ranks, left, right) stacks per-slice sequences once.
+    the stored frequency slices k = 0 .. n3 // 2.  Both are views into one
+    C-contiguous pair of stacks: p of shape (n_stored, n_rows, w) and q of shape
+    (n_stored, w, n_cols), where w is the largest stored rank.  Slice k's
+    columns of p and rows of q past r_k are exactly zero, so every slice is
+    solved and multiplied at width w.  BlockFactors(dims, ranks, left, right)
+    pads per-slice sequences into the stacks once.
     """
 
     def __init__(self, dims, ranks, left, right):
@@ -79,27 +81,26 @@ class BlockFactors:
             raise ValueError(f"rank vector length {ranks.n3} != n3 {dims[2]}")
         if len(left) != half_count(dims[2]) or len(right) != len(left):
             raise ValueError("factor lists must cover every stored slice")
-        self._set(dims, ranks, [(ks, *(np.stack([m[k] for k in ks]) for m in (left, right)))
-                                for ks in _rank_groups(ranks.stored()).values()])
+        p = np.zeros((len(left), dims[0], ranks.tubal), complex)
+        q = np.zeros((len(left), ranks.tubal, dims[1]), complex)
+        for k, r in enumerate(ranks.stored()):
+            if np.shape(left[k]) != (dims[0], r) or np.shape(right[k]) != (r, dims[1]):
+                shapes = np.shape(left[k]), np.shape(right[k])
+                raise ValueError(f"rank-{r} slice {k} has factors of shapes {shapes}")
+            p[k, :, :r], q[k, :r] = left[k], right[k]
+        self.dims, self.ranks, self.p, self.q = dims, ranks, p, q
 
     @classmethod
-    def _stacked(cls, dims, ranks, groups):
+    def _stacked(cls, dims, ranks, p, q):
         f = cls.__new__(cls)
-        f._set(dims, ranks, groups)
+        f.dims, f.ranks, f.p, f.q = dims, ranks, p, q
         return f
-
-    def _set(self, dims, ranks, groups):
-        n_rows, n_cols, _ = dims
-        for ks, p, q in groups:  # one shape check per group
-            r = ranks[ks[0]]
-            if p.shape != (len(ks), n_rows, r) or q.shape != (len(ks), r, n_cols):
-                raise ValueError(f"rank-{r} slices {list(ks)} have stacks {p.shape}, {q.shape}")
-        self.dims, self.ranks, self.groups = dims, ranks, tuple(groups)
 
     @cached_property
     def _views(self):
-        views = {k: pair for ks, p, q in self.groups for k, pair in zip(ks, zip(p, q))}
-        return tuple(zip(*(views[k] for k in range(self.n_stored))))
+        stored = self.ranks.stored()
+        return (tuple(p[:, :r] for p, r in zip(self.p, stored)),
+                tuple(q[:r] for q, r in zip(self.q, stored)))
 
     left = property(lambda self: self._views[0])
     right = property(lambda self: self._views[1])
@@ -107,6 +108,20 @@ class BlockFactors:
     @property
     def n_stored(self):
         return half_count(self.dims[2])
+
+
+def _padded(dims, ranks, p, q):
+    """The pair with these ranks from stacks p, q at least as wide, cut to the largest rank
+    and zeroed past each slice's own; p and q are never written, only shared if unchanged."""
+    stored = np.array(ranks.stored())
+    w = stored.max()
+    keep = np.arange(w) < stored[:, None]
+    p, q = p[:, :, :w], q[:, :w]
+    if keep.all():
+        p, q = np.ascontiguousarray(p), np.ascontiguousarray(q)
+    else:
+        p, q = np.where(keep[:, None], p, 0), np.where(keep[:, :, None], q, 0)
+    return BlockFactors._stacked(dims, ranks, p, q)
 
 
 def init_factors(n_rows, n_cols, n3, init_ranks, seed=0):
@@ -127,8 +142,7 @@ def init_factors(n_rows, n_cols, n3, init_ranks, seed=0):
     p0 = rng.standard_normal((n_rows, rmax, n3)) * scale
     q0 = rng.standard_normal((rmax, n_cols, n3)) * scale
     pf, qf = (np.moveaxis(dft_mode3(a).slices, 2, 0) for a in (p0, q0))  # C-contiguous stacks
-    dims, groups = (n_rows, n_cols, n3), [(np.arange(len(pf)), pf, qf)]
-    return truncate_ranks(BlockFactors._stacked(dims, MultiRank.constant(rmax, n3), groups), ranks)
+    return _padded((n_rows, n_cols, n3), ranks, pf, qf)
 
 
 def as_multirank(value, n3):
@@ -150,32 +164,6 @@ def _check_spec(factors, spec):
         raise ValueError(f"data dims {spec.dims} != factor dims {factors.dims}")
 
 
-def _rank_groups(stored):
-    """Stored-slice indices keyed by slice rank, as ascending arrays in order of first rank."""
-    stored = np.asarray(stored)
-    return {r: np.flatnonzero(stored == r) for r in dict.fromkeys(stored.tolist())}
-
-
-def _regroup(factors, pieces):
-    """The pair made of pieces, (ks, left, right) stacks of one rank each that together
-    cover every stored slice once: the pieces of a rank merge into its group."""
-    stored = np.empty(factors.n_stored, int)
-    for ks, _, q in pieces:
-        stored[ks] = q.shape[1]
-    groups = []
-    for r, ks in _rank_groups(stored).items():
-        same = [piece for piece in pieces if piece[2].shape[1] == r]
-        order = np.argsort(np.concatenate([piece[0] for piece in same]))
-        groups.append((ks, *(np.concatenate([piece[i] for piece in same])[order] for i in (1, 2))))
-    ranks = MultiRank.from_stored(stored, factors.dims[2])
-    return BlockFactors._stacked(factors.dims, ranks, groups)
-
-
-def _run(ks):
-    """ks as a basic slice when it is one contiguous run: a view of a stack, not a gather."""
-    return slice(ks[0], ks[-1] + 1) if ks[-1] - ks[0] + 1 == len(ks) else ks
-
-
 def _h(a):
     """Conjugate transpose of every matrix in a stack."""
     return a.conj().swapaxes(-1, -2)
@@ -187,13 +175,10 @@ def update_left(factors, spec):
     Slice k becomes data_k @ right_k^H @ pinv(right_k @ right_k^H).
     """
     _check_spec(factors, spec)
-    data = np.moveaxis(spec.slices, 2, 0)
-    groups = []
-    for ks, _, q in factors.groups:
-        qh = _h(q)
-        groups.append((ks, data[_run(ks)] @ qh @ pinv(q @ qh), q))
+    q, data = factors.q, np.moveaxis(spec.slices, 2, 0)
+    qh = _h(q)
     slice_solves.add(factors.n_stored)
-    return BlockFactors._stacked(factors.dims, factors.ranks, groups)
+    return BlockFactors._stacked(factors.dims, factors.ranks, data @ qh @ pinv(q @ qh), q)
 
 
 def update_right(factors, spec):
@@ -202,13 +187,10 @@ def update_right(factors, spec):
     Slice k becomes pinv(left_k^H @ left_k) @ left_k^H @ data_k.
     """
     _check_spec(factors, spec)
-    data = np.moveaxis(spec.slices, 2, 0)
-    groups = []
-    for ks, p, _ in factors.groups:
-        ph = _h(p)
-        groups.append((ks, p, pinv(ph @ _h(ph)) @ ph @ data[_run(ks)]))
+    p, data = factors.p, np.moveaxis(spec.slices, 2, 0)
+    ph = _h(p)
     slice_solves.add(factors.n_stored)
-    return BlockFactors._stacked(factors.dims, factors.ranks, groups)
+    return BlockFactors._stacked(factors.dims, factors.ranks, p, pinv(ph @ _h(ph)) @ ph @ data)
 
 
 def gradient_sq(factors, residual):
@@ -216,24 +198,13 @@ def gradient_sq(factors, residual):
     all n3 slices, at residual: the fitted data's stored slices minus the slice products."""
     w = pair_weights(factors.dims[2])
     diff = np.moveaxis(residual, 2, 0)
-    r_left = r_right = 0.0
-    for ks, p, q in factors.groups:  # one stacked product per factor and rank group
-        d = diff[_run(ks)]
-        r_left += w[ks] @ np.linalg.norm(d @ _h(q), axis=(1, 2)) ** 2
-        r_right += w[ks] @ np.linalg.norm(_h(p) @ d, axis=(1, 2)) ** 2
-    return r_left, r_right
+    return (w @ np.linalg.norm(diff @ _h(factors.q), axis=(1, 2)) ** 2,
+            w @ np.linalg.norm(_h(factors.p) @ diff, axis=(1, 2)) ** 2)
 
 
 def compose_spectral(factors):
     """Stored-slice products left[k] @ right[k] as a slice-major (n_rows, n_cols, half) array."""
-    by_slice = np.empty((factors.n_stored,) + factors.dims[:2], complex)
-    for ks, p, q in factors.groups:
-        at = _run(ks)
-        if isinstance(at, slice):  # one run: written in place
-            np.matmul(p, q, out=by_slice[at])
-        else:
-            by_slice[at] = p @ q
-    return by_slice.transpose(1, 2, 0)
+    return (factors.p @ factors.q).transpose(1, 2, 0)
 
 
 def compose(factors):
@@ -245,9 +216,9 @@ def compose(factors):
     return _irfft_checked(compose_spectral(factors), factors.dims[2], tol=1e-9)
 
 
-def _rank_cuts(eigvals, tau):
-    """Per row of descending eigenvalues, the count to keep before the widest
-    eigen gap, or 0 where no gap exceeds tau."""
+def _rank_cuts(eigvals, ranks, tau):
+    """Per row of descending eigenvalues, the count to keep before the widest eigen
+    gap among its first ranks[i] values, or 0 where no such gap exceeds tau."""
     lam = np.clip(eigvals, 0.0, None)
     top = lam[:, :1]
     # eigvalsh noise on a Gram matrix sits at eps * lam[0]; flooring there keeps
@@ -255,6 +226,7 @@ def _rank_cuts(eigvals, tau):
     # spectrum reads as flat.
     lam = np.where(top > 0, np.maximum(lam, np.finfo(float).eps * top), 1.0)
     ratios = lam[:, :-1] / lam[:, 1:]
+    ratios[np.arange(ratios.shape[1]) >= ranks[:, None] - 1] = 0.0  # gaps into the padding
     return np.where(ratios.max(axis=1) > tau, np.argmax(ratios, axis=1) + 1, 0)
 
 
@@ -266,26 +238,23 @@ def rank_decrease(factors, cfg=RankDecreaseConfig()):
     to the leading directions of its thin SVD (never below rank 1, never
     increased).  Returns (new_factors, new_ranks, changed).
     """
-    if not cfg.enabled:
+    if not cfg.enabled or factors.q.shape[1] < 2:  # a gap needs two directions
         return factors, factors.ranks, False
-    pieces = []
-    for ks, p, q in factors.groups:
-        keep = _rank_cuts(np.linalg.eigvalsh(q @ _h(q))[:, ::-1], cfg.tau) if p.shape[2] > 1 else 0
-        at = np.flatnonzero(keep)  # the group's slices that cut
-        if not at.size:
-            pieces.append((ks, p, q))
-            continue
-        # One stacked thin SVD of the cut slices' products, through QR factors, costs
-        # O(n r^2) per slice instead of forming the full n_rows x n_cols products.
-        qmat, rmat = np.linalg.qr(p[at])
-        u, s, vh = np.linalg.svd(rmat @ q[at], full_matrices=False)
-        pieces.append((ks[keep == 0], p[keep == 0], q[keep == 0]))
-        for c in set(keep[at].tolist()):
-            i = keep[at] == c
-            pieces.append((ks[at[i]], qmat[i] @ (u[i, :, :c] * s[i, None, :c]), vh[i, :c, :]))
-    if len(pieces) == len(factors.groups):  # a group that cut left two or more pieces
+    stored = np.array(factors.ranks.stored())
+    keep = _rank_cuts(np.linalg.eigvalsh(factors.q @ _h(factors.q))[:, ::-1], stored, cfg.tau)
+    cut = np.flatnonzero(keep)
+    if not cut.size:
         return factors, factors.ranks, False
-    out = _regroup(factors, pieces)
+    p, q = factors.p.copy(), factors.q.copy()
+    for r in set(stored[cut].tolist()):
+        at = cut[stored[cut] == r]
+        # One stacked thin SVD per rank of the cut slices' products, through QR factors,
+        # costs O(n r^2) per slice instead of forming the full n_rows x n_cols products.
+        qmat, rmat = np.linalg.qr(p[at, :, :r])
+        u, s, vh = np.linalg.svd(rmat @ q[at, :r], full_matrices=False)
+        p[at, :, :r], q[at, :r] = qmat @ (u * s[:, None]), vh
+    stored[cut] = keep[cut]
+    out = _padded(factors.dims, MultiRank.from_stored(stored, factors.dims[2]), p, q)
     return out, out.ranks, True
 
 
@@ -304,15 +273,11 @@ def can_interpolate(dims, ranks, n_observed):
 def truncate_ranks(factors, ranks):
     """Keep the leading ranks[k] columns and rows of every stored slice (at most its
     rank); factors itself when no slice's rank changes."""
-    target = np.array(ranks.stored())
-    if (target >= factors.ranks.stored()).all():
+    stored = np.minimum(ranks.stored(), factors.ranks.stored())
+    if (stored == factors.ranks.stored()).all():
         return factors
-    pieces = []
-    for ks, p, q in factors.groups:
-        for t in set(target[ks].tolist()):
-            i = target[ks] == t
-            pieces.append((ks[i], p[i, :, :t], q[i, :t, :]))
-    return _regroup(factors, pieces)
+    ranks = MultiRank.from_stored(stored, factors.dims[2])
+    return _padded(factors.dims, ranks, factors.p, factors.q)
 
 
 def grow_ranks(factors, residual, ceiling):
@@ -320,22 +285,17 @@ def grow_ranks(factors, residual, ceiling):
 
     residual holds the stored slices of the fitted data minus the current
     slice products, shape (n_rows, n_cols, n_stored); each growing slice gains
-    the leading singular pair of its residual slice, from one stacked SVD per
-    rank group.  ceiling lists the stored-slice rank limits.  Returns (new_factors, changed).
+    the leading singular pair of its residual slice, from one stacked SVD.
+    ceiling lists the stored-slice rank limits.  Returns (new_factors, changed).
     """
-    residual, ceiling = np.moveaxis(residual, 2, 0), np.asarray(ceiling)
-    pieces = []
-    for ks, p, q in factors.groups:
-        at = np.flatnonzero(ceiling[ks] > p.shape[2])
-        u, s, vh = np.linalg.svd(residual[ks[at]], full_matrices=False)
-        i = s[:, 0] > 0
-        if not i.any():
-            pieces.append((ks, p, q))
-            continue
-        at = at[i]
-        pieces.append((np.delete(ks, at), np.delete(p, at, 0), np.delete(q, at, 0)))
-        p_new = np.concatenate([p[at], u[i, :, :1] * s[i, None, :1]], axis=2)
-        pieces.append((ks[at], p_new, np.concatenate([q[at], vh[i, :1, :]], axis=1)))
-    if len(pieces) == len(factors.groups):  # a group that grew left two pieces
+    stored = np.array(factors.ranks.stored())
+    at = np.flatnonzero(np.asarray(ceiling) > stored)
+    u, s, vh = np.linalg.svd(np.moveaxis(residual, 2, 0)[at], full_matrices=False)
+    i = s[:, 0] > 0
+    if not i.any():
         return factors, False
-    return _regroup(factors, pieces), True
+    at = at[i]
+    p, q = np.pad(factors.p, ((0, 0), (0, 0), (0, 1))), np.pad(factors.q, ((0, 0), (0, 1), (0, 0)))
+    p[at, :, stored[at]], q[at, stored[at]] = u[i, :, 0] * s[i, :1], vh[i, 0]
+    stored[at] += 1
+    return _padded(factors.dims, MultiRank.from_stored(stored, factors.dims[2]), p, q), True

@@ -33,7 +33,7 @@ SYNTH_WIDTH = 100
 SYNTH_RANK = 3
 
 
-def generate_mask(dims, ratio, seed=0, pad_observed_zero=False):
+def generate_mask(dims, ratio, seed=0):
     """Sample exactly floor(ratio * n_entries) observed positions uniformly.
 
     The draw is a seeded choice without replacement over flat indices in
@@ -48,7 +48,7 @@ def generate_mask(dims, ratio, seed=0, pad_observed_zero=False):
     picked = np.random.default_rng(seed).choice(n, size=count, replace=False)
     flat = np.zeros(n, dtype=bool)
     flat[picked] = True
-    return ObservationMask(flat.reshape(dims, order="F"), pad_observed_zero)
+    return ObservationMask(flat.reshape(dims, order="F"))
 
 
 def synth_low_tubal(n1, n2, n3, rank, seed=0):
@@ -134,22 +134,27 @@ def _mask_for(args, dims):
     return generate_mask(tuple(dims), args.ratio, _seed(args))
 
 
+def _check_output(path, shape):
+    """Raise ValueError when an --output path cannot hold recovered data of this shape."""
+    if not path:
+        return
+    ext = os.path.splitext(path)[1].lower()
+    slices = shape[2] if len(shape) == 3 else 1
+    if ext not in (".t3", ".pgm", ".ppm"):
+        raise ValueError(f"unsupported output extension on {path}")
+    if ext == ".pgm" and slices != 1:
+        raise ValueError("PGM output needs a single-slice tensor")
+    if ext == ".ppm" and slices != 3:
+        raise ValueError("PPM output needs a three-slice tensor")
+
+
 def _write_recovered(path, data):
+    """Write data in the format of path's extension, which _check_output accepted."""
     ext = os.path.splitext(path)[1].lower()
     if ext == ".t3":
         save_tensor(path, np.atleast_3d(data))
-    elif ext == ".pgm":
-        if data.ndim == 3:
-            if data.shape[2] != 1:
-                raise ValueError("PGM output needs a single-slice tensor")
-            data = data[:, :, 0]
-        save_image(path, data)
-    elif ext == ".ppm":
-        if data.ndim != 3 or data.shape[2] != 3:
-            raise ValueError("PPM output needs a three-slice tensor")
-        save_image(path, data)
-    else:
-        raise ValueError(f"unsupported output extension on {path}")
+    else:  # a single-slice .pgm or a three-slice .ppm
+        save_image(path, data[:, :, 0] if data.ndim == 3 and ext == ".pgm" else data)
 
 
 def _write_metrics(path, rows):
@@ -193,6 +198,7 @@ def _run_complete_matrix(args):
         if matrix.shape[2] != 1:
             raise ValueError(f"{path} has n3={matrix.shape[2]}, expected a single-slice input")
         matrix = matrix[:, :, 0]
+    _check_output(args.output, matrix.shape)
     mask2d = _mask_for(args, matrix.shape + (1,)).observed[:, :, 0]
     problem = CompletionProblem.from_matrix(matrix, mask2d, args.n2)
     if not args.init_rank:
@@ -206,6 +212,7 @@ def _run_complete_tensor(args):
     if len(args.inputs) != 1:
         raise ValueError("complete-tensor takes exactly one --input")
     data = np.atleast_3d(_load(args.inputs[0]))
+    _check_output(args.output, data.shape)
     mask = _mask_for(args, data.shape)
     problem = CompletionProblem.from_tensor(data, mask)
     if not args.init_rank:

@@ -437,14 +437,28 @@ def test_metrics_requires_two_inputs(tmp_path, capsys):
 
 
 def test_subcommands_default_to_the_solver_configs():
-    for command, n2, cls in [
-        ("complete-matrix", 64, SolverConfig),
-        ("complete-tensor", 64, DoubleTubalConfig),
-        ("synth", 10, SolverConfig),
+    for command, own, cls in [
+        ("complete-matrix", {"n2": 64, "inputs": []}, SolverConfig),
+        ("complete-tensor", {"inputs": []}, DoubleTubalConfig),
+        ("synth", {"n2": 10}, SolverConfig),
     ]:
         args = build_parser().parse_args([command])
-        assert args.command == command and args.n2 == n2 and args.inputs == []
+        assert args.command == command
+        assert {name: getattr(args, name) for name in own} == own
         assert _solver_config(args, 3, cls) == cls(init_ranks=3)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["synth", "--input", "a.pgm"], ["synth", "--mask", "m.msk"], ["synth", "--trace", "t.csv"],
+     ["synth", "--metrics-out", "m.csv"], ["complete-tensor", "--n2", "8"]],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_commands_reject_options_they_do_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(argv)
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
 
 def test_unknown_command_is_a_parse_error():
@@ -496,15 +510,34 @@ def test_solver_failure_has_its_own_exit_code(tmp_path, capsys, monkeypatch, err
     [("in.png", "out.pgm", "cannot read"), ("in.pgm", "out.png", "unsupported output")],
     ids=["input", "output"],
 )
-def test_unsupported_extensions_are_input_errors(tmp_path, capsys, src_name, out_name,
-                                                 named):
-    src = tmp_path / src_name
+def test_unsupported_extensions_are_input_errors(tmp_path, capsys, monkeypatch, src_name,
+                                                 out_name, named):
+    monkeypatch.setattr(harness, "solve_matrix", lambda *a: pytest.fail("solver was run"))
+    src, trace = tmp_path / src_name, tmp_path / "trace.csv"
     save_image(src, rank2_image(16, 16))  # PGM bytes whatever the name says
     code = main(["complete-matrix", "--input", str(src), "--output", str(tmp_path / out_name),
-                 "--ratio", "0.9", "--n2", "8", "--init-rank", "2", "--max-iter", "2"])
+                 "--ratio", "0.9", "--n2", "8", "--init-rank", "2", "--max-iter", "2",
+                 "--trace", str(trace)])
     assert code == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and named in err
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize(
+    "n3, out_name, named",
+    [(3, "out.pgm", "single-slice"), (1, "out.ppm", "three-slice")],
+    ids=["pgm", "ppm"],
+)
+def test_output_slice_counts_are_checked_before_the_solve(tmp_path, capsys, monkeypatch, n3,
+                                                           out_name, named):
+    monkeypatch.setattr(harness, "solve_tensor", lambda *a: pytest.fail("solver was run"))
+    src = tmp_path / "in.t3"
+    save_tensor(src, synth_low_tubal(6, 5, n3, 2, seed=0))
+    code = main(["complete-tensor", "--input", str(src), "--output", str(tmp_path / out_name),
+                 "--ratio", "0.9", "--init-rank", "2"])
+    assert code == EXIT_INPUT
+    assert named in capsys.readouterr().err
 
 
 def test_missing_input_file_exits_cleanly(tmp_path, capsys):

@@ -445,12 +445,27 @@ def test_batched_rank_decrease_cuts_within_one_rank_group():
     assert changed and ranks.stored() == (2, 3, 0, 1)
 
 
-# ------------------------------------------------------ stacked rank groups
+# ------------------------------------------------------ padded factor stacks
+
+
+def assert_padded(f):
+    """p and q are C-contiguous stacks as wide as the largest stored rank, every
+    nonempty left[k] and right[k] is a view into them, and everything past a
+    slice's rank is exactly zero."""
+    stored = f.ranks.stored()
+    n_rows, n_cols, _ = f.dims
+    assert f.p.shape == (f.n_stored, n_rows, max(stored))
+    assert f.q.shape == (f.n_stored, max(stored), n_cols)
+    assert f.p.flags.c_contiguous and f.q.flags.c_contiguous
+    for k, r in enumerate(stored):
+        assert f.left[k].shape == (n_rows, r) and f.right[k].shape == (r, n_cols)
+        assert r == 0 or np.shares_memory(f.left[k], f.p) and np.shares_memory(f.right[k], f.q)
+        assert not f.p[k, :, r:].any() and not f.q[k, r:].any()
 
 
 def library_pairs():
     """A pair from each library operation that builds one; stored ranks 3, 1, 3, 2, 1
-    put the rank-3 and rank-1 groups out of one contiguous run."""
+    interleave the slices of each rank."""
     f = init_factors(7, 6, 8, MultiRank.from_stored([3, 1, 3, 2, 1], 8), seed=1)
     x = dft_mode3(rand((7, 6, 8), 2))
     return {
@@ -465,14 +480,7 @@ def library_pairs():
 
 @pytest.mark.parametrize("op", list(library_pairs()))
 def test_slice_factors_are_views_of_contiguous_group_stacks(op):
-    f = library_pairs()[op]
-    stacks = [s for _, p, q in f.groups for s in (p, q)]
-    assert all(s.flags.c_contiguous for s in stacks)
-    assert sorted(k for ks, _, _ in f.groups for k in ks) == list(range(f.n_stored))
-    for k, r in enumerate(f.ranks.stored()):
-        assert f.left[k].shape == (7, r) and f.right[k].shape == (r, 6)
-        assert any(np.shares_memory(f.left[k], s) for s in stacks)
-        assert any(np.shares_memory(f.right[k], s) for s in stacks)
+    assert_padded(library_pairs()[op])
 
 
 def test_factor_layer_makes_no_stack_copies(monkeypatch):

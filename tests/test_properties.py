@@ -52,7 +52,7 @@ from tubal import (  # noqa: E402
 from tubal.core import _half_weighted_sq, _irfft_checked  # noqa: E402
 from tubal.factors import grow_ranks, truncate_ranks  # noqa: E402
 
-from test_factors import assert_slices_close, reference_rank_decrease  # noqa: E402
+from test_factors import assert_padded, assert_slices_close, reference_rank_decrease  # noqa: E402
 
 dims = st.integers(1, 6)
 depths = st.integers(1, 7)
@@ -305,10 +305,12 @@ def test_rank_decrease_cuts_to_matching_shapes_and_leaves_other_slices(n1, n2, n
 @example(3, 4, 2, 0)
 @example(4, 4, 5, 0)
 @example(4, 4, 6, 0)
+@example(4, 4, 4, 34)  # every stored rank 0
 def test_rank_group_stacks_match_the_per_slice_references(n1, n2, n3, seed):
     """Random stored ranks (0 allowed, equal ranks interleaved): a pair built from
     lists, the same pair rebuilt by grow_ranks and truncate_ranks, and that pair after
-    a round of updates and a rank cut, each against the per-slice formulas."""
+    a round of updates and a rank cut, each against the per-slice formulas and each
+    with exact zeros past every slice's rank in its padded stacks."""
     rng = np.random.default_rng(seed)
     stored = [int(r) for r in rng.integers(0, min(n1, n2) + 1, half_count(n3))]
 
@@ -320,6 +322,7 @@ def test_rank_group_stacks_match_the_per_slice_references(n1, n2, n3, seed):
         [cplx(n1, r) for r in stored], [cplx(r, n2) for r in stored],
     )
     grown, _ = grow_ranks(listed, cplx(n1, n2, len(stored)), [r + 1 for r in stored])
+    assert_padded(grown)
     rebuilt = truncate_ranks(grown, listed.ranks)
     assert_slices_close(rebuilt.left + rebuilt.right, listed.left + listed.right)
     spec = dft_mode3(rng.standard_normal((n1, n2, n3)))
@@ -327,16 +330,20 @@ def test_rank_group_stacks_match_the_per_slice_references(n1, n2, n3, seed):
     cfg = RankDecreaseConfig(tau=1.5)
     after = rank_decrease(update_right(update_left(rebuilt, spec), spec), cfg)[0]
     for f in (listed, rebuilt, after):
+        fl, fr = update_left(f, spec), update_right(f, spec)
+        for g in (f, fl, fr):
+            assert_padded(g)
         want = [d[k] @ q.conj().T @ np.linalg.pinv(q @ q.conj().T) for k, q in enumerate(f.right)]
-        assert_slices_close(update_left(f, spec).left, want)
+        assert_slices_close(fl.left, want)
         want = [np.linalg.pinv(p.conj().T @ p) @ p.conj().T @ d[k] for k, p in enumerate(f.left)]
-        assert_slices_close(update_right(f, spec).right, want)
+        assert_slices_close(fr.right, want)
         prods = compose_spectral(f)
         assert_slices_close([prods[:, :, k] for k in range(len(d))], [p @ q for p, q in zip(f.left, f.right)])
         out, ranks, _ = rank_decrease(f, cfg)
         ref_stored, ref_left, ref_right = reference_rank_decrease(f, cfg)
         assert ranks.stored() == tuple(ref_stored)
         assert_slices_close(out.left + out.right, ref_left + ref_right)
+        assert_padded(out)
 
 
 # ----------------------------------------------------------- ranks and formats
