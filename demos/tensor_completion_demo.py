@@ -1,7 +1,7 @@
 """Complete a partially observed tensor with two factorizations at once:
 one of the tensor itself and one of its mode-3 regrouping, blended by an
-adaptive weight that switches the regrouped side off when it keeps fitting
-worse than the slice side.
+adaptive weight that switches the regrouped side off once it fits far worse
+than the slice side.
 
     python3 demos/tensor_completion_demo.py
 """
@@ -66,8 +66,8 @@ print(
 # ------------------------------------------------------------------
 # Act two: data structured on one side only.  The regrouped view of this
 # tensor is full rank, and the adaptive weight discovers that by comparing
-# the two residuals: gamma falls sweep after sweep, and once it has fallen
-# three times in a row to below 1/4 the regrouped side is switched off.
+# the two residuals: gamma falls sweep after sweep, and the first refit that
+# puts it below 1/4 switches the regrouped side off.
 truth = synth_low_tubal(40, 40, 10, 3, seed=0)
 p, q = 160, 10
 print(f"\ntruth {truth.shape}, double tubal rank {double_tubal_rank(truth, p, q)}")

@@ -8,7 +8,7 @@ import argparse
 import functools
 import sys
 
-from .harness import EXIT_INPUT, EXIT_SOLVER, SOLVER_ERRORS, run
+from .harness import EXIT_INPUT, EXIT_OK, EXIT_SOLVER, SOLVER_ERRORS, run
 
 
 def _add_solver_options(p, n2_default=None):
@@ -86,7 +86,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse printed the help (code 0) or a usage error (code 2)
+        return EXIT_OK if e.code == 0 else EXIT_INPUT
     try:
         return run(args)
     except SOLVER_ERRORS as e:  # before ValueError, a base of two of them

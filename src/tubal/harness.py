@@ -1,9 +1,9 @@
 """Experiment driver shared by the command line and the demo scripts.
 
-Knows how to read inputs (images, tensor files, frame directories), build the
-observation pattern, run a solver, and write the recovered data, trace and
-metrics.  Exit codes: 0 when the solver converged, 2 when it hit the sweep
-limit, 1 for unusable inputs, 3 when the solver raised one of SOLVER_ERRORS.
+Reads inputs (images, tensor files, frame directories), builds the observation
+pattern, runs a solver, and writes the recovered data, trace and metrics.  Exit
+codes: 0 when the solver converged, 2 when it hit the sweep limit, 1 for
+unusable inputs or command lines, 3 when the solver raised one of SOLVER_ERRORS.
 """
 
 import csv

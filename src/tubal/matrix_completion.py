@@ -61,8 +61,7 @@ PLATEAU = 1e-2  # mean residual ratio this close to 1 triggers rank growth
 RATE_WINDOW = 3  # sweeps averaged into the residual contraction rate
 SLOW_RATIO = 0.7  # contraction above this raises the relaxation weight
 GAMMA_GUARD = 1e-15  # below this reconstruction residual, gamma stays put
-SIDE_OFF_FALLS = 3  # adaptive gamma falling this many refits in a row, to below
-SIDE_OFF_GAMMA = 0.25  # this weight, switches the second side off
+SIDE_OFF_GAMMA = 0.25  # an adaptive gamma refit below this switches the second side off
 
 
 @dataclass
@@ -165,7 +164,7 @@ class TraceRow:
     rel_change: float
     ranks: object
     elapsed_ms: float
-    event: str = ""  # "+"-joined rank_decrease[_xt], rank_increase, side_off; or sor_reject
+    event: str = ""  # "+"-joined rank_decrease[_xt], side_off, rank_increase; or sor_reject
     step_sq: float = 0.0  # squared factor-product step, kept in memory only
     gamma: float = None
     ranks_xt: object = None
@@ -225,13 +224,13 @@ class RankGrowth:
     finds no gap to cut through.  On that path every slice starts at rank 1
     with the requested ranks as its ceiling, and grows by the leading singular
     pair of its residual whenever the observed residual plateaus (rank
-    detection then turns back on).  The refill the next sweep fits is
-    over-relaxed as fill + omega * P_Omega(data - fill), after LMaFit; a sweep
-    whose observed residual does not fall is rejected and redone at omega = 1.
-    The relative-change stop is scaled by max(1, rho / (1 - rho)), rho being
-    the observed residual's contraction per sweep over the last RATE_WINDOW
-    sweeps, which bounds the remaining distance of a linearly convergent
-    iteration.
+    detection then turns back on).  The refill after a one-side sweep is
+    over-relaxed as fill + omega * P_Omega(data - fill), after LMaFit (a
+    blended sweep's gamma already adapts); a relaxed sweep whose residual
+    does not fall is rejected and redone at omega = 1.  The relative-change
+    stop is scaled by max(1, rho / (1 - rho)), rho being the observed
+    residual's contraction per sweep over the last RATE_WINDOW sweeps, which
+    bounds the remaining distance of a linearly convergent iteration.
     """
 
     def __init__(self, ceiling):
@@ -253,11 +252,12 @@ class RankGrowth:
         side.factors = truncate_ranks(side.factors, MultiRank([min(1, r) for r in ranks]))
         return cls(ranks.stored())
 
-    def accept(self, residual):
+    def accept(self, residual, one_side=True):
         """Judge a sweep by its residual norm sqrt(2 * objective); False rejects it.
 
         For the matrix solver that norm is the observed residual
-        ||P_Omega(data - fill)||; the blended solver passes its blended analog.
+        ||P_Omega(data - fill)||; a blended sweep passes its blended analog,
+        and one_side=False, which holds omega at 1.
         """
         if self._residual is not None:
             ratio = residual / self._residual if self._residual > 0 else 0.0
@@ -266,7 +266,7 @@ class RankGrowth:
                 self.omega = 1.0
                 return False
             self._ratios.append(ratio)
-            if ratio > SLOW_RATIO:
+            if one_side and ratio > SLOW_RATIO:
                 self._step = max(self._step, 0.25 * (self.omega - 1.0))
                 self.omega += self._step
         self._residual = residual
@@ -426,13 +426,13 @@ def _sweeps(problem, config, all_sides, gamma=None, adaptive_gamma=False):
     """The sweep engine of both solvers, over sides fitted to one iterate.
 
     The slice side comes first; a second side enters the fill and the
-    objective with weight gamma, refit after every accepted sweep when
-    adaptive_gamma is set.  It is left out at a fixed gamma of 0, and leaves
-    once adaptive gamma has fallen on SIDE_OFF_FALLS refits in a row to below
-    SIDE_OFF_GAMMA (event side_off; gamma is then 0).  Every row logs gamma
-    and the second side's ranks.  The sweep order and the stop-skip rule are
-    the module docstring's.  Returns (x, trace, the gamma whose fill made x);
-    the sides keep the final factors.
+    objective with weight gamma, and is left out at a fixed gamma of 0.  With
+    adaptive_gamma, an accepted sweep that another sweep follows refits gamma
+    to the reconstructions that made x; the first refit below SIDE_OFF_GAMMA
+    switches the second side off (event side_off; gamma is then 0).  Only
+    one-side sweeps are relaxed or rejected.  Every row logs gamma and the
+    second side's ranks.  Sweep order and stop-skip rule: the module
+    docstring.  Returns (x, trace, the gamma whose fill made x).
     """
     sides = all_sides[:1] if gamma == 0 and not adaptive_gamma else list(all_sides)
     growth = RankGrowth.for_run(problem, sides[0], config.rank_cfg)
@@ -442,15 +442,15 @@ def _sweeps(problem, config, all_sides, gamma=None, adaptive_gamma=False):
         side.rank_on = config.rank_cfg.enabled
         side.fit(x)
         side.prev = compose_spectral(side.factors)
-    x_gamma, falls, tested = gamma, 0, True
+    tested = True
 
     refill = lambda: _refill(_fill(sides, gamma), observed_index)  # noqa: E731 -- reads gamma when called
 
     trace = SolverTrace(termination="max_iter")
     for t in range(1, config.max_iter + 1):
         started = time.perf_counter()
-        if growth is not None:  # what a rejected sweep restores
-            before = [(s.factors, s.rank_on, s.stable) for s in sides]
+        if growth is not None:  # what a rejected sweep, which has one side, restores
+            before = (sides[0].factors, sides[0].rank_on, sides[0].stable)
         stage_one = t <= config.t0
         for i, side in enumerate(sides):
             if i and stage_one:  # a later side starts from the others' new fill
@@ -478,7 +478,7 @@ def _sweeps(problem, config, all_sides, gamma=None, adaptive_gamma=False):
         if not np.isfinite(g):
             raise FloatingPointError(f"objective became non-finite at sweep {t}")
         rel = _rel_change(x_new, x)
-        accepted = growth is None or growth.accept(np.sqrt(2.0 * g))
+        accepted = growth is None or growth.accept(np.sqrt(2.0 * g), len(sides) == 1)
         row = TraceRow(
             iteration=t,
             objective=g,
@@ -491,35 +491,29 @@ def _sweeps(problem, config, all_sides, gamma=None, adaptive_gamma=False):
         )
         if not accepted:
             event = ["sor_reject"]
-            for side, state in zip(sides, before):
-                side.factors, side.rank_on, side.stable = state
-                side.fit(x)
+            sides[0].factors, sides[0].rank_on, sides[0].stable = before
+            sides[0].fit(x)
         else:
-            x, x_gamma = x_new, gamma
-            if adaptive_gamma:
-                refit = _refit_gamma(sides, observed_index, gamma)
-                falls, gamma = falls + 1 if refit < gamma else 0, refit
+            x = x_new
             for side in sides:
                 side.prev = side.products()
             stop = tested and (
                 rel < config.epsilon if growth is None else growth.converged(rel, config.epsilon)
             )
-            if growth is not None:
-                # growth on the last sweep would leave factors that do not match x
-                if not stop and t < config.max_iter and growth.grow(sides[0]):
+            if not stop and t < config.max_iter:  # the next sweep's schedule, from the sides that made x
+                if adaptive_gamma:
+                    gamma = _refit_gamma(sides, observed_index, gamma)
+                    if gamma < SIDE_OFF_GAMMA:  # the second side fits the data far worse
+                        off = sides.pop()
+                        off.drop()
+                        off.spec = off.prev = None
+                        gamma, adaptive_gamma = 0.0, False
+                        event.append("side_off")
+                if growth is not None and growth.grow(sides[0]):
                     event.append("rank_increase")
-                if growth.omega != 1.0:
+                if growth is not None and growth.omega != 1.0:  # raised only on one-side sweeps
                     # unchanged factors: the fill is rebuilt, so the plain path holds no extra array
-                    target = growth.relaxed(_fill(sides, x_gamma), x)
-                    for side in sides:
-                        side.fit(target)
-            if adaptive_gamma and falls >= SIDE_OFF_FALLS and gamma < SIDE_OFF_GAMMA and not stop:
-                # the second side keeps losing ground to the first: go on as the one-side engine
-                off = sides.pop()
-                off.drop()
-                off.spec = off.prev = None
-                gamma, adaptive_gamma = 0.0, False
-                event.append("side_off")
+                    sides[0].fit(growth.relaxed(_fill(sides, gamma), x))
         row.event = "+".join(event)
         tested = not {"sor_reject", "rank_increase", "side_off"}.intersection(event)
         row.elapsed_ms = (time.perf_counter() - started) * 1e3
@@ -527,7 +521,7 @@ def _sweeps(problem, config, all_sides, gamma=None, adaptive_gamma=False):
         if accepted and stop:
             trace.termination = "converged"
             break
-    return x, trace, x_gamma
+    return x, trace, gamma
 
 
 def solve(problem, config):

@@ -68,8 +68,8 @@ class DoubleTubalConfig(SolverConfig):
     """Settings for the blended two-factorization solver.
 
     init_ranks_xt gives per-slice ranks for the regrouped side (length q);
-    when omitted it falls back to the tubal rank of init_ranks, capped by the
-    regrouped geometry.  p and q fix the regrouping; both default from
+    when omitted it is the tubal rank of init_ranks, capped by the regrouped
+    geometry.  p and q fix the regrouping; both default from
     default_geometry.
     """
 
@@ -156,12 +156,12 @@ def solve(problem, config):
     """Blended alternating least-squares completion: the sweep engine on two sides.
 
     Each sweep refits the slice factors, then the regrouped ones.  When the
-    slice factors could interpolate the data, the run follows RankGrowth on
-    the slice side, over-relaxing the blended fill; the regrouped side keeps
-    its starting ranks.  The regrouped side is left out at a fixed gamma0 of
-    0, and switched off (event side_off) once adaptive gamma has fallen on
-    SIDE_OFF_FALLS refits in a row to below SIDE_OFF_GAMMA; sweeps without it
-    are the matrix solver's, logged with gamma 0 and that side's last ranks.
+    slice factors could interpolate the data, the slice side follows
+    RankGrowth, which relaxes no blended sweep; the regrouped side keeps its
+    starting ranks.  That side is left out at a fixed gamma0 of 0, and
+    switched off (event side_off) by the first adaptive gamma refit below
+    SIDE_OFF_GAMMA; sweeps without it are the matrix solver's, logged with
+    gamma 0 and that side's last ranks.
     Returns (x, trace); trace.final_factors has the gamma whose fill made x.
     """
     n1, n2, n3 = problem.dims

@@ -133,6 +133,8 @@ def test_synth_rejects_bad_block_width(tmp_path, capsys):
     code = main(["synth", "--output", str(tmp_path / "x"), "--n2", "7"])
     assert code == EXIT_INPUT
     assert "error:" in capsys.readouterr().err
+    assert main(["synth", "--n2", "10"]) == EXIT_INPUT  # and without a directory to write
+    assert "synth needs --output" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------- complete-matrix
@@ -169,6 +171,9 @@ def test_complete_matrix_requires_init_rank(tmp_path, capsys):
     code = main(["complete-matrix", "--input", str(src), "--ratio", "0.9"])
     assert code == EXIT_INPUT
     assert "--init-rank" in capsys.readouterr().err
+    code = main(["complete-tensor", "--input", str(src), "--ratio", "0.9"])  # so does the tensor
+    assert code == EXIT_INPUT
+    assert "--init-rank is required" in capsys.readouterr().err
 
 
 def test_complete_matrix_requires_mask_or_ratio(tmp_path, capsys):
@@ -355,6 +360,14 @@ def test_complete_tensor_rejects_empty_directory(tmp_path, capsys):
     )
     assert code == EXIT_INPUT
     assert "no image frames" in capsys.readouterr().err
+    # frames that cannot be stacked are rejected the same way
+    save_image(frames / "a.pgm", rank2_image(16, 16))
+    save_image(frames / "b.pgm", rank2_image(16, 12))
+    code = main(
+        ["complete-tensor", "--input", str(frames), "--ratio", "0.9", "--init-rank", "2"]
+    )
+    assert code == EXIT_INPUT
+    assert "differ in size" in capsys.readouterr().err
 
 
 def test_complete_tensor_rejects_a_zero_ratio(tmp_path, capsys):
@@ -375,6 +388,9 @@ BAD_SETTINGS = [
     (["complete-tensor", "--seed", "-1"], "seed must be a nonnegative integer, got -1"),
     (["synth", "--n2", "0"], "got 0"),
     (["synth", "--seed", "-1"], "seed must be a nonnegative integer, got -1"),
+    (["complete-tensor", "--input", "second.t3"], "complete-tensor takes exactly one --input"),
+    (["complete-matrix", "--input", "a.pgm", "--input", "b.pgm"],
+     "complete-matrix takes exactly one --input"),
 ]
 
 
@@ -461,9 +477,24 @@ def test_commands_reject_options_they_do_not_read(argv, capsys):
     assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
 
-def test_unknown_command_is_a_parse_error():
-    with pytest.raises(SystemExit):
-        main(["frobnicate"])
+def test_unknown_command_is_a_parse_error(capsys):
+    assert main(["frobnicate"]) == EXIT_INPUT  # exit 2 means "sweep limit reached"
+    assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
+    assert main(["--help"]) == EXIT_OK
+    assert "complete-matrix" in capsys.readouterr().out
+    with pytest.raises(ValueError, match="unknown command 'frobnicate'"):
+        harness.run(argparse.Namespace(command="frobnicate"))
+
+
+@pytest.mark.parametrize(
+    "argv", [["frobnicate"], ["complete-matrix", "--max-iter", "abc"]], ids=" ".join
+)
+def test_rejected_command_lines_exit_as_input_errors(argv):
+    r = subprocess.run(
+        [sys.executable, "-m", "tubal.cli", *argv], capture_output=True, text=True
+    )
+    assert r.returncode == EXIT_INPUT
+    assert r.stderr.startswith("usage: tubal") and "Traceback" not in r.stderr
 
 
 def test_main_reuses_one_parser(tmp_path, monkeypatch):

@@ -355,7 +355,9 @@ def test_rank_growth_rejects_a_relaxed_sweep_that_does_not_descend():
 
 def test_the_sweep_after_a_rejection_is_not_stop_tested(monkeypatch):
     verdicts = iter([False])  # reject sweep 1, accept every later one
-    monkeypatch.setattr(RankGrowth, "accept", lambda self, residual: next(verdicts, True))
+    monkeypatch.setattr(
+        RankGrowth, "accept", lambda self, residual, one_side: next(verdicts, True)
+    )
     monkeypatch.setattr(RankGrowth, "converged", lambda self, rel, epsilon: True)
     _, prob = interpolating_problem()
     _, _, trace = solve(prob, SolverConfig(init_ranks=8, seed=0))

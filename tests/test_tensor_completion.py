@@ -339,6 +339,34 @@ def test_adaptive_gamma_switches_an_unhelpful_side_off():
     assert solves - upto_switch == len(later) * (two - one)
 
 
+def test_side_off_fires_on_the_first_refit_below_the_bar(monkeypatch):
+    _, prob = criterion_5_problem()
+    monkeypatch.setattr(mc, "SIDE_OFF_GAMMA", 0.5)  # sweep 1's refit already reads below it
+    _, trace = solve(prob, DoubleTubalConfig(init_ranks=3, p=160, q=10, seed=0))
+    assert [r.iteration for r in trace.rows if "side_off" in r.event] == [1]
+
+
+def test_the_last_sweep_never_switches_the_side_off():
+    _, prob = criterion_5_problem()
+    cfg = DoubleTubalConfig(init_ranks=3, p=160, q=10, seed=0, max_iter=3)
+    _, trace = solve(prob, cfg)  # a refit after sweep 3 would fall below SIDE_OFF_GAMMA
+    assert trace.termination == "max_iter"
+    assert not any("side_off" in r.event for r in trace.rows)
+    assert trace.final_factors.gamma == trace.rows[-1].gamma  # the gamma whose fill made x
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+def test_blended_sweeps_are_never_relaxed_or_rejected(seed):
+    # the growing instance of test_interpolating_start_grows_slice_ranks_only, at two
+    # seeds where relaxing blended fills once left the slice side above its true rank
+    truth, prob = criterion_5_problem(seed)
+    cfg = DoubleTubalConfig(init_ranks=16, init_ranks_xt=3, p=160, q=10, seed=seed)
+    x, trace = solve(prob, cfg)
+    assert not any(r.event == "sor_reject" and r.gamma > 0 for r in trace.rows)
+    assert trace.rows[-1].ranks == MultiRank.constant(3, 10)
+    assert rel_error(x, truth) <= 1e-3
+
+
 def test_a_helpful_side_is_never_switched_off(monkeypatch):
     # the tensor demo's first act: a CP-rank-2 tensor, low rank on both sides
     rng = np.random.default_rng(3)
@@ -356,7 +384,7 @@ def test_a_helpful_side_is_never_switched_off(monkeypatch):
     x, trace = solve(prob, cfg)
     assert not any("side_off" in r.event for r in trace.rows)
     assert rel_error(x, truth) < 1e-3
-    monkeypatch.setattr(mc, "SIDE_OFF_FALLS", trace.iterations + 1)  # cannot fire
+    monkeypatch.setattr(mc, "SIDE_OFF_GAMMA", 0.0)  # cannot fire: gamma is never negative
     x_kept, _ = solve(prob, cfg)
     assert np.array_equal(x, x_kept)
 
