@@ -4,8 +4,8 @@ A factor pair approximates each stored frequency slice of a data tensor as
 left[k] @ right[k] with a slice-dependent rank.  Updates solve one regularized
 least-squares problem per stored slice; mirrored slices are implied by
 conjugate symmetry, so only n3 // 2 + 1 solves happen per sweep.  The slices are
-zero-padded to the largest rank and solved as one stacked matmul/pinv; the padding
-adds nothing to a slice's product, and its pseudo-inverted Gram is zero there.
+zero-padded to the largest rank and solved as one stacked matmul; the padding adds
+nothing to a slice's product, and its inverted Gram (_gram_inv) is zero there.
 """
 
 from dataclasses import dataclass
@@ -34,6 +34,7 @@ class SliceSolveCounter:
 
 
 slice_solves = SliceSolveCounter()
+GRAM_COND = 1e8  # a Gram with a larger condition number is pseudo-inverted, not inverted
 
 
 def pinv(m, rtol=None):
@@ -169,28 +170,46 @@ def _h(a):
     return a.conj().swapaxes(-1, -2)
 
 
+def _gram_inv(g, stored):
+    """Inverse of each padded Gram in the stack g, exactly zero on its slice's padding:
+    inv(G + I_pad) - I_pad (I_pad the identity on the padding, which LU never pivots into) for
+    a slice of rank r_k >= 1 whose own smallest eigenvalue exceeds lambda_max / GRAM_COND."""
+    w = g.shape[-1]
+    lam = np.linalg.eigvalsh(g)  # ascending: a slice's w - r_k padding zeros come first
+    own_min = lam.min(1, where=np.arange(w) >= w - stored[:, None], initial=np.inf)
+    fast = (stored > 0) & (own_min > lam.max(1, initial=0) / GRAM_COND)
+    pad = np.eye(w) * (np.arange(w) >= stored[:, None])[:, None]
+    # any other slice gets pinv(G); inv meets the identity in its place, never a singular G
+    out = np.linalg.inv(np.where(fast[:, None, None], g + pad, np.eye(w))) - pad
+    if not fast.all():
+        out[~fast] = pinv(g[~fast])
+    return out
+
+
 def update_left(factors, spec):
     """Least-squares refresh of every stored left slice against the data spectrum.
 
-    Slice k becomes data_k @ right_k^H @ pinv(right_k @ right_k^H).
+    Slice k becomes data_k @ right_k^H @ inv(right_k @ right_k^H), guarded by _gram_inv.
     """
     _check_spec(factors, spec)
     q, data = factors.q, np.moveaxis(spec.slices, 2, 0)
     qh = _h(q)
     slice_solves.add(factors.n_stored)
-    return BlockFactors._stacked(factors.dims, factors.ranks, data @ qh @ pinv(q @ qh), q)
+    ginv = _gram_inv(q @ qh, np.array(factors.ranks.stored()))
+    return BlockFactors._stacked(factors.dims, factors.ranks, data @ qh @ ginv, q)
 
 
 def update_right(factors, spec):
     """Least-squares refresh of every stored right slice against the data spectrum.
 
-    Slice k becomes pinv(left_k^H @ left_k) @ left_k^H @ data_k.
+    Slice k becomes inv(left_k^H @ left_k) @ left_k^H @ data_k, guarded by _gram_inv.
     """
     _check_spec(factors, spec)
     p, data = factors.p, np.moveaxis(spec.slices, 2, 0)
     ph = _h(p)
     slice_solves.add(factors.n_stored)
-    return BlockFactors._stacked(factors.dims, factors.ranks, p, pinv(ph @ _h(ph)) @ ph @ data)
+    ginv = _gram_inv(ph @ p, np.array(factors.ranks.stored()))
+    return BlockFactors._stacked(factors.dims, factors.ranks, p, ginv @ ph @ data)
 
 
 def gradient_sq(factors, residual):

@@ -299,22 +299,23 @@ class RankGrowth:
 
 
 def _observed_index(problem):
-    """C-order flat positions of the observed entries (int32 when they fit), and their values."""
-    m = problem.mask.observed
-    idx = np.flatnonzero(m).astype(np.int32 if m.size <= np.iinfo(np.int32).max else np.intp)
-    return idx, problem.observed.take(idx)
+    """C-ordered pair: the unobserved pattern, and the zero-filled observed data."""
+    return np.ascontiguousarray(~problem.mask.observed), np.ascontiguousarray(problem.observed)
 
 
 def _refill(a, observed_index):
-    """project() written into a, an array the caller owns; np.put indexes in C order."""
-    np.put(a, *observed_index)
+    """project() written into a, an array the caller owns: a*1 + 0 is a and a*0 + v is v, for
+    every finite a (an unobserved -0.0 turns +0.0)."""
+    unobserved, observed = observed_index
+    np.multiply(a, unobserved, out=a)
+    a += observed
     return a
 
 
 def _rel_change(new, old):
     denom = fro_norm(old)
     diff = fro_norm(new - old)
-    return diff / denom if denom > 1e-15 else diff
+    return diff / denom if denom > 0 else diff
 
 
 def _blend(base, other, gamma):
@@ -329,8 +330,8 @@ def _refit_gamma(sides, observed_index, gamma):
     """The blend weight refit to the two sides' reconstructions a and b:
     ||P_Omega(a - observed)|| / ||P_Omega(b - observed)||, or gamma unchanged
     when the denominator is below GAMMA_GUARD.  observed_index is _observed_index's pair."""
-    idx, values = observed_index
-    num, den = (fro_norm(s.spatial().take(idx) - values) for s in sides)
+    seen, observed = ~observed_index[0], observed_index[1]
+    num, den = (fro_norm((s.spatial() - observed) * seen) for s in sides)
     return num / den if den >= GAMMA_GUARD else gamma
 
 

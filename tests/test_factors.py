@@ -21,7 +21,8 @@ from tubal import (
     update_left,
     update_right,
 )
-from tubal.factors import can_interpolate, grow_ranks, slice_solves, truncate_ranks
+import tubal.factors
+from tubal.factors import GRAM_COND, can_interpolate, grow_ranks, slice_solves, truncate_ranks
 
 
 def rand(shape, seed):
@@ -357,6 +358,8 @@ GRAM_SPECTRA = {
     2: [[1.0, 1e-9, 1e-10], []],
     5: [[1.0, 0.9, 0.8], [], [1.0, 1e-8, 1e-9, 1e-10]],
     6: [[1.0, 0.9, 1e-8], [1.0, 0.9, 0.8], [], [3.0, 1e-9, 2e-10]],
+    # well conditioned (0, 3), rank 0 (1), condition number above GRAM_COND (2, 4)
+    8: [[1.0, 0.5, 0.25], [], [1.0, 1e-9, 1e-10], [4.0], [2.0, 1e-9]],
 }
 
 
@@ -423,6 +426,32 @@ def test_batched_updates_and_compose_match_per_slice_reference(n3):
         [prods[:, :, k] for k in range(f.n_stored)],
         [p @ q for p, q in zip(fr.left, fr.right)],
     )
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_gram_inverse_pseudo_inverts_only_rank_zero_and_ill_conditioned_slices(monkeypatch, side):
+    f = mixed_factors(8, seed=8)  # the right factors' Grams have GRAM_SPECTRA[8]
+    cond = [s[0] / s[-1] if s else np.inf for s in GRAM_SPECTRA[8]]
+    slow = [k for k, c in enumerate(cond) if not c < GRAM_COND]
+    assert slow == [1, 2, 4]
+    if side == "right":  # the same Grams, as the left factors'
+        f = BlockFactors((6, 7, 8), f.ranks, [q.conj().T for q in f.right], [p.T for p in f.left])
+    x = dft_mode3(rand(f.dims, 80))
+    d = [x.slices[:, :, k] for k in range(f.n_stored)]
+    seen, real = [], tubal.factors.pinv
+    monkeypatch.setattr(tubal.factors, "pinv", lambda m: seen.append(m) or real(m))
+    slice_solves.reset()
+    if side == "left":
+        out, grams = update_left(f, x), f.q @ f.q.conj().swapaxes(1, 2)
+        want = [d[k] @ q.conj().T @ np.linalg.pinv(q @ q.conj().T) for k, q in enumerate(f.right)]
+        assert_slices_close(out.left, want)
+    else:
+        out, grams = update_right(f, x), f.p.conj().swapaxes(1, 2) @ f.p
+        want = [np.linalg.pinv(p.conj().T @ p) @ p.conj().T @ d[k] for k, p in enumerate(f.left)]
+        assert_slices_close(out.right, want)
+    assert slice_solves.count == f.n_stored
+    assert len(seen) == 1 and np.allclose(seen[0], grams[slow], rtol=0, atol=1e-14)
+    assert_padded(out)
 
 
 @pytest.mark.parametrize("n3", [1, 2, 5, 6])

@@ -1,6 +1,7 @@
 """Matrix completion solver: problem folding, sweeps, stopping, traces, KKT."""
 
 import csv
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -171,6 +172,60 @@ def test_index_refill_matches_project_on_a_strided_array():
     got = mc._refill(a.copy(order="K"), mc._observed_index(prob))
     assert not got.flags.c_contiguous
     assert np.array_equal(got, want)
+
+
+def zeros_problem(seed):
+    """A problem with an F-ordered generate_mask, observed zeros and negative values, and
+    an iterate-shaped C-ordered array."""
+    dims = (6, 5, 4)
+    mask = generate_mask(dims, 0.5, seed=seed)
+    assert mask.observed.flags.f_contiguous and not mask.observed.flags.c_contiguous
+    data = rand(dims, seed + 1)
+    data[::2, ::3] = 0.0
+    return CompletionProblem.from_tensor(data, mask), rand(dims, seed + 2)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_refill_is_project_byte_for_byte_on_any_layout(layout):
+    prob, a = zeros_problem(seed=7)
+    assert (prob.observed[prob.mask.observed] == 0).any() and (prob.observed < 0).any()
+    if layout == "F":
+        a = np.asfortranarray(a)
+    elif layout == "strided":
+        wide = np.zeros((6, 10, 4))
+        wide[:, ::2] = a
+        a = wide[:, ::2]
+        assert not (a.flags.c_contiguous or a.flags.f_contiguous)
+    want = project(a, prob.mask, prob.observed)
+    got = mc._refill(a, mc._observed_index(prob))
+    assert got is a
+    assert got.tobytes() == want.tobytes()
+
+
+def test_gamma_refit_reads_the_observed_residuals_of_each_side():
+    prob, a = zeros_problem(seed=8)
+    b = np.asfortranarray(rand(prob.dims, 11))
+    idx = np.flatnonzero(prob.mask.observed)
+    values = prob.observed.take(idx)
+    want = fro_norm(a.take(idx) - values) / fro_norm(b.take(idx) - values)
+    sides = [SimpleNamespace(spatial=lambda v=v: v) for v in (a, b)]
+    got = mc._refit_gamma(sides, mc._observed_index(prob), 0.5)
+    assert abs(got - want) <= 1e-14 * want
+    exact = SimpleNamespace(spatial=lambda: prob.observed)  # no residual: gamma stays put
+    assert mc._refit_gamma([sides[0], exact], mc._observed_index(prob), 0.5) == 0.5
+
+
+@pytest.mark.parametrize("power", [-100, -40, 40])
+def test_solution_scales_with_the_data(power):
+    # the stop test is relative: data in tiny units does not "converge" after one sweep
+    truth = synth_low_tubal(30, 30, 8, 2, seed=2)
+    mask = generate_mask(truth.shape, 0.5, seed=2)
+    config = SolverConfig(init_ranks=3, max_iter=60)
+    x, _, trace = solve(CompletionProblem.from_tensor(truth, mask), config)
+    scale = 2.0 ** power
+    xs, _, scaled = solve(CompletionProblem.from_tensor(truth * scale, mask), config)
+    assert scaled.iterations == trace.iterations == 54
+    assert xs.tobytes() == (x * scale).tobytes()
 
 
 def test_fully_observed_problem_is_reproduced_exactly():
