@@ -37,7 +37,7 @@ from .factors import (
     update_left,
     update_right,
 )
-from .harness import generate_mask, parse_rank_spec, run, synth_low_tubal
+from .harness import generate_mask, run, synth_low_tubal
 from .io import load_image, load_mask, load_tensor, save_image, save_mask, save_tensor
 from .matrix_completion import CompletionProblem, SolverConfig, SolverTrace, update_x
 from .matrix_completion import kkt_residuals as matrix_kkt_residuals

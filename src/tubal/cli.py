@@ -20,7 +20,7 @@ def _add_solver_options(p, n2_default=None):
         p.add_argument("--n2", type=int, default=n2_default, help="columns per frontal slice")
     p.add_argument(
         "--init-rank",
-        dest="init_rank",
+        dest="init_ranks",
         help='per-slice ranks: "8", list, or "R,r*"; a ceiling, with ranks grown from 1, '
         "when rank drops are on and these ranks could interpolate the observed entries",
     )
@@ -49,7 +49,7 @@ def build_parser():
 
     An option left off the command line is None, and the setting it names takes the
     solver config's default.  A solver option's dest is the config field it sets.
-    Only --n2 (per subcommand) and --input (no files) have defaults of their own.
+    Only --n2, --input (no files) and synth's --ratio and --init-rank have defaults of their own.
     """
     parser = argparse.ArgumentParser(
         prog="tubal", description="Low-rank tensor completion via per-frequency factorization"
@@ -63,7 +63,7 @@ def build_parser():
     pt = sub.add_parser("complete-tensor", help="complete a partially observed tensor")
     _add_solver_options(pt)
     _add_data_options(pt)
-    pt.add_argument("--init-rank-xt", dest="init_rank_xt", help="ranks for the regrouped side")
+    pt.add_argument("--init-rank-xt", dest="init_ranks_xt", help="ranks for the regrouped side")
     pt.add_argument("--p", type=int, help="rows of the regrouped tensor")
     pt.add_argument("--q", type=int, help="slices of the regrouped tensor")
     pt.add_argument("--gamma0", type=float, help="initial blend weight")
@@ -75,6 +75,7 @@ def build_parser():
 
     ps = sub.add_parser("synth", help="generate a synthetic instance, recover it, report error")
     _add_solver_options(ps, n2_default=10)
+    ps.set_defaults(ratio=0.6, init_ranks="8")
 
     pq = sub.add_parser("metrics", help="PSNR/SSIM/relative error between two files")
     pq.add_argument(

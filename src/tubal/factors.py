@@ -147,11 +147,24 @@ def init_factors(n_rows, n_cols, n3, init_ranks, seed=0):
 
 
 def as_multirank(value, n3):
-    """Coerce an int, sequence or MultiRank into a MultiRank of length n3."""
+    """Coerce a rank spec into a MultiRank of length n3: an int (the rank of every
+    slice), a sequence of n3 ranks, a MultiRank, or a string "8", "5,3,2,2,3" or
+    "4,2*", whose starred last rank fills every slice after the listed ones."""
     if isinstance(value, MultiRank):
         if value.n3 != n3:
             raise ValueError(f"rank vector length {value.n3} != n3 {n3}")
         return value
+    if isinstance(value, str):
+        tokens = [t.strip() for t in value.split(",")]
+        if tokens[-1].endswith("*"):
+            tokens[-1:] = [tokens[-1][:-1]] * (n3 + 1 - len(tokens))
+        try:
+            ranks = [int(t) for t in tokens]
+            if len(ranks) not in (1, n3):
+                raise ValueError(f"rank list has {len(ranks)} entries, expected {n3}")
+        except ValueError as e:
+            raise ValueError(f"bad rank specification {value.strip()!r}: {e}") from None
+        value = ranks[0] if len(ranks) == 1 else ranks
     if np.isscalar(value):
         return MultiRank.constant(int(value), n3)
     seq = list(value)

@@ -13,12 +13,12 @@ from dataclasses import fields
 
 import numpy as np
 
-from .core import MultiRank, ObservationMask, SpectralSymmetryError, tensor_to_matrix, tprod
+from .core import ObservationMask, SpectralSymmetryError, tensor_to_matrix, tprod
 from .factors import RankDecreaseConfig
 from .io import load_image, load_mask, load_tensor, save_image, save_mask, save_tensor
 from .matrix_completion import CompletionProblem, SolverConfig
 from .matrix_completion import solve as solve_matrix
-from .metrics import ImagePair, psnr, rel_error, ssim
+from .metrics import ImagePair, check_reference, psnr, rel_error, ssim
 from .tensor_completion import DoubleTubalConfig
 from .tensor_completion import solve as solve_tensor
 
@@ -59,42 +59,19 @@ def synth_low_tubal(n1, n2, n3, rank, seed=0):
     return tprod(a, b)
 
 
-def parse_rank_spec(text, n3):
-    """Parse a rank option: "8", "3,2,2,2,3", or the "R,r*" fill shorthand."""
-    text = str(text).strip()
-    if not text:
-        raise ValueError("empty rank specification")
-    tokens = [t.strip() for t in text.split(",")]
-    try:
-        if tokens[-1].endswith("*"):
-            head = [int(t) for t in tokens[:-1]]
-            fill = int(tokens[-1][:-1])
-            if len(head) > n3:
-                raise ValueError(f"rank list longer than {n3} slices")
-            values = head + [fill] * (n3 - len(head))
-        elif len(tokens) == 1:
-            return MultiRank.constant(int(tokens[0]), n3)
-        else:
-            values = [int(t) for t in tokens]
-            if len(values) != n3:
-                raise ValueError(f"rank list has {len(values)} entries, expected {n3}")
-    except ValueError as e:
-        raise ValueError(f"bad rank specification {text!r}: {e}") from None
-    return MultiRank(tuple(values))
-
-
-def _solver_config(args, init_ranks, cls=SolverConfig):
+def _solver_config(args, cls=SolverConfig):
     """A config of type cls holding the solver settings given on the command line.
 
-    A setting is given when its option was passed; the rest take cls's defaults.
+    Settings that neither an option nor the command's own defaults give take cls's.
     """
+    if not args.init_ranks:
+        raise ValueError("--init-rank is required")
     given = {f.name: getattr(args, f.name, None) for f in fields(cls)}
     tau = args.rank_decrease_tau  # 0 disables; RankDecreaseConfig rejects other values <= 1
     if tau == 0:
         given["rank_cfg"] = RankDecreaseConfig(enabled=False)
     elif tau is not None:
         given["rank_cfg"] = RankDecreaseConfig(tau=tau)
-    given["init_ranks"] = init_ranks
     return cls(**{name: value for name, value in given.items() if value is not None})
 
 
@@ -134,12 +111,15 @@ def _mask_for(args, dims):
     return generate_mask(tuple(dims), args.ratio, _seed(args))
 
 
-def _check_output(path, shape):
-    """Raise ValueError when an --output path cannot hold recovered data of this shape."""
+def _check_outputs(args, reference):
+    """Raise ValueError when --metrics-out cannot score against reference or --output hold it."""
+    if args.metrics_out:
+        check_reference(reference)
+    path = args.output
     if not path:
         return
     ext = os.path.splitext(path)[1].lower()
-    slices = shape[2] if len(shape) == 3 else 1
+    slices = reference.shape[2] if reference.ndim == 3 else 1
     if ext not in (".t3", ".pgm", ".ppm"):
         raise ValueError(f"unsupported output extension on {path}")
     if ext == ".pgm" and slices != 1:
@@ -149,7 +129,7 @@ def _check_output(path, shape):
 
 
 def _write_recovered(path, data):
-    """Write data in the format of path's extension, which _check_output accepted."""
+    """Write data in the format of path's extension, which _check_outputs accepted."""
     ext = os.path.splitext(path)[1].lower()
     if ext == ".t3":
         save_tensor(path, np.atleast_3d(data))
@@ -198,13 +178,10 @@ def _run_complete_matrix(args):
         if matrix.shape[2] != 1:
             raise ValueError(f"{path} has n3={matrix.shape[2]}, expected a single-slice input")
         matrix = matrix[:, :, 0]
-    _check_output(args.output, matrix.shape)
+    _check_outputs(args, matrix)
     mask2d = _mask_for(args, matrix.shape + (1,)).observed[:, :, 0]
     problem = CompletionProblem.from_matrix(matrix, mask2d, args.n2)
-    if not args.init_rank:
-        raise ValueError("--init-rank is required")
-    init = parse_rank_spec(args.init_rank, problem.dims[2])
-    _, recovered, trace = solve_matrix(problem, _solver_config(args, init))
+    _, recovered, trace = solve_matrix(problem, _solver_config(args))
     return _write_outputs(args, recovered, trace, matrix, mask2d)
 
 
@@ -212,17 +189,10 @@ def _run_complete_tensor(args):
     if len(args.inputs) != 1:
         raise ValueError("complete-tensor takes exactly one --input")
     data = np.atleast_3d(_load(args.inputs[0]))
-    _check_output(args.output, data.shape)
+    _check_outputs(args, data)
     mask = _mask_for(args, data.shape)
     problem = CompletionProblem.from_tensor(data, mask)
-    if not args.init_rank:
-        raise ValueError("--init-rank is required")
-    init = parse_rank_spec(args.init_rank, problem.dims[2])
-    config = _solver_config(args, init, DoubleTubalConfig)
-    if args.init_rank_xt:
-        _, q = config.geometry(problem.dims[0], problem.dims[1])
-        config.init_ranks_xt = parse_rank_spec(args.init_rank_xt, q)
-    x, trace = solve_tensor(problem, config)
+    x, trace = solve_tensor(problem, _solver_config(args, DoubleTubalConfig))
     return _write_outputs(args, x, trace, data, mask.observed)
 
 
@@ -233,13 +203,11 @@ def _run_synth(args):
     if n2 < 1 or SYNTH_WIDTH % n2:
         raise ValueError(f"--n2 must be a positive divisor of {SYNTH_WIDTH} for synth, got {n2}")
     os.makedirs(args.output, exist_ok=True)
-    ratio = args.ratio if args.ratio is not None else 0.6
-    mask2d = generate_mask((SYNTH_N1, SYNTH_WIDTH, 1), ratio, _seed(args)).observed[:, :, 0]
+    mask2d = generate_mask((SYNTH_N1, SYNTH_WIDTH, 1), args.ratio, _seed(args)).observed[:, :, 0]
     truth = synth_low_tubal(SYNTH_N1, n2, SYNTH_WIDTH // n2, SYNTH_RANK, _seed(args))
     matrix = tensor_to_matrix(truth, SYNTH_WIDTH)
     problem = CompletionProblem.from_matrix(matrix, mask2d, n2)
-    init = parse_rank_spec(args.init_rank if args.init_rank else "8", problem.dims[2])
-    _, recovered, trace = solve_matrix(problem, _solver_config(args, init))
+    _, recovered, trace = solve_matrix(problem, _solver_config(args))
     err = rel_error(recovered, matrix)
     save_tensor(os.path.join(args.output, "truth.t3"), truth)
     save_mask(os.path.join(args.output, "mask.msk"), problem.mask)

@@ -34,6 +34,7 @@ import numpy as np
 from .core import (
     MultiRank,
     ObservationMask,
+    SpectralTensor,
     dft_mode3,
     fro_norm,
     project,  # noqa: F401 -- bound for perfbench/layertrace.py, which wraps it here
@@ -125,9 +126,10 @@ class CompletionProblem:
 class SolverConfig:
     """Settings shared by the completion solvers.
 
-    init_ranks may be an int (same rank on every slice), a full per-slice
-    sequence, or a MultiRank.  t0 is the last sweep that refreshes the iterate
-    mid-sweep; epsilon is the relative-change stopping threshold.
+    init_ranks is a rank spec (see factors.as_multirank): an int (same rank on
+    every slice), a full per-slice sequence, a MultiRank or a string such as
+    "4,2*".  t0 is the last sweep that refreshes the iterate mid-sweep;
+    epsilon is the relative-change stopping threshold.
 
     With rank detection on (rank_cfg.enabled), a start whose factors carry at
     least as many real degrees of freedom as there are observed entries,
@@ -273,7 +275,7 @@ class RankGrowth:
         return True
 
     def relaxed(self, fill, x):
-        """The refill the next sweep fits, given the exact refill x of fill."""
+        """The refill the next sweep fits, given the exact refill x of fill (or their spectra)."""
         return fill + self.omega * (x - fill)
 
     def _rate(self):
@@ -513,8 +515,8 @@ def _sweeps(problem, config, all_sides, gamma=None, adaptive_gamma=False):
                 if growth is not None and growth.grow(sides[0]):
                     event.append("rank_increase")
                 if growth is not None and growth.omega != 1.0:  # raised only on one-side sweeps
-                    # unchanged factors: the fill is rebuilt, so the plain path holds no extra array
-                    sides[0].fit(growth.relaxed(_fill(sides, gamma), x))
+                    s = sides[0]  # relaxed in the spectrum, where its products are x's fill
+                    s.spec = SpectralTensor(x.shape, growth.relaxed(s.products(), s.spec.slices))
         row.event = "+".join(event)
         tested = not {"sor_reject", "rank_increase", "side_off"}.intersection(event)
         row.elapsed_ms = (time.perf_counter() - started) * 1e3

@@ -6,6 +6,8 @@ import numpy as np
 
 from .core import fro_norm
 
+SSIM_WINDOW = 8
+
 
 @dataclass
 class ImagePair:
@@ -49,11 +51,24 @@ def _box_sums(a, win):
     )
 
 
+def _check_window(shape, window):
+    """ssim's rule: every frontal slice of an image of this shape holds one window."""
+    if min(shape[:2]) < window:
+        raise ValueError(f"image {shape[:2]} is smaller than the {window}x{window} window")
+
+
+def check_reference(reference, window=SSIM_WINDOW):
+    """The norm of reference, after the checks that scoring against it makes: ssim's
+    window (None skips it) and rel_error's nonzero norm, each raising ValueError."""
+    if window is not None:
+        _check_window(np.shape(reference), window)
+    norm = fro_norm(reference)
+    if norm == 0.0:
+        raise ValueError("reference has zero norm")
+    return norm
+
+
 def _ssim2d(x, y, peak, window, k1, k2):
-    if min(x.shape) < window:
-        raise ValueError(
-            f"image {x.shape} is smaller than the {window}x{window} window"
-        )
     n = window * window
     c1 = (k1 * peak) ** 2
     c2 = (k2 * peak) ** 2
@@ -68,13 +83,14 @@ def _ssim2d(x, y, peak, window, k1, k2):
     return float(np.mean(num / den))
 
 
-def ssim(pair, window=8, k1=0.01, k2=0.03):
+def ssim(pair, window=SSIM_WINDOW, k1=0.01, k2=0.03):
     """Mean structural similarity over sliding uniform windows (stride 1).
 
     3-D inputs are scored per frontal slice and averaged.  Raises ValueError
     when the image is smaller than the window.
     """
     ref, test = pair.reference, pair.test
+    _check_window(ref.shape, window)
     if ref.ndim == 2:
         return _ssim2d(ref, test, pair.peak, window, k1, k2)
     scores = [
@@ -90,7 +106,4 @@ def rel_error(x, reference):
     reference = np.asarray(reference, dtype=float)
     if x.shape != reference.shape:
         raise ValueError(f"shapes differ: {x.shape} vs {reference.shape}")
-    denom = fro_norm(reference)
-    if denom == 0.0:
-        raise ValueError("reference has zero norm")
-    return fro_norm(x - reference) / denom
+    return fro_norm(x - reference) / check_reference(reference, window=None)

@@ -37,11 +37,13 @@ from .core import _irfft_checked, dft_mode3, project  # noqa: F401
 from .factors import compose_spectral, rank_decrease  # noqa: F401
 from .matrix_completion import _blend, _half_weighted_sq, _rel_change  # noqa: F401
 
+Q_CAP = 64  # default_geometry's largest q
 
-def default_geometry(n1, n2, q_cap=64):
-    """Regrouping shape (p, q): q is the largest divisor of n1*n2 at most q_cap."""
+
+def default_geometry(n1, n2):
+    """Regrouping shape (p, q): q is the largest divisor of n1*n2 at most Q_CAP."""
     total = n1 * n2
-    q = max(d for d in range(1, min(q_cap, total) + 1) if total % d == 0)
+    q = max(d for d in range(1, min(Q_CAP, total) + 1) if total % d == 0)
     return total // q, q
 
 

@@ -15,12 +15,12 @@ from tubal import (
     MultiRank,
     SolverConfig,
     SpectralSymmetryError,
+    as_multirank,
     generate_mask,
     load_image,
     load_mask,
     load_tensor,
     multi_rank,
-    parse_rank_spec,
     save_image,
     save_mask,
     save_tensor,
@@ -47,17 +47,17 @@ def rank2_image(h=32, w=32, seed=0):
 
 
 def test_rank_spec_single_value():
-    assert parse_rank_spec("8", 4) == MultiRank.constant(8, 4)
-    assert parse_rank_spec(" 3 ", 1).ranks == (3,)
+    assert as_multirank("8", 4) == MultiRank.constant(8, 4)
+    assert as_multirank(" 3 ", 1).ranks == (3,)
 
 
 def test_rank_spec_full_list():
-    assert parse_rank_spec("5,3,2,2,3", 5).ranks == (5, 3, 2, 2, 3)
+    assert as_multirank("5,3,2,2,3", 5).ranks == (5, 3, 2, 2, 3)
 
 
 def test_rank_spec_fill_shorthand():
-    assert parse_rank_spec("4,2*", 5).ranks == (4, 2, 2, 2, 2)
-    assert parse_rank_spec("2*", 3).ranks == (2, 2, 2)
+    assert as_multirank("4,2*", 5).ranks == (4, 2, 2, 2, 2)
+    assert as_multirank("2*", 3).ranks == (2, 2, 2)
 
 
 def test_rank_spec_rejects_bad_input():
@@ -69,7 +69,7 @@ def test_rank_spec_rejects_bad_input():
         ("1,2,3,4,5", 5),  # not conjugate-symmetric
     ]:
         with pytest.raises(ValueError):
-            parse_rank_spec(text, n3)
+            as_multirank(text, n3)
 
 
 # ---------------------------------------------------------------------- masks
@@ -391,6 +391,8 @@ BAD_SETTINGS = [
     (["complete-tensor", "--input", "second.t3"], "complete-tensor takes exactly one --input"),
     (["complete-matrix", "--input", "a.pgm", "--input", "b.pgm"],
      "complete-matrix takes exactly one --input"),
+    (["complete-tensor", "--init-rank-xt", "1,2"], "bad rank specification '1,2'"),
+    (["synth", "--init-rank", "3,x*"], "bad rank specification '3,x*'"),
 ]
 
 
@@ -452,16 +454,22 @@ def test_metrics_requires_two_inputs(tmp_path, capsys):
 # --------------------------------------------------------------------- parser
 
 
+def test_synth_declares_its_defaults_in_the_parser():
+    args = build_parser().parse_args(["synth"])
+    assert (args.ratio, args.init_ranks) == (0.6, "8")
+    assert _solver_config(args) == SolverConfig(init_ranks="8")
+
+
 def test_subcommands_default_to_the_solver_configs():
     for command, own, cls in [
         ("complete-matrix", {"n2": 64, "inputs": []}, SolverConfig),
         ("complete-tensor", {"inputs": []}, DoubleTubalConfig),
         ("synth", {"n2": 10}, SolverConfig),
     ]:
-        args = build_parser().parse_args([command])
+        args = build_parser().parse_args([command, "--init-rank", "3"])
         assert args.command == command
         assert {name: getattr(args, name) for name in own} == own
-        assert _solver_config(args, 3, cls) == cls(init_ranks=3)
+        assert _solver_config(args, cls) == cls(init_ranks="3")
 
 
 @pytest.mark.parametrize(
@@ -569,6 +577,27 @@ def test_output_slice_counts_are_checked_before_the_solve(tmp_path, capsys, monk
                  "--ratio", "0.9", "--init-rank", "2"])
     assert code == EXIT_INPUT
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, solver", [("complete-matrix", "solve_matrix"),
+                                             ("complete-tensor", "solve_tensor")])
+@pytest.mark.parametrize(
+    "image, named",
+    [(rank2_image(6, 6), "image (6, 6) is smaller than the 8x8 window"),
+     (np.zeros((16, 16)), "reference has zero norm")],
+    ids=["small", "black"],
+)
+def test_metrics_are_checked_before_the_solve(tmp_path, capsys, monkeypatch, command, solver,
+                                              image, named):
+    monkeypatch.setattr(harness, solver, lambda *a: pytest.fail("solver was run"))
+    src = tmp_path / "in.pgm"
+    save_image(src, image)
+    out, trace, metrics = (tmp_path / name for name in ("out.pgm", "trace.csv", "metrics.csv"))
+    code = main([command, "--input", str(src), "--ratio", "0.9", "--init-rank", "1",
+                 "--output", str(out), "--trace", str(trace), "--metrics-out", str(metrics)])
+    assert code == EXIT_INPUT
+    assert named in capsys.readouterr().err
+    assert not any(path.exists() for path in (out, trace, metrics))
 
 
 def test_missing_input_file_exits_cleanly(tmp_path, capsys):

@@ -22,6 +22,7 @@ from tubal import (
     matrix_kkt_residuals,
     matrix_objective,
     project,
+    rel_error,
     reshape_matrix_to_tensor,
     synth_low_tubal,
     tensor_to_matrix,
@@ -382,6 +383,16 @@ def test_interpolating_start_grows_ranks_from_one_under_the_ceiling():
     assert trace.converged and trace.rows[-1].ranks == MultiRank.constant(3, 10)
     # the sweep after a growth step is never the one that stops
     assert "rank_increase" not in accepted[-2].event
+
+
+def test_interpolating_start_recovers_37_of_40_further_seeds():
+    """Criterion 4's instance on seeds 10-49, beyond the ten the acceptance gate runs."""
+    hits = 0
+    for seed in range(10, 50):
+        matrix, prob = interpolating_problem(seed)
+        _, recovered, _ = solve(prob, SolverConfig(init_ranks=8, seed=seed))
+        hits += rel_error(recovered, matrix) <= 1e-3
+    assert hits >= 37
 
 
 def test_rejected_sweeps_count_against_the_sweep_limit():

@@ -70,7 +70,6 @@ def test_default_geometry_picks_largest_divisor_up_to_cap():
     assert default_geometry(50, 100) == (100, 50)
     assert default_geometry(256, 256) == (1024, 64)
     assert default_geometry(3, 5) == (1, 15)
-    assert default_geometry(7, 11, q_cap=10) == (11, 7)
 
 
 def test_config_geometry_fills_missing_side():
