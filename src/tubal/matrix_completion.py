@@ -18,9 +18,9 @@ blended in with weight gamma.  A sweep, written out in _sweeps alone:
 2. Ranks shrink where a Gram eigen-gap shows.
 3. The iterate is refilled from the sides' reconstructions; every side fits it.
 
-The sweep after a sor_reject, a rank_increase or a side_off is not
-stop-tested.  The public step functions (update_x, objective, kkt_residuals,
-and their tensor counterparts) are built from the engine's own primitives.
+The sweep after a rank_increase or a side_off is not stop-tested.  The
+public step functions (update_x, objective, kkt_residuals, and their tensor
+counterparts) are built from the engine's own primitives.
 """
 
 import csv
@@ -60,7 +60,7 @@ from .factors import (
 RANK_STABLE_ITERS = 5  # rank detection switches off after this many quiet sweeps
 PLATEAU = 1e-2  # mean residual ratio this close to 1 triggers rank growth
 RATE_WINDOW = 3  # sweeps averaged into the residual contraction rate
-SLOW_RATIO = 0.7  # contraction above this raises the relaxation weight
+MOMENTUM_CAP = 0.7  # largest extrapolation weight of a one-side growth sweep
 GAMMA_GUARD = 1e-15  # below this reconstruction residual, gamma stays put
 SIDE_OFF_GAMMA = 0.25  # an adaptive gamma refit below this switches the second side off
 
@@ -151,10 +151,10 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.epsilon < np.inf:  # NaN fails too
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.t0 < 0:
-            raise ValueError(f"t0 must be nonnegative, got {self.t0}")
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter}")
+        if not (isinstance(self.t0, numbers.Integral) and self.t0 >= 0):
+            raise ValueError(f"t0 must be a nonnegative integer, got {self.t0}")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
 
@@ -166,7 +166,7 @@ class TraceRow:
     rel_change: float
     ranks: object
     elapsed_ms: float
-    event: str = ""  # "+"-joined rank_decrease[_xt], side_off, rank_increase; or sor_reject
+    event: str = ""  # "+"-joined rank_decrease[_xt], side_off, rank_increase
     step_sq: float = 0.0  # squared factor-product step, kept in memory only
     gamma: float = None
     ranks_xt: object = None
@@ -226,19 +226,21 @@ class RankGrowth:
     finds no gap to cut through.  On that path every slice starts at rank 1
     with the requested ranks as its ceiling, and grows by the leading singular
     pair of its residual whenever the observed residual plateaus (rank
-    detection then turns back on).  The refill after a one-side sweep is
-    over-relaxed as fill + omega * P_Omega(data - fill), after LMaFit (a
-    blended sweep's gamma already adapts); a relaxed sweep whose residual
-    does not fall is rejected and redone at omega = 1.  The relative-change
-    stop is scaled by max(1, rho / (1 - rho)), rho being the observed
-    residual's contraction per sweep over the last RATE_WINDOW sweeps, which
-    bounds the remaining distance of a linearly convergent iteration.
+    detection then turns back on).  After k one-side sweeps in a row whose
+    observed residual fell, the next sweep fits x + beta * (x - x_prev) with
+    beta = min(MOMENTUM_CAP, (k - 1) / (k + 2)), restarted momentum after
+    O'Donoghue and Candes (a blended sweep's gamma already adapts); a rise, a
+    blended sweep or a growth step restarts it at k = 0.  x and x_prev agree
+    with the data on the observed entries, so the extrapolation does too.  The
+    relative-change stop is scaled by max(1, rho / (1 - rho)), rho being the
+    observed residual's contraction per sweep over the last RATE_WINDOW sweeps,
+    which bounds the remaining distance of a linearly convergent iteration.
     """
 
     def __init__(self, ceiling):
         self.ceiling = tuple(ceiling)  # stored-slice rank limits
-        self.omega = 1.0
-        self._step = 1.0
+        self.falls = 0  # one-side sweeps in a row whose residual fell
+        self._prev = None  # the last iterate's spectrum
         self._residual = None
         self._ratios = []
 
@@ -254,29 +256,25 @@ class RankGrowth:
         side.factors = truncate_ranks(side.factors, MultiRank([min(1, r) for r in ranks]))
         return cls(ranks.stored())
 
-    def accept(self, residual, one_side=True):
-        """Judge a sweep by its residual norm sqrt(2 * objective); False rejects it.
-
-        For the matrix solver that norm is the observed residual
-        ||P_Omega(data - fill)||; a blended sweep passes its blended analog,
-        and one_side=False, which holds omega at 1.
-        """
+    def record(self, residual, one_side=True):
+        """Log a sweep's residual norm sqrt(2 * objective): the observed residual
+        ||P_Omega(data - fill)|| of a one-side sweep, or a blended sweep's analog."""
         if self._residual is not None:
             ratio = residual / self._residual if self._residual > 0 else 0.0
-            if self.omega > 1.0 and ratio >= 1.0:
-                self._step = max(0.1 * (self.omega - 1.0), 0.1 * self._step)
-                self.omega = 1.0
-                return False
             self._ratios.append(ratio)
-            if one_side and ratio > SLOW_RATIO:
-                self._step = max(self._step, 0.25 * (self.omega - 1.0))
-                self.omega += self._step
+            self.falls = self.falls + 1 if one_side and ratio < 1.0 else 0
         self._residual = residual
-        return True
 
-    def relaxed(self, fill, x):
-        """The refill the next sweep fits, given the exact refill x of fill (or their spectra)."""
-        return fill + self.omega * (x - fill)
+    @property
+    def beta(self):
+        """The momentum weight of the next sweep's extrapolation."""
+        return max(0.0, min(MOMENTUM_CAP, (self.falls - 1) / (self.falls + 2)))
+
+    def extrapolate(self, side):
+        """Swap side.spec, the spectrum of x, for that of x + beta * (x - x_prev)."""
+        x, prev, self._prev = side.spec, self._prev, side.spec
+        if self.beta > 0.0:
+            side.spec = SpectralTensor(x.dims, x.slices + self.beta * (x.slices - prev.slices))
 
     def _rate(self):
         return float(np.mean(self._ratios[-RATE_WINDOW:])) if self._ratios else 0.0
@@ -295,7 +293,7 @@ class RankGrowth:
             side.factors, side.spec.slices - side.products(), self.ceiling
         )
         if grown:
-            self.omega = 1.0
+            self.falls = 0
             side.rank_on, side.stable = True, 0
         return grown
 
@@ -430,12 +428,12 @@ def _sweeps(problem, config, all_sides, gamma=None, adaptive_gamma=False):
 
     The slice side comes first; a second side enters the fill and the
     objective with weight gamma, and is left out at a fixed gamma of 0.  With
-    adaptive_gamma, an accepted sweep that another sweep follows refits gamma
-    to the reconstructions that made x; the first refit below SIDE_OFF_GAMMA
-    switches the second side off (event side_off; gamma is then 0).  Only
-    one-side sweeps are relaxed or rejected.  Every row logs gamma and the
-    second side's ranks.  Sweep order and stop-skip rule: the module
-    docstring.  Returns (x, trace, the gamma whose fill made x).
+    adaptive_gamma, a sweep that another sweep follows refits gamma to the
+    reconstructions that made x; the first refit below SIDE_OFF_GAMMA switches
+    the second side off (event side_off; gamma is then 0).  Only one-side
+    sweeps are extrapolated (RankGrowth), and no sweep is undone.  Every row
+    logs gamma and the second side's ranks.  Sweep order and stop-skip rule:
+    the module docstring.  Returns (x, trace, the gamma whose fill made x).
     """
     sides = all_sides[:1] if gamma == 0 and not adaptive_gamma else list(all_sides)
     growth = RankGrowth.for_run(problem, sides[0], config.rank_cfg)
@@ -452,8 +450,6 @@ def _sweeps(problem, config, all_sides, gamma=None, adaptive_gamma=False):
     trace = SolverTrace(termination="max_iter")
     for t in range(1, config.max_iter + 1):
         started = time.perf_counter()
-        if growth is not None:  # what a rejected sweep, which has one side, restores
-            before = (sides[0].factors, sides[0].rank_on, sides[0].stable)
         stage_one = t <= config.t0
         for i, side in enumerate(sides):
             if i and stage_one:  # a later side starts from the others' new fill
@@ -480,8 +476,9 @@ def _sweeps(problem, config, all_sides, gamma=None, adaptive_gamma=False):
         g = _weighted_misfit(sides, gamma, attrgetter("spec.slices"))
         if not np.isfinite(g):
             raise FloatingPointError(f"objective became non-finite at sweep {t}")
-        rel = _rel_change(x_new, x)
-        accepted = growth is None or growth.accept(np.sqrt(2.0 * g), len(sides) == 1)
+        rel, x = _rel_change(x_new, x), x_new
+        if growth is not None:
+            growth.record(np.sqrt(2.0 * g), len(sides) == 1)
         row = TraceRow(
             iteration=t,
             objective=g,
@@ -492,36 +489,29 @@ def _sweeps(problem, config, all_sides, gamma=None, adaptive_gamma=False):
             gamma=gamma,
             ranks_xt=all_sides[1].factors.ranks if len(all_sides) > 1 else None,
         )
-        if not accepted:
-            event = ["sor_reject"]
-            sides[0].factors, sides[0].rank_on, sides[0].stable = before
-            sides[0].fit(x)
-        else:
-            x = x_new
-            for side in sides:
-                side.prev = side.products()
-            stop = tested and (
-                rel < config.epsilon if growth is None else growth.converged(rel, config.epsilon)
-            )
-            if not stop and t < config.max_iter:  # the next sweep's schedule, from the sides that made x
-                if adaptive_gamma:
-                    gamma = _refit_gamma(sides, observed_index, gamma)
-                    if gamma < SIDE_OFF_GAMMA:  # the second side fits the data far worse
-                        off = sides.pop()
-                        off.drop()
-                        off.spec = off.prev = None
-                        gamma, adaptive_gamma = 0.0, False
-                        event.append("side_off")
-                if growth is not None and growth.grow(sides[0]):
+        for side in sides:
+            side.prev = side.products()
+        stop = tested and (
+            rel < config.epsilon if growth is None else growth.converged(rel, config.epsilon)
+        )
+        if not stop and t < config.max_iter:  # the next sweep's schedule, from the sides that made x
+            if adaptive_gamma:
+                gamma = _refit_gamma(sides, observed_index, gamma)
+                if gamma < SIDE_OFF_GAMMA:  # the second side fits the data far worse
+                    off = sides.pop()
+                    off.drop()
+                    off.spec = off.prev = None
+                    gamma, adaptive_gamma = 0.0, False
+                    event.append("side_off")
+            if growth is not None:
+                if growth.grow(sides[0]):
                     event.append("rank_increase")
-                if growth is not None and growth.omega != 1.0:  # raised only on one-side sweeps
-                    s = sides[0]  # relaxed in the spectrum, where its products are x's fill
-                    s.spec = SpectralTensor(x.shape, growth.relaxed(s.products(), s.spec.slices))
+                growth.extrapolate(sides[0])
         row.event = "+".join(event)
-        tested = not {"sor_reject", "rank_increase", "side_off"}.intersection(event)
+        tested = not {"rank_increase", "side_off"}.intersection(event)
         row.elapsed_ms = (time.perf_counter() - started) * 1e3
         trace.rows.append(row)
-        if accepted and stop:
+        if stop:
             trace.termination = "converged"
             break
     return x, trace, gamma

@@ -159,8 +159,8 @@ def solve(problem, config):
 
     Each sweep refits the slice factors, then the regrouped ones.  When the
     slice factors could interpolate the data, the slice side follows
-    RankGrowth, which relaxes no blended sweep; the regrouped side keeps its
-    starting ranks.  That side is left out at a fixed gamma0 of 0, and
+    RankGrowth, which extrapolates no blended sweep; the regrouped side keeps
+    its starting ranks.  That side is left out at a fixed gamma0 of 0, and
     switched off (event side_off) by the first adaptive gamma refit below
     SIDE_OFF_GAMMA; sweeps without it are the matrix solver's, logged with
     gamma 0 and that side's last ranks.

@@ -13,10 +13,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_demo(name, *args):
-    """The demo's standard output; it must exit 0."""
+    """The demo's standard output; it must exit 0, with RuntimeWarnings raised as
+    errors like the suite's own."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     r = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / name), *args],
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "demos" / name), *args],
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
     assert r.returncode == 0, r.stderr

@@ -19,6 +19,7 @@ from tubal import (
     fro_norm,
     generate_mask,
     half_count,
+    idft_mode3,
     matrix_kkt_residuals,
     matrix_objective,
     project,
@@ -32,7 +33,7 @@ from tubal import (
     update_x,
 )
 from tubal.factors import init_factors
-from tubal.matrix_completion import RANK_STABLE_ITERS, RankGrowth, solve
+from tubal.matrix_completion import MOMENTUM_CAP, RANK_STABLE_ITERS, RankGrowth, solve
 
 
 def rand(shape, seed):
@@ -132,10 +133,12 @@ def test_from_matrix_rejects_an_empty_mask_that_padding_would_fill():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(init_ranks=2, epsilon=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(init_ranks=2, max_iter=0)
-    with pytest.raises(ValueError):
-        SolverConfig(init_ranks=2, t0=-1)
+    for max_iter in (0, 2.5, float("nan")):
+        with pytest.raises(ValueError, match=f"max_iter must be an integer of at least 1, got {max_iter}"):
+            SolverConfig(init_ranks=2, max_iter=max_iter)
+    for t0 in (-1, 2.5, float("nan")):
+        with pytest.raises(ValueError, match=f"t0 must be a nonnegative integer, got {t0}"):
+            SolverConfig(init_ranks=2, t0=t0)
     for seed in (-1, 1.5):
         with pytest.raises(ValueError, match=f"seed must be a nonnegative integer, got {seed}"):
             SolverConfig(init_ranks=2, seed=seed)
@@ -373,16 +376,15 @@ def test_interpolating_start_grows_ranks_from_one_under_the_ceiling():
     _, _, trace = solve(prob, SolverConfig(init_ranks=8, seed=0))
     assert trace.rows[0].ranks == MultiRank.constant(1, 10)
     assert all(r <= 8 for row in trace.rows for r in row.ranks)
-    accepted = [r for r in trace.rows if r.event != "sor_reject"]
     grown = 0
-    for prev, cur in zip(accepted[:-1], accepted[1:]):
+    for prev, cur in zip(trace.rows[:-1], trace.rows[1:]):
         if any(c > p for c, p in zip(cur.ranks, prev.ranks)):
             assert "rank_increase" in prev.event
             grown += 1
     assert grown >= 2
     assert trace.converged and trace.rows[-1].ranks == MultiRank.constant(3, 10)
     # the sweep after a growth step is never the one that stops
-    assert "rank_increase" not in accepted[-2].event
+    assert "rank_increase" not in trace.rows[-2].event
 
 
 def test_interpolating_start_recovers_37_of_40_further_seeds():
@@ -395,14 +397,6 @@ def test_interpolating_start_recovers_37_of_40_further_seeds():
     assert hits >= 37
 
 
-def test_rejected_sweeps_count_against_the_sweep_limit():
-    _, prob = interpolating_problem()
-    _, _, trace = solve(prob, SolverConfig(init_ranks=8, seed=0, max_iter=20))
-    assert trace.termination == "max_iter"
-    assert [r.iteration for r in trace.rows] == list(range(1, 21))
-    assert any(r.event == "sor_reject" for r in trace.rows)
-
-
 def test_interpolating_start_keeps_its_ranks_without_rank_detection():
     _, prob = interpolating_problem()
     cfg = SolverConfig(init_ranks=8, seed=0, max_iter=3, rank_cfg=RankDecreaseConfig(enabled=False))
@@ -410,31 +404,81 @@ def test_interpolating_start_keeps_its_ranks_without_rank_detection():
     assert all(r.ranks == MultiRank.constant(8, 10) and r.event == "" for r in trace.rows)
 
 
-def test_rank_growth_rejects_a_relaxed_sweep_that_does_not_descend():
-    growth = RankGrowth((3,))
-    assert growth.accept(10.0) and growth.accept(9.0)
-    assert growth.omega > 1.0  # slow contraction raises the relaxation weight
-    assert not growth.accept(9.5)
-    assert growth.omega == 1.0
-    assert growth.accept(9.5)  # at omega = 1 no sweep is rejected
+def test_rank_growth_momentum_follows_its_schedule_and_restarts():
+    growth = RankGrowth((3, 3, 3))
+    betas = []
+    for res in range(100, 0, -10):  # k = 0, 1, ..., 9 falls in a row
+        growth.record(float(res))
+        betas.append(growth.beta)
+    schedule = [0.0, 0.0, 1 / 4, 2 / 5, 3 / 6, 4 / 7, 5 / 8, 6 / 9, 7 / 10, 8 / 11]  # (k-1)/(k+2)
+    assert betas == [min(MOMENTUM_CAP, b) for b in schedule]
+
+    growth.record(15.0)  # a rise restarts it
+    assert growth.falls == 0 and growth.beta == 0.0
+    growth.record(14.0)
+    growth.record(13.0)
+    assert growth.beta == 1 / 4
+    growth.record(12.0, one_side=False)  # so does a blended sweep, even one that fell
+    assert growth.falls == 0 and growth.beta == 0.0
+
+    for res in (11.99, 11.98, 11.97):  # the residual plateaus: the next growth test grows
+        growth.record(res)
+    assert growth.beta == 2 / 5
+    side = mc._Side(init_factors(12, 8, 4, 1, seed=0)).fit(rand((12, 8, 4), 1))
+    assert growth.grow(side)  # and a growth step restarts it too
+    assert growth.falls == 0 and growth.beta == 0.0
 
 
-def test_the_sweep_after_a_rejection_is_not_stop_tested(monkeypatch):
-    verdicts = iter([False])  # reject sweep 1, accept every later one
-    monkeypatch.setattr(
-        RankGrowth, "accept", lambda self, residual, one_side: next(verdicts, True)
-    )
-    monkeypatch.setattr(RankGrowth, "converged", lambda self, rel, epsilon: True)
+def test_the_sweep_after_a_fall_fits_the_extrapolated_iterate(monkeypatch):
+    calls, fitted = [], []
+    orig_extrapolate, orig_update_left = RankGrowth.extrapolate, mc.update_left
+
+    def extrapolate(self, side):
+        x = side.spec
+        orig_extrapolate(self, side)
+        calls.append((x, self.beta, side.spec))
+
+    def update_left(factors, spec):
+        fitted.append(spec)
+        return orig_update_left(factors, spec)
+
+    monkeypatch.setattr(RankGrowth, "extrapolate", extrapolate)
+    monkeypatch.setattr(mc, "update_left", update_left)
     _, prob = interpolating_problem()
     _, _, trace = solve(prob, SolverConfig(init_ranks=8, seed=0))
-    assert trace.rows[0].event == "sor_reject"
-    assert trace.converged and trace.iterations == 3  # the redo, sweep 2, does not stop
+    assert len(calls) == trace.iterations - 1  # every sweep but the one that stops
+    # sweep t + 1 fits the spectrum that sweep t left
+    assert len(fitted) == trace.iterations and all(f is y for f, (_, _, y) in zip(fitted[1:], calls))
+    seen = prob.mask.observed
+    scale = np.abs(prob.observed).max()
+    extrapolated = 0
+    for (prev_spec, _, _), (x_spec, beta, y_spec) in zip(calls, calls[1:]):
+        x_prev, x, y = idft_mode3(prev_spec), idft_mode3(x_spec), idft_mode3(y_spec)
+        want = x + beta * (x - x_prev)
+        assert fro_norm(y - want) <= 1e-12 * fro_norm(want)
+        assert np.abs(y[seen] - prob.observed[seen]).max() <= 1e-12 * scale
+        assert (y_spec is x_spec) == (beta == 0.0)
+        extrapolated += beta > 0.0
+    assert extrapolated >= len(calls) // 2
+    grown = [y is x for (x, _, y), row in zip(calls, trace.rows) if "rank_increase" in row.event]
+    assert grown and all(grown)  # a growth step restarts the momentum
+    assert trace.converged
+
+
+def test_the_sweep_after_a_growth_step_is_not_stop_tested(monkeypatch):
+    grows, stops = iter([True]), iter([False])  # sweep 1 goes on and grows; then every test stops
+    monkeypatch.setattr(RankGrowth, "grow", lambda self, side: next(grows, False))
+    monkeypatch.setattr(RankGrowth, "converged", lambda self, rel, epsilon: next(stops, True))
+    _, prob = interpolating_problem()
+    _, _, trace = solve(prob, SolverConfig(init_ranks=8, seed=0))
+    assert trace.rows[0].event == "rank_increase"
+    assert trace.converged and trace.iterations == 3  # sweep 2 does not stop
 
 
 def test_rank_growth_stop_scales_relative_change_by_contraction():
     growth = RankGrowth((3,))
     for res in (1000.0, 900.0, 810.0, 729.0):
-        growth.accept(res)
+        growth.record(res)
     # rho = 0.9: a relative change of 1e-5 leaves up to 9e-5 to go
     assert growth.converged(1e-5, 1e-4)
     assert not growth.converged(2e-5, 1e-4)

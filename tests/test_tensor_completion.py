@@ -263,8 +263,7 @@ def test_interpolating_start_grows_slice_ranks_only():
     assert trace.rows[0].ranks == MultiRank.constant(1, 10)
     assert all(r <= 16 for row in trace.rows for r in row.ranks)
     assert all(row.ranks_xt.tubal <= 3 for row in trace.rows)
-    accepted = [r for r in trace.rows if r.event != "sor_reject"]
-    for prev, cur in zip(accepted[:-1], accepted[1:]):
+    for prev, cur in zip(trace.rows[:-1], trace.rows[1:]):
         if any(c > p for c, p in zip(cur.ranks, prev.ranks)):
             assert "rank_increase" in prev.event
     assert trace.converged and trace.rows[-1].ranks == MultiRank.constant(3, 10)
@@ -355,13 +354,24 @@ def test_the_last_sweep_never_switches_the_side_off():
 
 
 @pytest.mark.parametrize("seed", [1, 5])
-def test_blended_sweeps_are_never_relaxed_or_rejected(seed):
+def test_blended_sweeps_are_never_extrapolated(seed, monkeypatch):
     # the growing instance of test_interpolating_start_grows_slice_ranks_only, at two
     # seeds where relaxing blended fills once left the slice side above its true rank
+    extrapolated = []  # per sweep that another follows: whether the next one fits a new spectrum
+    orig = mc.RankGrowth.extrapolate
+
+    def extrapolate(self, side):
+        x = side.spec
+        orig(self, side)
+        extrapolated.append(side.spec is not x)
+
+    monkeypatch.setattr(mc.RankGrowth, "extrapolate", extrapolate)
     truth, prob = criterion_5_problem(seed)
     cfg = DoubleTubalConfig(init_ranks=16, init_ranks_xt=3, p=160, q=10, seed=seed)
     x, trace = solve(prob, cfg)
-    assert not any(r.event == "sor_reject" and r.gamma > 0 for r in trace.rows)
+    assert len(extrapolated) == trace.iterations - 1
+    assert not any(e for e, row in zip(extrapolated, trace.rows) if row.gamma > 0)
+    assert any(extrapolated)  # the one-side sweeps after side_off are
     assert trace.rows[-1].ranks == MultiRank.constant(3, 10)
     assert rel_error(x, truth) <= 1e-3
 
