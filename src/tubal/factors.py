@@ -1,13 +1,14 @@
 """Per-frequency low-rank factor pairs and their least-squares updates.
 
 A factor pair approximates each stored frequency slice of a data tensor as
-left[k] @ right[k] with a slice-dependent rank.  Updates solve one regularized
-least-squares problem per stored slice; mirrored slices are implied by
-conjugate symmetry, so only n3 // 2 + 1 solves happen per sweep.  The slices are
-zero-padded to the largest rank and solved as one stacked matmul; the padding adds
-nothing to a slice's product, and its inverted Gram (_gram_inv) is zero there.
+left[k] @ right[k] with a slice-dependent rank.  Updates solve one least-squares
+problem per stored slice (mirrored slices follow by conjugate symmetry, so n3 // 2 + 1
+solves per sweep), zero-padded to the largest rank as one stacked matmul that applies
+each r x r inverted Gram (_gram_inv, zero on the padding) on the short side of its
+slice; the padding adds nothing to a slice's product.
 """
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,7 +35,7 @@ class SliceSolveCounter:
 
 
 slice_solves = SliceSolveCounter()
-GRAM_COND = 1e8  # a Gram with a larger condition number is pseudo-inverted, not inverted
+GRAM_COND = 1e8  # a Gram with a larger Frobenius condition number is pseudo-inverted
 
 
 def pinv(m, rtol=None):
@@ -165,12 +166,12 @@ def as_multirank(value, n3):
         except ValueError as e:
             raise ValueError(f"bad rank specification {value.strip()!r}: {e}") from None
         value = ranks[0] if len(ranks) == 1 else ranks
-    if np.isscalar(value):
-        return MultiRank.constant(int(value), n3)
-    seq = list(value)
+    seq = [value] * n3 if np.isscalar(value) else list(value)
     if len(seq) != n3:
         raise ValueError(f"rank vector length {len(seq)} != n3 {n3}")
-    return MultiRank(tuple(int(v) for v in seq))
+    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in seq):
+        raise ValueError(f"bad rank specification {value!r}: ranks must be integers")
+    return MultiRank(tuple(seq))
 
 
 def _check_spec(factors, spec):
@@ -186,16 +187,18 @@ def _h(a):
 def _gram_inv(g, stored):
     """Inverse of each padded Gram in the stack g, exactly zero on its slice's padding:
     inv(G + I_pad) - I_pad (I_pad the identity on the padding, which LU never pivots into) for
-    a slice of rank r_k >= 1 whose own smallest eigenvalue exceeds lambda_max / GRAM_COND."""
-    w = g.shape[-1]
-    lam = np.linalg.eigvalsh(g)  # ascending: a slice's w - r_k padding zeros come first
-    own_min = lam.min(1, where=np.arange(w) >= w - stored[:, None], initial=np.inf)
-    fast = (stored > 0) & (own_min > lam.max(1, initial=0) / GRAM_COND)
-    pad = np.eye(w) * (np.arange(w) >= stored[:, None])[:, None]
-    # any other slice gets pinv(G); inv meets the identity in its place, never a singular G
-    out = np.linalg.inv(np.where(fast[:, None, None], g + pad, np.eye(w))) - pad
-    if not fast.all():
-        out[~fast] = pinv(g[~fast])
+    a slice of rank r_k >= 1 whose Frobenius condition number ||G||_F ||inv||_F is below
+    GRAM_COND, pinv(G) for any other slice, and pinv for the stack if some G is singular."""
+    pad = np.eye(g.shape[-1]) * (np.arange(g.shape[-1]) >= stored[:, None])[:, None]
+    try:
+        out = np.linalg.inv(g + pad) - pad
+    except np.linalg.LinAlgError:
+        return pinv(g)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow or NaN reads as slow
+        cond = np.linalg.norm(g, axis=(1, 2)) * np.linalg.norm(out, axis=(1, 2))
+    slow = (stored == 0) | ~(cond < GRAM_COND)
+    if slow.any():
+        out[slow] = pinv(g[slow])
     return out
 
 
@@ -209,7 +212,8 @@ def update_left(factors, spec):
     qh = _h(q)
     slice_solves.add(factors.n_stored)
     ginv = _gram_inv(q @ qh, np.array(factors.ranks.stored()))
-    return BlockFactors._stacked(factors.dims, factors.ranks, data @ qh @ ginv, q)
+    left = data @ (qh @ ginv) if factors.dims[0] > factors.dims[1] else data @ qh @ ginv
+    return BlockFactors._stacked(factors.dims, factors.ranks, left, q)
 
 
 def update_right(factors, spec):
@@ -222,7 +226,8 @@ def update_right(factors, spec):
     ph = _h(p)
     slice_solves.add(factors.n_stored)
     ginv = _gram_inv(ph @ p, np.array(factors.ranks.stored()))
-    return BlockFactors._stacked(factors.dims, factors.ranks, p, ginv @ ph @ data)
+    right = ginv @ (ph @ data) if factors.dims[0] > factors.dims[1] else ginv @ ph @ data
+    return BlockFactors._stacked(factors.dims, factors.ranks, p, right)
 
 
 def gradient_sq(factors, residual):

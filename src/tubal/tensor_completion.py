@@ -12,6 +12,7 @@ slice side and the regrouped side, whose regroup is reshape_mode3 and whose
 fold back is fold3_from_reshaped.
 """
 
+import numbers
 from dataclasses import astuple, dataclass, replace
 from operator import attrgetter
 
@@ -85,6 +86,9 @@ class DoubleTubalConfig(SolverConfig):
         super().__post_init__()
         if not 0 <= self.gamma0 < np.inf:  # NaN fails too
             raise ValueError(f"gamma0 must be nonnegative and finite, got {self.gamma0}")
+        for v in (self.p, self.q):
+            if not (v is None or isinstance(v, numbers.Integral) and v >= 1) or isinstance(v, bool):
+                raise ValueError(f"p and q must be integers >= 1, got p={self.p}, q={self.q}")
 
     def geometry(self, n1, n2):
         if self.p is None and self.q is None:

@@ -11,6 +11,7 @@ import pytest
 
 import tubal.harness as harness
 from tubal import (
+    CompletionProblem,
     DoubleTubalConfig,
     MultiRank,
     SolverConfig,
@@ -28,6 +29,7 @@ from tubal import (
 )
 from tubal.cli import build_parser, main
 from tubal.harness import EXIT_INPUT, EXIT_MAX_ITER, EXIT_OK, EXIT_SOLVER, _solver_config
+from tubal.matrix_completion import solve
 
 
 def read_csv(path):
@@ -70,6 +72,18 @@ def test_rank_spec_rejects_bad_input():
     ]:
         with pytest.raises(ValueError):
             as_multirank(text, n3)
+
+
+def test_rank_spec_rejects_non_integer_numbers():
+    for value in (2.7, 3.0, True, np.float64(2.0), [2.5, 2, 2, 2], [2, True, 2, True]):
+        with pytest.raises(ValueError, match="bad rank specification"):
+            as_multirank(value, 4)
+    assert as_multirank(np.int64(3), 4).ranks == (3, 3, 3, 3)
+    assert as_multirank(np.array([2, 1, 1, 1]), 4).ranks == (2, 1, 1, 1)
+    x = synth_low_tubal(6, 5, 4, 2, seed=0)
+    problem = CompletionProblem.from_tensor(x, generate_mask(x.shape, 0.9, seed=0))
+    with pytest.raises(ValueError, match="bad rank specification 2.7"):
+        solve(problem, SolverConfig(init_ranks=2.7))
 
 
 # ---------------------------------------------------------------------- masks

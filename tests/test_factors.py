@@ -1,5 +1,7 @@
 """Per-frequency factor pairs: initialization, least-squares updates, truncation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from tubal import (
     update_right,
 )
 import tubal.factors
-from tubal.factors import GRAM_COND, can_interpolate, grow_ranks, slice_solves, truncate_ranks
+from tubal.factors import GRAM_COND, _gram_inv, _h, can_interpolate, grow_ranks, slice_solves, truncate_ranks
 
 
 def rand(shape, seed):
@@ -452,6 +454,91 @@ def test_gram_inverse_pseudo_inverts_only_rank_zero_and_ill_conditioned_slices(m
     assert slice_solves.count == f.n_stored
     assert len(seen) == 1 and np.allclose(seen[0], grams[slow], rtol=0, atol=1e-14)
     assert_padded(out)
+
+
+@pytest.mark.parametrize("dims", [(9, 4, 8), (6, 6, 8), (4, 9, 8), (30, 62, 5)])
+def test_updates_apply_the_inverse_on_the_short_side_of_tall_stacks(dims):
+    # a tall stack multiplies the r x r inverse into its columns; square and wide stacks keep
+    # (data @ q^H) @ inv and (inv @ p^H) @ data, the order every square or wide workload runs
+    f = init_factors(*dims, MultiRank.from_stored([3, 1, 3, 2, 1][: half_count(dims[2])], dims[2]),
+                     seed=sum(dims))
+    x = dft_mode3(rand(dims, 3))
+    data, stored = np.moveaxis(x.slices, 2, 0), np.array(f.ranks.stored())
+    tall = dims[0] > dims[1]
+    qh = _h(f.q)
+    ginv = _gram_inv(f.q @ qh, stored)
+    pad = np.eye(3) * (np.arange(3) >= stored[:, None])[:, None]
+    assert np.array_equal(ginv, np.linalg.inv(f.q @ qh + pad) - pad)  # no slice needs pinv
+    want = data @ (qh @ ginv) if tall else (data @ qh) @ ginv
+    fl = update_left(f, x)
+    assert np.array_equal(fl.p, want)
+    ph = _h(fl.p)
+    ginv = _gram_inv(ph @ fl.p, stored)
+    want = ginv @ (ph @ data) if tall else (ginv @ ph) @ data
+    assert np.array_equal(update_right(fl, x).q, want)
+
+
+def test_updates_guard_the_inverse_without_eigvalsh(monkeypatch):
+    f = init_factors(7, 6, 8, MultiRank.from_stored([3, 1, 3, 2, 1], 8), seed=5)
+    x = dft_mode3(rand(f.dims, 6))
+    d = [x.slices[:, :, k] for k in range(f.n_stored)]
+
+    def banned(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", banned)
+    fl = update_left(f, x)
+    assert_slices_close(fl.left, [d[k] @ np.linalg.pinv(q) for k, q in enumerate(f.right)])
+    fr = update_right(fl, x)
+    assert_slices_close(fr.right, [np.linalg.pinv(p) @ d[k] for k, p in enumerate(fl.left)])
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_an_exactly_singular_gram_pseudo_inverts_the_stack(monkeypatch, side):
+    # slice 2 has rank 2 and two equal right-factor rows of squared norm 4, so its Gram is
+    # exactly [[4, 4], [4, 4]] and LU meets an exact zero pivot; slices 0, 3 and 4 are
+    # well conditioned (4 takes two of slice 0's orthogonal rows) and slice 1 has rank 0
+    f = mixed_factors(8, seed=8)
+    right = list(f.right)
+    right[2] = np.tile([1.0, -1.0, 1.0, 1.0, 0.0, 0.0], (2, 1)).astype(complex)
+    right[4] = right[0][:2]
+    ranks = MultiRank.from_stored([3, 0, 2, 1, 2], 8)
+    left = [np.resize(m, (7, r)) for m, r in zip(f.left, ranks.stored())]
+    f = BlockFactors(f.dims, ranks, left, right)
+    if side == "right":  # the same Grams, as the left factors'
+        f = BlockFactors((6, 7, 8), f.ranks, [q.conj().T for q in f.right], [p.T for p in f.left])
+    g = f.q @ _h(f.q) if side == "left" else _h(f.p) @ f.p
+    pad = np.eye(3) * (np.arange(3) >= np.array(ranks.stored())[:, None])[:, None]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(g + pad)
+    x = dft_mode3(rand(f.dims, 81))
+    d = [x.slices[:, :, k] for k in range(f.n_stored)]
+    seen, real = [], tubal.factors.pinv
+    monkeypatch.setattr(tubal.factors, "pinv", lambda m: seen.append(m) or real(m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if side == "left":
+            out = update_left(f, x)
+            want = [d[k] @ q.conj().T @ np.linalg.pinv(q @ q.conj().T) for k, q in enumerate(f.right)]
+            assert_slices_close(out.left, want)
+        else:
+            out = update_right(f, x)
+            want = [np.linalg.pinv(p.conj().T @ p) @ p.conj().T @ d[k] for k, p in enumerate(f.left)]
+            assert_slices_close(out.right, want)
+    assert len(seen) == 1 and seen[0].shape == (f.n_stored, 3, 3)
+    assert_padded(out)
+
+
+def test_gram_inverse_of_tiny_grams_falls_back_without_overflow():
+    # the inverse of a well-conditioned Gram of scale 2^-600 overflows its squared norm;
+    # the slice is pseudo-inverted, with no warning
+    f = mixed_factors(8, seed=8)
+    stored = np.array(f.ranks.stored())
+    g = f.q @ _h(f.q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = _gram_inv(g * 2.0**-600, stored)
+    assert_slices_close(list(out * 2.0**-600), list(_gram_inv(g, stored)))
 
 
 @pytest.mark.parametrize("n3", [1, 2, 5, 6])

@@ -93,6 +93,10 @@ def test_config_geometry_rejects_bad_shapes():
 def test_config_validation():
     with pytest.raises(ValueError):
         DoubleTubalConfig(init_ranks=2, gamma0=-0.5)
+    for p, q in ((4.0, None), (None, True), (0, None), (None, -1), (float("nan"), None)):
+        with pytest.raises(ValueError, match=f"p and q must be integers >= 1, got p={p}, q={q}"):
+            DoubleTubalConfig(init_ranks=2, p=p, q=q)
+    assert DoubleTubalConfig(init_ranks=2, p=np.int64(4), q=20).geometry(10, 8) == (4, 20)
 
 
 def test_double_factors_validate_compatibility():
