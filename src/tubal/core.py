@@ -13,6 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
+BLOCK = 1 << 15  # entries per block of the passes run a cache-sized block at a time
+
+
 class SpectralSymmetryError(ValueError):
     """Raised when a spectral object cannot come from a real spatial tensor."""
 
@@ -108,11 +111,20 @@ def _imag_residual(slices, n3):
     return np.sqrt(bad / n3)
 
 
-def _half_weighted_sq(slices, n3):
-    """Squared Frobenius mass of a half spectrum over all n3 slices (conjugate-pair weights)."""
-    s = np.ascontiguousarray(np.moveaxis(slices, 2, 0), dtype=complex)  # slice-major: no copy
-    v = s.view(np.float64).reshape(s.shape[0], -1)  # per slice, its real and imaginary parts
-    return float(np.einsum("ij,ij->i", v, v) @ pair_weights(n3))
+def _half_weighted_sq(slices, n3, minus=None):
+    """Squared Frobenius mass of a half spectrum, or of slices - minus, over all n3 slices
+    (conjugate-pair weights); summed a block of whole slices at a time, so no temporary
+    outgrows the cache."""
+    s = np.moveaxis(slices, 2, 0)  # slice-major: a C-contiguous view of the library's spectra
+    m = None if minus is None else np.moveaxis(minus, 2, 0)
+    step = max(1, BLOCK // max(1, s[0].size))
+    per = np.empty(len(s))
+    for i in range(0, len(s), step):
+        b = s[i : i + step] if m is None else s[i : i + step] - m[i : i + step]
+        b = np.ascontiguousarray(b, dtype=complex)
+        v = b.view(np.float64).reshape(len(b), -1)  # per slice, its real and imaginary parts
+        per[i : i + step] = np.einsum("ij,ij->i", v, v)
+    return float(per @ pair_weights(n3))
 
 
 def _irfft_checked(slices, n3, tol=1e-6):
@@ -255,7 +267,12 @@ def reshape_mode3(a, p, q):
     if p * q != n1 * n2:
         raise ValueError(f"p*q = {p * q} must equal n1*n2 = {n1 * n2}")
     # unfolding row i3 is a[:, :, i3] in column-major order: a reshape once modes 1, 2 swap
-    return a.transpose(1, 0, 2).reshape(q, p, n3).transpose(2, 1, 0).copy()
+    b = a.transpose(1, 0, 2).reshape(q, p, n3)
+    out = np.empty((n3, p, q), b.dtype)
+    step = max(1, BLOCK // max(1, q * n3))  # the axis reversal, a cache-sized block of p at a time
+    for i in range(0, p, step):
+        out[:, i : i + step] = b[:, i : i + step].transpose(2, 1, 0)
+    return out
 
 
 def fold3_from_reshaped(t, dims):
@@ -290,6 +307,16 @@ def tubal_rank(a, tol_rel=1e-10):
     return multi_rank(a, tol_rel).tubal
 
 
+def _rank_array(values):
+    """values as a 1-d integer array; ValueError on a non-integer or bool entry."""
+    r = np.asarray(values)
+    # a bool among Python ints converts to an int, so only the entries' types show it
+    mixed = not isinstance(values, np.ndarray) and {bool, np.bool_} & set(map(type, values))
+    if r.ndim != 1 or r.dtype.kind not in "iu" or mixed:
+        raise ValueError(f"ranks must be integers, got {values}")
+    return r
+
+
 @dataclass(frozen=True)
 class MultiRank:
     """Per-frequency-slice ranks of a tensor, symmetric under conjugate mirroring."""
@@ -297,29 +324,26 @@ class MultiRank:
     ranks: tuple
 
     def __post_init__(self):
-        r = tuple(int(v) for v in self.ranks)
-        object.__setattr__(self, "ranks", r)
-        if len(r) < 1:
+        if len(self.ranks) < 1:
             raise ValueError("rank vector must have at least one entry")
-        if any(v < 0 for v in r):
-            raise ValueError(f"ranks must be nonnegative, got {r}")
-        n3 = len(r)
-        for i in range(1, n3):
-            if r[i] != r[n3 - i]:
-                raise ValueError(f"rank vector {r} is not conjugate-symmetric")
+        r = _rank_array(self.ranks)
+        object.__setattr__(self, "ranks", tuple(r.tolist()))
+        if (r < 0).any():
+            raise ValueError(f"ranks must be nonnegative, got {self.ranks}")
+        if (r[1:] != r[:0:-1]).any():  # r[i] == r[n3 - i]
+            raise ValueError(f"rank vector {self.ranks} is not conjugate-symmetric")
 
     @classmethod
     def constant(cls, rank, n3):
-        return cls((int(rank),) * n3)
+        return cls((rank,) * n3)
 
     @classmethod
     def from_stored(cls, stored, n3):
         """Build the full vector from the n3 // 2 + 1 stored-slice ranks."""
-        stored = [int(v) for v in stored]
+        stored = _rank_array(stored)
         if len(stored) != half_count(n3):
             raise ValueError(f"expected {half_count(n3)} stored ranks, got {len(stored)}")
-        full = stored + [stored[n3 - k] for k in range(half_count(n3), n3)]
-        return cls(tuple(full))
+        return cls(np.concatenate([stored, stored[1 : n3 - len(stored) + 1][::-1]]))
 
     @property
     def n3(self):

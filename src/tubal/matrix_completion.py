@@ -31,6 +31,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from . import core
 from .core import (
     MultiRank,
     ObservationMask,
@@ -122,6 +123,11 @@ class CompletionProblem:
         return cls(observed=data, mask=mask)
 
 
+def _is_count(value, least):
+    """Whether value is an integer, not a bool, of at least least."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+
+
 @dataclass(kw_only=True)
 class SolverConfig:
     """Settings shared by the completion solvers.
@@ -151,11 +157,11 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.epsilon < np.inf:  # NaN fails too
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+        if not _is_count(self.max_iter, 1):
             raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter}")
-        if not (isinstance(self.t0, numbers.Integral) and self.t0 >= 0):
+        if not _is_count(self.t0, 0):
             raise ValueError(f"t0 must be a nonnegative integer, got {self.t0}")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if not _is_count(self.seed, 0):
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
 
 
@@ -313,9 +319,14 @@ def _refill(a, observed_index):
 
 
 def _rel_change(new, old):
-    denom = fro_norm(old)
-    diff = fro_norm(new - old)
-    return diff / denom if denom > 0 else diff
+    """||new - old|| / ||old|| (the bare ||new - old|| when old is 0), in one pass over both
+    a block at a time."""
+    new, old, n = np.ravel(new), np.ravel(old), core.BLOCK
+    num = den = 0.0
+    for i in range(0, new.size, n):
+        d, o = new[i : i + n] - old[i : i + n], old[i : i + n]
+        num, den = num + d @ d, den + o @ o
+    return float(np.sqrt(num / den if den > 0 else num))
 
 
 def _blend(base, other, gamma):
@@ -404,7 +415,7 @@ def _weighted_misfit(sides, gamma, reference):
     total = 0.0
     for side, weight in zip(sides, (1.0, gamma)):
         n3 = side.factors.dims[2]
-        total += weight * _half_weighted_sq(side.products() - reference(side), n3) / (2.0 * n3)
+        total += weight * _half_weighted_sq(side.products(), n3, reference(side)) / (2.0 * n3)
     return total
 
 

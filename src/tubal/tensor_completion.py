@@ -12,7 +12,6 @@ slice side and the regrouped side, whose regroup is reshape_mode3 and whose
 fold back is fold3_from_reshaped.
 """
 
-import numbers
 from dataclasses import astuple, dataclass, replace
 from operator import attrgetter
 
@@ -24,6 +23,7 @@ from .matrix_completion import GAMMA_GUARD  # noqa: F401 -- part of this module'
 from .matrix_completion import (
     SolverConfig,
     _fill,
+    _is_count,
     _observed_index,
     _refill,
     _refit_gamma,
@@ -48,10 +48,15 @@ def default_geometry(n1, n2):
     return total // q, q
 
 
+def _check_pq(p, q):
+    """Raise unless each of p and q is None or an integer, not a bool, of at least 1."""
+    if not all(v is None or _is_count(v, 1) for v in (p, q)):
+        raise ValueError(f"p and q must be integers >= 1, got p={p}, q={q}")
+
+
 def _complete_geometry(n1, n2, p, q):
     """(p, q) with p * q = n1 * n2, the one of them left None filled in."""
-    if min(v for v in (p, q) if v is not None) < 1:
-        raise ValueError(f"p and q must be at least 1, got p={p}, q={q}")
+    _check_pq(p, q)
     total = n1 * n2
     if q is None:
         if total % p:
@@ -86,9 +91,7 @@ class DoubleTubalConfig(SolverConfig):
         super().__post_init__()
         if not 0 <= self.gamma0 < np.inf:  # NaN fails too
             raise ValueError(f"gamma0 must be nonnegative and finite, got {self.gamma0}")
-        for v in (self.p, self.q):
-            if not (v is None or isinstance(v, numbers.Integral) and v >= 1) or isinstance(v, bool):
-                raise ValueError(f"p and q must be integers >= 1, got p={self.p}, q={self.q}")
+        _check_pq(self.p, self.q)
 
     def geometry(self, n1, n2):
         if self.p is None and self.q is None:

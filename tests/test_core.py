@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tubal import core
 from tubal import (
     MultiRank,
     ObservationMask,
@@ -26,6 +27,7 @@ from tubal import (
     tprod_reference,
     tubal_rank,
 )
+from tubal.core import _half_weighted_sq
 
 
 def rand(shape, seed):
@@ -97,6 +99,20 @@ def test_parseval_with_pair_weights():
             w[k] * np.linalg.norm(spec.slices[:, :, k]) ** 2 for k in range(half_count(n3))
         )
         assert np.isclose(fro_norm(a) ** 2, mass / n3, rtol=1e-10)
+
+
+@pytest.mark.parametrize("block", [1, 7, 10**9])
+def test_blocked_half_spectrum_mass_matches_the_unblocked_sum(monkeypatch, block):
+    monkeypatch.setattr(core, "BLOCK", block)
+    for seed, n3 in enumerate((1, 2, 5, 6)):
+        a, b = rand((4, 3, n3), seed), rand((4, 3, n3), seed + 10)
+        slice_major, c_ordered = dft_mode3(a).slices, np.fft.rfft(b, axis=2)
+        pairs = [(slice_major, None), (c_ordered, None), (slice_major, c_ordered), (c_ordered, slice_major)]
+        for s, m in pairs:
+            d = s if m is None else s - m
+            want = np.einsum("ijk,ijk->k", d, d.conj()).real @ pair_weights(n3)
+            got = _half_weighted_sq(s, n3) if m is None else _half_weighted_sq(s, n3, m)
+            assert abs(got - want) <= 1e-13 * want, (n3, m is None)
 
 
 # ------------------------------------------------------------------ products
@@ -312,6 +328,20 @@ def test_multi_rank_constructors_validate_symmetry():
     assert MultiRank.from_stored([3, 2, 1], 4).ranks == (3, 2, 1, 2)
     with pytest.raises(ValueError):
         MultiRank((1, 2, 3, 4))
+
+
+def test_multi_rank_rejects_non_integer_and_bool_ranks():
+    for bad in ((2.7, 1.5, 1.5), (True, 1, 1), (2, np.True_), np.array([2.0, 1.0, 1.0])):
+        with pytest.raises(ValueError, match="ranks must be integers"):
+            MultiRank(bad)
+    for bad in ([2.5, 1.2], [True, 1], np.array([True, False])):
+        with pytest.raises(ValueError, match="ranks must be integers"):
+            MultiRank.from_stored(bad, 2)
+    with pytest.raises(ValueError, match="ranks must be integers"):
+        MultiRank.constant(2.7, 3)
+    assert MultiRank((np.int64(2), 1, 1)).ranks == (2, 1, 1)
+    assert MultiRank.from_stored(np.array([3, 2, 1], np.int32), 5).ranks == (3, 2, 1, 1, 2)
+    assert all(type(v) is int for v in MultiRank.from_stored(np.array([3, 2]), 2))
 
 
 # ----------------------------------------------------------------- utilities

@@ -139,9 +139,14 @@ def test_config_validation():
     for t0 in (-1, 2.5, float("nan")):
         with pytest.raises(ValueError, match=f"t0 must be a nonnegative integer, got {t0}"):
             SolverConfig(init_ranks=2, t0=t0)
-    for seed in (-1, 1.5):
+    for seed in (-1, 1.5, True):
         with pytest.raises(ValueError, match=f"seed must be a nonnegative integer, got {seed}"):
             SolverConfig(init_ranks=2, seed=seed)
+    for name in ("max_iter", "t0"):
+        for flag in (True, False):
+            with pytest.raises(ValueError, match=f"{name} must be .*, got {flag}"):
+                SolverConfig(init_ranks=2, **{name: flag})
+    assert SolverConfig(init_ranks=2, max_iter=np.int64(3), t0=np.int32(0), seed=np.uint8(1)).max_iter == 3
 
 
 # -------------------------------------------------------------------- objective
@@ -291,6 +296,31 @@ def test_solver_is_deterministic():
     assert x1.tobytes() == x2.tobytes()
     assert t1.objectives().tobytes() == t2.objectives().tobytes()
     assert [r.rel_change for r in t1.rows] == [r.rel_change for r in t2.rows]
+
+
+@pytest.mark.parametrize("block", [1, 7, 10**9])
+def test_blocked_relative_change_matches_the_norm_ratio(monkeypatch, block):
+    monkeypatch.setattr(mc.core, "BLOCK", block)
+    new, old = rand((5, 4, 3), 50), rand((5, 4, 3), 51)
+    want = np.linalg.norm(new - old) / np.linalg.norm(old)
+    assert abs(mc._rel_change(new, old) - want) <= 1e-14 * want
+    strided = fold3_from_reshaped(rand((3, 10, 2), 52), (5, 4, 3))  # a strided view
+    want = np.linalg.norm(strided - old) / np.linalg.norm(old)
+    assert abs(mc._rel_change(strided, old) - want) <= 1e-14 * want
+    assert mc._rel_change(new, np.zeros_like(old)) == pytest.approx(np.linalg.norm(new), rel=1e-14)
+    for k in (-40, -3, 5, 40):  # a power of two scales every partial sum exactly
+        assert mc._rel_change(new * 2.0**k, old * 2.0**k) == mc._rel_change(new, old)
+
+
+def test_solves_are_byte_identical_at_any_block_size(monkeypatch):
+    _, prob = easy_problem(seed=13)
+    runs = []
+    for block in (mc.core.BLOCK, 7):
+        monkeypatch.setattr(mc.core, "BLOCK", block)
+        for ranks in (2, 8):  # a plain start and a growing one, both converging
+            x, _, trace = solve(prob, SolverConfig(init_ranks=ranks, seed=4))
+            runs.append((x.tobytes(), trace.iterations, trace.termination))
+    assert runs[:2] == runs[2:]
 
 
 def test_one_sweep_is_the_public_steps_composed():

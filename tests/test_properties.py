@@ -1,11 +1,12 @@
 """Property tests: the regroup and fold against their unfolding definitions, the
-matrix folding's round trip, the inverse transform's conjugate-symmetry guard
-against its defining inequality, the half-spectrum mass against Parseval and its
-conjugate-product form, the t-product and multi-rank against per-slice
-definitions, the rank edits' bookkeeping, the factor layer's rank-group stacks
-against per-slice references, MultiRank's conjugate symmetry, the .t3, .msk
-and PGM round trips, and both solvers' invariants: a finite output, exact
-observed entries, and the same bytes on a repeated run."""
+blocked regroup against its one-copy form, the matrix folding's round trip, the
+inverse transform's conjugate-symmetry guard against its defining inequality,
+the half-spectrum mass against Parseval and its conjugate-product form, the
+t-product and multi-rank against per-slice definitions, the rank edits'
+bookkeeping, the factor layer's rank-group stacks against per-slice references,
+MultiRank's conjugate symmetry, the .t3, .msk and PGM round trips, and both
+solvers' invariants: a finite output, exact observed entries, and the same bytes
+on a repeated run."""
 
 import numpy as np
 import pytest
@@ -49,6 +50,7 @@ from tubal import (  # noqa: E402
     update_left,
     update_right,
 )
+from tubal import core  # noqa: E402
 from tubal.core import _half_weighted_sq, _irfft_checked  # noqa: E402
 from tubal.factors import grow_ranks, truncate_ranks  # noqa: E402
 
@@ -57,6 +59,7 @@ from test_factors import assert_padded, assert_slices_close, reference_rank_decr
 dims = st.integers(1, 6)
 depths = st.integers(1, 7)
 seeds = st.integers(0, 2**32 - 1)
+layouts = st.sampled_from(["C", "F", "strided"])
 
 
 def divisors(n):
@@ -87,6 +90,23 @@ def test_regroup_and_fold_match_their_unfolding_definitions(n1, n2, n3, seed):
         assert np.array_equal(back, a)
         u = rng.standard_normal((n3, p, q))
         assert np.array_equal(reshape_mode3(fold3_from_reshaped(u, a.shape), p, q), u)
+
+
+@given(dims, dims, depths, seeds, st.sampled_from([1, 7, 10**9]), layouts)
+@example(3, 4, 1, 0, 1, "C")
+@example(5, 2, 3, 0, 7, "F")
+@example(6, 6, 7, 0, 7, "strided")
+def test_blocked_regroup_is_byte_equal_to_the_one_copy_regroup(n1, n2, n3, seed, block, layout):
+    wide = np.random.default_rng(seed).standard_normal((n1, n2, 2 * n3))
+    head = wide[:, :, :n3]
+    a = {"C": head.copy(), "F": np.asfortranarray(head), "strided": wide[:, :, ::2]}[layout]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "BLOCK", block)
+        for p in divisors(n1 * n2):
+            q = n1 * n2 // p
+            want = a.transpose(1, 0, 2).reshape(q, p, n3).transpose(2, 1, 0).copy()
+            got = reshape_mode3(a, p, q)
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
 
 
 @given(dims, st.integers(1, 12), st.integers(1, 8), seeds)

@@ -96,6 +96,8 @@ def test_config_validation():
     for p, q in ((4.0, None), (None, True), (0, None), (None, -1), (float("nan"), None)):
         with pytest.raises(ValueError, match=f"p and q must be integers >= 1, got p={p}, q={q}"):
             DoubleTubalConfig(init_ranks=2, p=p, q=q)
+        with pytest.raises(ValueError, match=f"p and q must be integers >= 1, got p={p}, q={q}"):
+            double_tubal_rank(rand((4, 6, 3), 0), p=p, q=q)
     assert DoubleTubalConfig(init_ranks=2, p=np.int64(4), q=20).geometry(10, 8) == (4, 20)
 
 
@@ -483,6 +485,17 @@ def test_solver_is_deterministic():
     assert x1.tobytes() == x2.tobytes()
     assert np.array_equal(t1.objectives(), t2.objectives())
     assert [r.gamma for r in t1.rows] == [r.gamma for r in t2.rows]
+
+
+def test_blended_solve_is_byte_identical_at_any_block_size(monkeypatch):
+    _, prob = partial_problem(seed=19)
+    cfg = DoubleTubalConfig(init_ranks=2, seed=3)
+    runs = []
+    for block in (mc.core.BLOCK, 7):
+        monkeypatch.setattr(mc.core, "BLOCK", block)
+        x, trace = solve(prob, cfg)
+        runs.append((x.tobytes(), trace.iterations, trace.termination, trace.rows[-1].gamma))
+    assert runs[0] == runs[1]
 
 
 def test_trace_records_both_rank_lists():
