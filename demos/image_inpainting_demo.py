@@ -16,7 +16,6 @@ import numpy as np
 
 from tubal import (
     CompletionProblem,
-    ImagePair,
     SolverConfig,
     complete_matrix,
     generate_mask,
@@ -54,10 +53,10 @@ x, recovered, trace = complete_matrix(problem, SolverConfig(init_ranks=8, seed=0
 recovered = np.clip(recovered, 0.0, 1.0)
 save_image(out_dir / "recovered.pgm", recovered)
 
-baseline = ImagePair(image, observed)
-result = ImagePair(image, recovered)
 print(f"sweeps: {trace.iterations} ({trace.termination})")
-print(f"psnr: {psnr(baseline):6.2f} dB observed -> {psnr(result):6.2f} dB recovered")
-print(f"ssim: {ssim(baseline):6.3f}     observed -> {ssim(result):6.3f}    recovered")
+print(f"psnr: {psnr(image, observed):6.2f} dB observed -> "
+      f"{psnr(image, recovered):6.2f} dB recovered")
+print(f"ssim: {ssim(image, observed):6.3f}     observed -> "
+      f"{ssim(image, recovered):6.3f}    recovered")
 print(f"rel error: {rel_error(recovered, image):.3e}")
 print(f"wrote {out_dir / 'observed.pgm'} and {out_dir / 'recovered.pgm'}")

@@ -43,7 +43,7 @@ from .matrix_completion import CompletionProblem, SolverConfig, SolverTrace, upd
 from .matrix_completion import kkt_residuals as matrix_kkt_residuals
 from .matrix_completion import objective as matrix_objective
 from .matrix_completion import solve as complete_matrix
-from .metrics import ImagePair, psnr, rel_error, ssim
+from .metrics import psnr, rel_error, ssim
 from .tensor_completion import (
     DoubleFactors,
     DoubleTubalConfig,

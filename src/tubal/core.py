@@ -8,12 +8,44 @@ transformed slices are conjugate-symmetric and only the first n3 // 2 + 1 of
 them are stored.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 
 BLOCK = 1 << 15  # entries per block of the passes run a cache-sized block at a time
+
+
+# The rules for a valid setting, each written once; every config field and command-line
+# setting goes through them.
+
+
+def _number(value, kind):
+    return isinstance(value, kind) and not isinstance(value, (bool, np.bool_))
+
+
+def check_count(value, name, least=0):
+    """Raise ValueError unless value is an integer, not a bool, of at least least."""
+    if not (_number(value, numbers.Integral) and value >= least):
+        kind = "a nonnegative integer" if least == 0 else f"an integer of at least {least}"
+        raise ValueError(f"{name} must be {kind}, got {value}")
+
+
+def check_real(value, name, low, high=np.inf, above=False):
+    """Raise ValueError unless value is a finite real, not a bool, in [low, high], or in
+    (low, high] with above."""
+    if not (_number(value, numbers.Real) and (low < value if above else low <= value)
+            and value <= high and value < np.inf):  # NaN fails every comparison
+        rule = (f"in {'(' if above else '['}{low}, {high}]" if high < np.inf
+                else f"finite and {'exceed' if above else 'at least'} {low}")
+        raise ValueError(f"{name} must be {rule}, got {value}")
+
+
+def check_flag(value, name):
+    """Raise ValueError unless value is a bool (Python's or NumPy's)."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value}")
 
 
 class SpectralSymmetryError(ValueError):
@@ -236,8 +268,7 @@ def reshape_matrix_to_tensor(m, n2):
     m = np.asarray(m)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {m.shape}")
-    if n2 < 1:
-        raise ValueError(f"n2 must be positive, got {n2}")
+    check_count(n2, "n2", 1)
     n1, h = m.shape
     if n1 < 1 or h < 1:
         raise ValueError(f"matrix must be nonempty, got shape {m.shape}")

@@ -8,13 +8,13 @@ each r x r inverted Gram (_gram_inv, zero on the padding) on the short side of i
 slice; the padding adds nothing to a slice's product.
 """
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .core import MultiRank, _irfft_checked, dft_mode3, half_count, pair_weights
+from .core import check_flag, check_real
 
 
 class SliceSolveCounter:
@@ -38,16 +38,11 @@ slice_solves = SliceSolveCounter()
 GRAM_COND = 1e8  # a Gram with a larger Frobenius condition number is pseudo-inverted
 
 
-def pinv(m, rtol=None):
-    """Moore-Penrose inverse with singular values below rtol * sigma_max dropped.
-
-    m may be a stack of matrices; the default rtol follows the size of one
-    matrix, not of the stack.
-    """
+def pinv(m):
+    """Moore-Penrose inverse with singular values below max(n_rows, n_cols) * eps * sigma_max
+    dropped; m may be a stack of matrices, and the cutoff follows the size of one matrix."""
     m = np.asarray(m)
-    if rtol is None:
-        rtol = max(m.shape[-2:]) * np.finfo(float).eps if m.size else 0.0
-    return np.linalg.pinv(m, rcond=rtol)
+    return np.linalg.pinv(m, rcond=max(m.shape[-2:]) * np.finfo(float).eps if m.size else 0.0)
 
 
 @dataclass(frozen=True)
@@ -62,8 +57,8 @@ class RankDecreaseConfig:
     tau: float = 10.0
 
     def __post_init__(self):
-        if not 1 < self.tau < np.inf:  # NaN fails too
-            raise ValueError(f"tau must be finite and exceed 1, got {self.tau}")
+        check_flag(self.enabled, "enabled")
+        check_real(self.tau, "tau", 1, above=True)
 
 
 class BlockFactors:
@@ -151,27 +146,22 @@ def as_multirank(value, n3):
     """Coerce a rank spec into a MultiRank of length n3: an int (the rank of every
     slice), a sequence of n3 ranks, a MultiRank, or a string "8", "5,3,2,2,3" or
     "4,2*", whose starred last rank fills every slice after the listed ones."""
-    if isinstance(value, MultiRank):
-        if value.n3 != n3:
-            raise ValueError(f"rank vector length {value.n3} != n3 {n3}")
+    if isinstance(value, MultiRank) and value.n3 == n3:
         return value
-    if isinstance(value, str):
-        tokens = [t.strip() for t in value.split(",")]
-        if tokens[-1].endswith("*"):
-            tokens[-1:] = [tokens[-1][:-1]] * (n3 + 1 - len(tokens))
-        try:
+    ranks = value
+    try:
+        if isinstance(value, str):
+            tokens = [t.strip() for t in value.split(",")]
+            if tokens[-1].endswith("*"):
+                tokens[-1:] = [tokens[-1][:-1]] * (n3 + 1 - len(tokens))
             ranks = [int(t) for t in tokens]
-            if len(ranks) not in (1, n3):
-                raise ValueError(f"rank list has {len(ranks)} entries, expected {n3}")
-        except ValueError as e:
-            raise ValueError(f"bad rank specification {value.strip()!r}: {e}") from None
-        value = ranks[0] if len(ranks) == 1 else ranks
-    seq = [value] * n3 if np.isscalar(value) else list(value)
-    if len(seq) != n3:
-        raise ValueError(f"rank vector length {len(seq)} != n3 {n3}")
-    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in seq):
-        raise ValueError(f"bad rank specification {value!r}: ranks must be integers")
-    return MultiRank(tuple(seq))
+            ranks = ranks[0] if len(ranks) == 1 else ranks
+        ranks = [ranks] * n3 if np.ndim(ranks) == 0 else list(ranks)
+        if len(ranks) != n3:
+            raise ValueError(f"rank vector length {len(ranks)} != n3 {n3}")
+        return MultiRank(tuple(ranks))  # which checks that every rank is an integer
+    except ValueError as e:
+        raise ValueError(f"bad rank specification {value!r}: {e}") from None
 
 
 def _check_spec(factors, spec):

@@ -7,18 +7,18 @@ unusable inputs or command lines, 3 when the solver raised one of SOLVER_ERRORS.
 """
 
 import csv
-import numbers
 import os
 from dataclasses import fields
 
 import numpy as np
 
 from .core import ObservationMask, SpectralSymmetryError, tensor_to_matrix, tprod
+from .core import check_count, check_real
 from .factors import RankDecreaseConfig
 from .io import load_image, load_mask, load_tensor, save_image, save_mask, save_tensor
 from .matrix_completion import CompletionProblem, SolverConfig
 from .matrix_completion import solve as solve_matrix
-from .metrics import ImagePair, check_reference, psnr, rel_error, ssim
+from .metrics import check_reference, psnr, rel_error, ssim
 from .tensor_completion import DoubleTubalConfig
 from .tensor_completion import solve as solve_tensor
 
@@ -39,10 +39,8 @@ def generate_mask(dims, ratio, seed=0):
     The draw is a seeded choice without replacement over flat indices in
     storage order, so a given (dims, ratio, seed) always yields the same mask.
     """
-    if not 0 <= ratio <= 1:
-        raise ValueError(f"ratio must be in [0, 1], got {ratio}")
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    check_real(ratio, "ratio", 0, 1)
+    check_count(seed, "seed")
     n = int(np.prod(dims))
     count = int(np.floor(ratio * n))
     picked = np.random.default_rng(seed).choice(n, size=count, replace=False)
@@ -146,14 +144,13 @@ def _write_metrics(path, rows):
 
 
 def _metric_rows(reference, recovered, observed=None):
-    pair = ImagePair(reference, recovered)
     rows = [
-        ("psnr", psnr(pair)),
-        ("ssim", ssim(pair)),
+        ("psnr", psnr(reference, recovered)),
+        ("ssim", ssim(reference, recovered)),
         ("rel_error", rel_error(recovered, reference)),
     ]
     if observed is not None:
-        rows.append(("psnr_observed", psnr(ImagePair(reference, observed))))
+        rows.append(("psnr_observed", psnr(reference, observed)))
     return rows
 
 

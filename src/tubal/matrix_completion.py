@@ -24,7 +24,6 @@ counterparts) are built from the engine's own primitives.
 """
 
 import csv
-import numbers
 import time
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -36,6 +35,8 @@ from .core import (
     MultiRank,
     ObservationMask,
     SpectralTensor,
+    check_count,
+    check_real,
     dft_mode3,
     fro_norm,
     project,  # noqa: F401 -- bound for perfbench/layertrace.py, which wraps it here
@@ -123,11 +124,6 @@ class CompletionProblem:
         return cls(observed=data, mask=mask)
 
 
-def _is_count(value, least):
-    """Whether value is an integer, not a bool, of at least least."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
-
-
 @dataclass(kw_only=True)
 class SolverConfig:
     """Settings shared by the completion solvers.
@@ -155,14 +151,10 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.epsilon < np.inf:  # NaN fails too
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if not _is_count(self.max_iter, 1):
-            raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter}")
-        if not _is_count(self.t0, 0):
-            raise ValueError(f"t0 must be a nonnegative integer, got {self.t0}")
-        if not _is_count(self.seed, 0):
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+        check_real(self.epsilon, "epsilon", 0, above=True)
+        check_count(self.max_iter, "max_iter", 1)
+        check_count(self.t0, "t0")
+        check_count(self.seed, "seed")
 
 
 @dataclass

@@ -17,13 +17,13 @@ from operator import attrgetter
 
 import numpy as np
 
+from .core import check_count, check_flag, check_real
 from .core import fold3_from_reshaped, fro_norm, multi_rank, reshape_mode3
 from .factors import as_multirank, gradient_sq, init_factors, update_left, update_right
 from .matrix_completion import GAMMA_GUARD  # noqa: F401 -- part of this module's interface
 from .matrix_completion import (
     SolverConfig,
     _fill,
-    _is_count,
     _observed_index,
     _refill,
     _refit_gamma,
@@ -48,27 +48,25 @@ def default_geometry(n1, n2):
     return total // q, q
 
 
-def _check_pq(p, q):
-    """Raise unless each of p and q is None or an integer, not a bool, of at least 1."""
-    if not all(v is None or _is_count(v, 1) for v in (p, q)):
-        raise ValueError(f"p and q must be integers >= 1, got p={p}, q={q}")
-
-
-def _complete_geometry(n1, n2, p, q):
-    """(p, q) with p * q = n1 * n2, the one of them left None filled in."""
-    _check_pq(p, q)
-    total = n1 * n2
-    if q is None:
-        if total % p:
-            raise ValueError(f"p={p} does not divide n1*n2={total}")
-        q = total // p
-    elif p is None:
-        if total % q:
-            raise ValueError(f"q={q} does not divide n1*n2={total}")
-        p = total // q
-    if p * q != total:
-        raise ValueError(f"p*q = {p * q} must equal n1*n2 = {total}")
-    return p, q
+def geometry(p, q, dims=None):
+    """Check a regrouping (p, q), each None or an integer of at least 1, and return it;
+    given dims = (n1, n2), complete it to p * q = n1 * n2: the one of p and q left None
+    filled in, or both from default_geometry when both are None."""
+    try:
+        for v in (p, q):
+            if v is not None:
+                check_count(v, "p", 1)
+    except ValueError:
+        raise ValueError(f"p and q must be integers >= 1, got p={p}, q={q}") from None
+    if dims is None:
+        return p, q
+    if p is None and q is None:
+        return default_geometry(*dims)
+    total = dims[0] * dims[1]
+    pq = p or total // q, q or total // p  # neither is 0, so only a None is filled in
+    if pq[0] * pq[1] != total:
+        raise ValueError(f"p*q must equal n1*n2 = {total}, got p={p}, q={q}")
+    return pq
 
 
 @dataclass(kw_only=True)
@@ -89,14 +87,9 @@ class DoubleTubalConfig(SolverConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if not 0 <= self.gamma0 < np.inf:  # NaN fails too
-            raise ValueError(f"gamma0 must be nonnegative and finite, got {self.gamma0}")
-        _check_pq(self.p, self.q)
-
-    def geometry(self, n1, n2):
-        if self.p is None and self.q is None:
-            return default_geometry(n1, n2)
-        return _complete_geometry(n1, n2, self.p, self.q)
+        check_real(self.gamma0, "gamma0", 0)
+        check_flag(self.adaptive_gamma, "adaptive_gamma")
+        geometry(self.p, self.q)
 
 
 @dataclass
@@ -174,7 +167,7 @@ def solve(problem, config):
     Returns (x, trace); trace.final_factors has the gamma whose fill made x.
     """
     n1, n2, n3 = problem.dims
-    p, q = config.geometry(n1, n2)
+    p, q = geometry(config.p, config.q, (n1, n2))
     rng = np.random.default_rng(config.seed)
     ranks_xt = config.init_ranks_xt
     if ranks_xt is None:  # the tubal rank of init_ranks, capped by the regrouped geometry
@@ -197,7 +190,7 @@ def double_tubal_rank(a, p=None, q=None, tol_rel=1e-10):
     """
     a = np.asarray(a)
     n1, n2, _ = a.shape
-    p, q = (n1, n2) if p is None and q is None else _complete_geometry(n1, n2, p, q)
+    p, q = geometry(n1 if p is None and q is None else p, q, (n1, n2))
     return multi_rank(a, tol_rel).tubal, multi_rank(reshape_mode3(a, p, q), tol_rel).tubal
 
 

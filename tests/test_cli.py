@@ -100,6 +100,10 @@ def test_generate_mask_counts_and_determinism():
 def test_generate_mask_rejects_bad_ratio():
     with pytest.raises(ValueError):
         generate_mask((4, 4, 1), 1.5)
+    bad = [(True, 0), ("no", 0), (float("nan"), 0), (float("inf"), 0), (0.5, True), (0.5, 1.5)]
+    for ratio, seed in bad:
+        with pytest.raises(ValueError):
+            generate_mask((3, 3, 2), ratio, seed=seed)
 
 
 def test_synth_low_tubal_rank_and_determinism():

@@ -267,6 +267,13 @@ def test_matrix_reshape_rejects_empty():
         reshape_matrix_to_tensor(np.zeros((4, 0)), 2)
 
 
+def test_matrix_reshape_rejects_n2_other_than_a_positive_integer():
+    for n2 in (0, 2.5, True, "2"):
+        with pytest.raises(ValueError, match=f"n2 must be an integer of at least 1, got {n2}"):
+            reshape_matrix_to_tensor(np.zeros((4, 6)), n2)
+    assert reshape_matrix_to_tensor(np.zeros((4, 6)), np.int64(2))[0].shape == (4, 2, 3)
+
+
 def test_tensor_to_matrix_width_check():
     x = rand((2, 3, 2), 23)
     with pytest.raises(ValueError):

@@ -349,6 +349,13 @@ def test_grow_ranks_adds_the_leading_residual_direction_under_the_ceiling():
 def test_rank_config_validation():
     with pytest.raises(ValueError):
         RankDecreaseConfig(tau=1.0)
+    for tau in (True, "no", float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"tau must be finite and exceed 1, got {tau}"):
+            RankDecreaseConfig(tau=tau)
+    for enabled in ("no", float("nan"), float("inf"), 1, None):
+        with pytest.raises(ValueError, match=f"enabled must be a bool, got {enabled}"):
+            RankDecreaseConfig(enabled=enabled)
+    assert not RankDecreaseConfig(enabled=np.False_).enabled
 
 
 # ------------------------------------------------ batched rank-group layer

@@ -88,6 +88,12 @@ def test_from_matrix_rejects_shape_mismatch():
         CompletionProblem.from_matrix(np.ones((3, 6)), np.ones((3, 5), dtype=bool), 3)
 
 
+def test_from_matrix_rejects_a_non_integer_n2():
+    for n2 in (2.5, True):
+        with pytest.raises(ValueError, match="n2 must be an integer"):
+            CompletionProblem.from_matrix(np.ones((3, 6)), np.ones((3, 6), dtype=bool), n2)
+
+
 def test_problem_rejects_data_mask_mismatch():
     mask = ObservationMask(np.ones((3, 4, 2), dtype=bool))
     with pytest.raises(ValueError):
@@ -147,6 +153,9 @@ def test_config_validation():
             with pytest.raises(ValueError, match=f"{name} must be .*, got {flag}"):
                 SolverConfig(init_ranks=2, **{name: flag})
     assert SolverConfig(init_ranks=2, max_iter=np.int64(3), t0=np.int32(0), seed=np.uint8(1)).max_iter == 3
+    for epsilon in (True, "no", float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"epsilon must be finite and exceed 0, got {epsilon}"):
+            SolverConfig(init_ranks=2, epsilon=epsilon)
 
 
 # -------------------------------------------------------------------- objective

@@ -36,7 +36,7 @@ from tubal import (
 from tubal.factors import compose_spectral, init_factors, slice_solves
 from tubal.matrix_completion import SIDE_OFF_GAMMA
 from tubal.matrix_completion import solve as msolve
-from tubal.tensor_completion import GAMMA_GUARD, default_geometry, solve
+from tubal.tensor_completion import GAMMA_GUARD, default_geometry, geometry, solve
 
 
 def rand(shape, seed):
@@ -73,21 +73,18 @@ def test_default_geometry_picks_largest_divisor_up_to_cap():
 
 
 def test_config_geometry_fills_missing_side():
-    cfg = DoubleTubalConfig(init_ranks=2, p=20)
-    assert cfg.geometry(10, 8) == (20, 4)
-    cfg = DoubleTubalConfig(init_ranks=2, q=16)
-    assert cfg.geometry(10, 8) == (5, 16)
-    cfg = DoubleTubalConfig(init_ranks=2)
-    assert cfg.geometry(10, 8) == default_geometry(10, 8)
+    assert geometry(20, None, (10, 8)) == (20, 4)
+    assert geometry(None, 16, (10, 8)) == (5, 16)
+    assert geometry(None, None, (10, 8)) == default_geometry(10, 8)
 
 
 def test_config_geometry_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        DoubleTubalConfig(init_ranks=2, p=3).geometry(10, 8)
+        geometry(3, None, (10, 8))
     with pytest.raises(ValueError):
-        DoubleTubalConfig(init_ranks=2, q=7).geometry(10, 8)
+        geometry(None, 7, (10, 8))
     with pytest.raises(ValueError):
-        DoubleTubalConfig(init_ranks=2, p=8, q=8).geometry(10, 8)
+        geometry(8, 8, (10, 8))
 
 
 def test_config_validation():
@@ -98,7 +95,17 @@ def test_config_validation():
             DoubleTubalConfig(init_ranks=2, p=p, q=q)
         with pytest.raises(ValueError, match=f"p and q must be integers >= 1, got p={p}, q={q}"):
             double_tubal_rank(rand((4, 6, 3), 0), p=p, q=q)
-    assert DoubleTubalConfig(init_ranks=2, p=np.int64(4), q=20).geometry(10, 8) == (4, 20)
+    assert geometry(np.int64(4), 20, (10, 8)) == (4, 20)
+    for p, q in (("no", None), (None, float("inf"))):
+        with pytest.raises(ValueError, match="p and q must be integers >= 1"):
+            DoubleTubalConfig(init_ranks=2, p=p, q=q)
+    for gamma0 in (True, "no", float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"gamma0 must be finite and at least 0, got {gamma0}"):
+            DoubleTubalConfig(init_ranks=2, gamma0=gamma0)
+    for adaptive in ("no", float("nan"), float("inf"), 1, None):
+        with pytest.raises(ValueError, match=f"adaptive_gamma must be a bool, got {adaptive}"):
+            DoubleTubalConfig(init_ranks=2, adaptive_gamma=adaptive)
+    assert not DoubleTubalConfig(init_ranks=2, adaptive_gamma=np.False_).adaptive_gamma
 
 
 def test_double_factors_validate_compatibility():
