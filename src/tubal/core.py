@@ -48,6 +48,13 @@ def check_flag(value, name):
         raise ValueError(f"{name} must be a bool, got {value}")
 
 
+def _axis(mode):
+    """The axis of mode 1, 2 or 3 (an integer, not a bool); ValueError for any other mode."""
+    if not (_number(mode, numbers.Integral) and 1 <= mode <= 3):
+        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
+    return mode - 1
+
+
 class SpectralSymmetryError(ValueError):
     """Raised when a spectral object cannot come from a real spatial tensor."""
 
@@ -223,33 +230,29 @@ def mode_unfold(a, mode):
     Element (i1, i2, i3) of the tensor lands in row i_s and column
     sum_{k != s} i_k * prod_{l < k, l != s} n_l of the unfolding.
     """
-    a = _as_tensor3(a)
-    if mode not in (1, 2, 3):
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
-    return np.moveaxis(a, mode - 1, 0).reshape(a.shape[mode - 1], -1, order="F")
+    a, axis = _as_tensor3(a), _axis(mode)
+    return np.moveaxis(a, axis, 0).reshape(a.shape[axis], -1, order="F")
 
 
 def mode_fold(m, mode, dims):
     """Invert mode_unfold for a tensor of shape dims."""
-    if mode not in (1, 2, 3):
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
-    dims = tuple(dims)
-    rest = tuple(d for i, d in enumerate(dims) if i != mode - 1)
+    axis, dims = _axis(mode), tuple(dims)
+    rest = tuple(d for i, d in enumerate(dims) if i != axis)
     m = np.asarray(m)
-    if m.shape != (dims[mode - 1], rest[0] * rest[1]):
+    if m.shape != (dims[axis], rest[0] * rest[1]):
         raise ValueError(f"unfolding shape {m.shape} does not match dims {dims}")
-    return np.moveaxis(m.reshape((dims[mode - 1],) + rest, order="F"), 0, mode - 1)
+    return np.moveaxis(m.reshape((dims[axis],) + rest, order="F"), 0, axis)
 
 
 def mode_product(a, mat, mode):
     """Mode-s product: contract mode s of the tensor with the columns of mat."""
-    a = _as_tensor3(a)
+    a, axis = _as_tensor3(a), _axis(mode)
     mat = np.asarray(mat)
-    if mat.ndim != 2 or mat.shape[1] != a.shape[mode - 1]:
+    if mat.ndim != 2 or mat.shape[1] != a.shape[axis]:
         raise ValueError(
-            f"matrix shape {mat.shape} does not match mode-{mode} size {a.shape[mode - 1]}"
+            f"matrix shape {mat.shape} does not match mode-{mode} size {a.shape[axis]}"
         )
-    return np.moveaxis(np.tensordot(mat, a, axes=([1], [mode - 1])), 0, mode - 1)
+    return np.moveaxis(np.tensordot(mat, a, axes=([1], [axis])), 0, axis)
 
 
 def reshape_matrix_to_tensor(m, n2):
@@ -282,7 +285,8 @@ def tensor_to_matrix(a, h):
     """Concatenate frontal slices horizontally and keep the first h columns."""
     a = _as_tensor3(a)
     n1, n2, n3 = a.shape
-    if not 0 <= h <= n2 * n3:
+    check_count(h, "h")
+    if h > n2 * n3:
         raise ValueError(f"h={h} out of range for {n2 * n3} available columns")
     return a.transpose(0, 2, 1).reshape(n1, n2 * n3)[:, :h].copy()
 
@@ -322,10 +326,11 @@ def fold3_from_reshaped(t, dims):
 def multi_rank(a, tol_rel=1e-10):
     """Numerical rank of every frequency slice.
 
-    A singular value counts while it exceeds tol_rel times the largest
-    singular value of its slice.  Mirrored slices share the rank of their
-    conjugate partner.
+    A singular value counts while it exceeds tol_rel, a real in [0, 1], times
+    the largest singular value of its slice.  Mirrored slices share the rank
+    of their conjugate partner.
     """
+    check_real(tol_rel, "tol_rel", 0, 1)
     spec = dft_mode3(a)
     s = np.linalg.svd(spec.slices.transpose(2, 0, 1), compute_uv=False)
     # an all-zero (or empty) slice counts nothing: no value exceeds tol_rel * 0
@@ -333,9 +338,9 @@ def multi_rank(a, tol_rel=1e-10):
     return MultiRank.from_stored(half, spec.dims[2])
 
 
-def tubal_rank(a, tol_rel=1e-10):
-    """Largest frequency-slice rank."""
-    return multi_rank(a, tol_rel).tubal
+def tubal_rank(a):
+    """Largest frequency-slice rank (multi_rank's tolerance)."""
+    return multi_rank(a).tubal
 
 
 def _rank_array(values):

@@ -14,24 +14,17 @@ from functools import cached_property
 import numpy as np
 
 from .core import MultiRank, _irfft_checked, dft_mode3, half_count, pair_weights
-from .core import check_flag, check_real
+from .core import check_count, check_flag, check_real
 
 
 class SliceSolveCounter:
     """Counts per-slice least-squares solves."""
 
     def __init__(self):
-        self._count = 0
-
-    @property
-    def count(self):
-        return self._count
+        self.count = 0
 
     def reset(self):
-        self._count = 0
-
-    def add(self, n):
-        self._count += n
+        self.count = 0
 
 
 slice_solves = SliceSolveCounter()
@@ -125,8 +118,9 @@ def init_factors(n_rows, n_cols, n3, init_ranks, seed=0):
     """Draw a random factor pair with the requested per-slice ranks.
 
     Spatial factor tensors are sampled i.i.d. N(0, 1/r_max), transformed along
-    mode 3, then each stored slice is truncated to its requested rank.  The
-    same seed always produces the same factors.
+    mode 3, then each stored slice is truncated to its requested rank.  seed is
+    a Generator or a nonnegative integer; the same seed always produces the
+    same factors.
     """
     ranks = as_multirank(init_ranks, n3)
     rmax = ranks.tubal
@@ -134,7 +128,9 @@ def init_factors(n_rows, n_cols, n3, init_ranks, seed=0):
         raise ValueError(
             f"initial rank {rmax} exceeds min(n_rows, n_cols) = {min(n_rows, n_cols)}"
         )
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    if not isinstance(seed, np.random.Generator):
+        check_count(seed, "seed")
+    rng = np.random.default_rng(seed)  # a Generator passes through as itself
     scale = 1.0 / np.sqrt(max(rmax, 1))
     p0 = rng.standard_normal((n_rows, rmax, n3)) * scale
     q0 = rng.standard_normal((rmax, n_cols, n3)) * scale
@@ -200,7 +196,7 @@ def update_left(factors, spec):
     _check_spec(factors, spec)
     q, data = factors.q, np.moveaxis(spec.slices, 2, 0)
     qh = _h(q)
-    slice_solves.add(factors.n_stored)
+    slice_solves.count += factors.n_stored
     ginv = _gram_inv(q @ qh, np.array(factors.ranks.stored()))
     left = data @ (qh @ ginv) if factors.dims[0] > factors.dims[1] else data @ qh @ ginv
     return BlockFactors._stacked(factors.dims, factors.ranks, left, q)
@@ -214,7 +210,7 @@ def update_right(factors, spec):
     _check_spec(factors, spec)
     p, data = factors.p, np.moveaxis(spec.slices, 2, 0)
     ph = _h(p)
-    slice_solves.add(factors.n_stored)
+    slice_solves.count += factors.n_stored
     ginv = _gram_inv(ph @ p, np.array(factors.ranks.stored()))
     right = ginv @ (ph @ data) if factors.dims[0] > factors.dims[1] else ginv @ ph @ data
     return BlockFactors._stacked(factors.dims, factors.ranks, p, right)
@@ -257,7 +253,7 @@ def _rank_cuts(eigvals, ranks, tau):
     return np.where(ratios.max(axis=1) > tau, np.argmax(ratios, axis=1) + 1, 0)
 
 
-def rank_decrease(factors, cfg=RankDecreaseConfig()):
+def rank_decrease(factors, cfg):
     """Detect and apply per-slice rank drops via the Gram eigen-gap test.
 
     For each stored slice the eigenvalues of right_k @ right_k^H are scanned

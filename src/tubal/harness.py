@@ -51,6 +51,10 @@ def generate_mask(dims, ratio, seed=0):
 
 def synth_low_tubal(n1, n2, n3, rank, seed=0):
     """Random tensor with every frequency-slice rank at most `rank`."""
+    for value, name in ((n1, "n1"), (n2, "n2"), (n3, "n3")):
+        check_count(value, name, 1)
+    check_count(rank, "rank")
+    check_count(seed, "seed")
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n1, rank, n3))
     b = rng.standard_normal((rank, n2, n3))

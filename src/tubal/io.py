@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 
-from .core import ObservationMask
+from .core import ObservationMask, check_count
 
 T3_MAGIC = b"T3F1"
 MASK_MAGIC = b"T3M1"
@@ -58,7 +58,8 @@ def save_image(path, img, maxval=255):
     Values are clipped to [0, 1] before scaling; no comments are written.
     """
     img = np.asarray(img, dtype=float)
-    if not 0 < maxval < 65536:
+    check_count(maxval, "maxval", 1)
+    if maxval > 65535:
         raise ValueError(f"maxval {maxval} out of range")
     if img.ndim == 3 and img.shape[2] == 3:
         magic, height, width = b"P6", img.shape[0], img.shape[1]

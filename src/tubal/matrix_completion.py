@@ -291,8 +291,7 @@ class RankGrowth:
             side.factors, side.spec.slices - side.products(), self.ceiling
         )
         if grown:
-            self.falls = 0
-            side.rank_on, side.stable = True, 0
+            self.falls = side.stable = 0
         return grown
 
 
@@ -342,16 +341,16 @@ class _Side:
     """One factorization that the sweep engine fits to the iterate.
 
     A side holds a factor pair; regroup, from the iterate to the tensor it
-    factors (None: the iterate itself), and fold, back; its rank-detection
-    state and the event its cuts are logged as; and its reconstruction (slice
-    products, and their spatial tensor in the iterate's layout), rebuilt only
+    factors (None: the iterate itself), and fold, back; stable, the sweeps in a
+    row its rank detection cut nothing (it runs while below RANK_STABLE_ITERS),
+    and the event its cuts are logged as; and its reconstruction, rebuilt only
     when the factor pair object changes.
     """
 
     def __init__(self, factors, regroup=None, fold=None, event="rank_decrease"):
         self.factors = factors
         self.regroup, self.fold, self.event = regroup, fold, event
-        self.rank_on, self.stable = False, 0
+        self.stable = 0
         self.spec = None  # spectrum of the tensor the next update fits
         self.prev = None  # products of the last accepted sweep
         self._built = self._products = self._spatial = None
@@ -443,7 +442,7 @@ def _sweeps(problem, config, all_sides, gamma=None, adaptive_gamma=False):
     observed_index = _observed_index(problem)
     x = problem.observed.copy()
     for side in sides:
-        side.rank_on = config.rank_cfg.enabled
+        side.stable = 0 if config.rank_cfg.enabled else RANK_STABLE_ITERS
         side.fit(x)
         side.prev = compose_spectral(side.factors)
     tested = True
@@ -466,10 +465,9 @@ def _sweeps(problem, config, all_sides, gamma=None, adaptive_gamma=False):
             side.factors = update_right(side.factors, side.spec)
         event = []
         for side in sides:
-            if side.rank_on:  # on until RANK_STABLE_ITERS sweeps in a row cut nothing
+            if side.stable < RANK_STABLE_ITERS:
                 side.factors, _, changed = rank_decrease(side.factors, config.rank_cfg)
                 side.stable = 0 if changed else side.stable + 1
-                side.rank_on = side.stable < RANK_STABLE_ITERS
                 if changed:
                     event.append(side.event)
         x_new = refill()
@@ -541,14 +539,29 @@ def solve(problem, config):
     return x, matrix, trace
 
 
+def _kkt(sides, gamma, x, problem):
+    """First-order stationarity residuals of the engine's objective at (the sides' factors, x),
+    each over the norm of the observed data: every side's left and right gradient norms (the
+    first side's weighted 1, the second's gamma), the fill's complement-set residual, the
+    observed-set feasibility gap, and the fill's observed-set residual, which the optimal
+    multiplier absorbs."""
+    x = np.asarray(x, float)
+    scale = fro_norm(problem.observed) or 1.0
+    out = []
+    for side, weight in zip(sides, (1.0, gamma)):
+        side.fit(x)
+        residual = side.spec.slices - side.products()
+        out += (weight * np.sqrt(g) / scale for g in gradient_sq(side.factors, residual))
+    fill, on = _fill(sides, gamma), problem.mask.observed
+    return (*out, fro_norm(np.where(on, 0.0, x - fill)) / scale,
+            fro_norm(np.where(on, x - problem.observed, 0.0)) / scale,
+            fro_norm(np.where(on, x - fill, 0.0)) / scale)
+
+
 def kkt_residuals(factors, x, problem):
     """First-order stationarity residuals of the completion objective.
 
     Returns (left-factor residual, right-factor residual, complement-set
     residual), each normalized by the Frobenius norm of the observed data.
     """
-    side = _Side(factors).fit(np.asarray(x, float))
-    r_left, r_right = gradient_sq(factors, side.spec.slices - side.products())
-    off = np.where(problem.mask.observed, 0.0, x - side.spatial())
-    scale = fro_norm(problem.observed) or 1.0
-    return np.sqrt(r_left) / scale, np.sqrt(r_right) / scale, fro_norm(off) / scale
+    return _kkt([_Side(factors)], None, x, problem)[:3]

@@ -18,12 +18,13 @@ from operator import attrgetter
 import numpy as np
 
 from .core import check_count, check_flag, check_real
-from .core import fold3_from_reshaped, fro_norm, multi_rank, reshape_mode3
-from .factors import as_multirank, gradient_sq, init_factors, update_left, update_right
+from .core import fold3_from_reshaped, multi_rank, reshape_mode3
+from .factors import as_multirank, init_factors, update_left, update_right
 from .matrix_completion import GAMMA_GUARD  # noqa: F401 -- part of this module's interface
 from .matrix_completion import (
     SolverConfig,
     _fill,
+    _kkt,
     _observed_index,
     _refill,
     _refit_gamma,
@@ -34,7 +35,7 @@ from .matrix_completion import (
 
 # perfbench/layertrace.py wraps these names in this module's namespace when a traced
 # run starts, so they stay bound here, although the engine in matrix_completion calls them.
-from .core import _irfft_checked, dft_mode3, project  # noqa: F401
+from .core import _irfft_checked, dft_mode3, fro_norm, project  # noqa: F401
 from .factors import compose_spectral, rank_decrease  # noqa: F401
 from .matrix_completion import _blend, _half_weighted_sq, _rel_change  # noqa: F401
 
@@ -101,8 +102,7 @@ class DoubleFactors:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
+        check_real(self.gamma, "gamma", 0)
         n1, n2, n3 = self.f_x.dims
         nt3, p, q = self.f_xt.dims
         if nt3 != n3 or p * q != n1 * n2:
@@ -183,15 +183,15 @@ def solve(problem, config):
     return x, trace
 
 
-def double_tubal_rank(a, p=None, q=None, tol_rel=1e-10):
-    """Tubal ranks of a tensor and of its regrouped form, as a pair.
+def double_tubal_rank(a, p=None, q=None):
+    """Tubal ranks of a tensor and of its regrouped form, as a pair (multi_rank's tolerance).
 
     Defaults to the (p, q) = (n1, n2) regrouping.
     """
     a = np.asarray(a)
     n1, n2, _ = a.shape
     p, q = geometry(n1 if p is None and q is None else p, q, (n1, n2))
-    return multi_rank(a, tol_rel).tubal, multi_rank(reshape_mode3(a, p, q), tol_rel).tubal
+    return multi_rank(a).tubal, multi_rank(reshape_mode3(a, p, q)).tubal
 
 
 @dataclass(frozen=True)
@@ -212,29 +212,9 @@ class KKTResiduals:
 
 
 def kkt_residuals(dfactors, x, problem):
-    """Stationarity residuals of the blended objective at (factors, x).
-
-    The six residuals are the two factor pairs' gradient norms, the
-    complement-set blend residual and the observed-set feasibility gap, all
-    normalized by the norm of the observed data.  The multiplier field
-    reports the observed-set blend residual that the optimal multiplier
-    absorbs.
-    """
-    x = np.asarray(x, float)
-    gamma = dfactors.gamma
-    sides = [side.fit(x) for side in _sides(dfactors.f_x, dfactors.f_xt, problem.dims)]
-    (x_left, x_right), (xt_left, xt_right) = (
-        gradient_sq(side.factors, side.spec.slices - side.products()) for side in sides
-    )
-    blend = _fill(sides, gamma)
-    on = problem.mask.observed
-    scale = fro_norm(problem.observed) or 1.0
-    return KKTResiduals(
-        x_left=np.sqrt(x_left) / scale,
-        x_right=np.sqrt(x_right) / scale,
-        reshaped_left=gamma * np.sqrt(xt_left) / scale,
-        reshaped_right=gamma * np.sqrt(xt_right) / scale,
-        blend_complement=fro_norm(np.where(on, 0.0, x - blend)) / scale,
-        feasibility=fro_norm(np.where(on, x - problem.observed, 0.0)) / scale,
-        multiplier=fro_norm(np.where(on, x - blend, 0.0)) / scale,
-    )
+    """Stationarity residuals of the blended objective at (factors, x), from the engine's
+    one assembly (matrix_completion._kkt): the two factor pairs' gradient norms, the blend's
+    complement-set residual, the feasibility gap, and the blend's observed-set residual that
+    the optimal multiplier absorbs."""
+    sides = _sides(dfactors.f_x, dfactors.f_xt, problem.dims)
+    return KKTResiduals(*_kkt(sides, dfactors.gamma, x, problem))

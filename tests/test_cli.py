@@ -113,6 +113,14 @@ def test_synth_low_tubal_rank_and_determinism():
     assert np.array_equal(a, synth_low_tubal(10, 8, 5, 3, seed=2))
 
 
+def test_synth_low_tubal_rejects_sizes_ranks_and_seeds_outside_the_rules():
+    for args, name in [((0, 4, 3, 2), "n1"), ((4, 2.0, 3, 2), "n2"), ((4, 4, True, 2), "n3"),
+                       ((4, 4, 3, True), "rank"), ((4, 4, 3, 2.0), "rank"),
+                       ((4, 4, 3, 2, -1), "seed"), ((4, 4, 3, 2, True), "seed")]:
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            synth_low_tubal(*args)
+
+
 # ---------------------------------------------------------------------- synth
 
 

@@ -209,6 +209,14 @@ def test_unfold_fold_round_trip():
 def test_unfold_invalid_mode():
     with pytest.raises(ValueError):
         mode_unfold(rand((2, 2, 2), 13), 4)
+    a, m = rand((2, 3, 4), 13), rand((5, 4), 13)
+    for mode in (0, 4, True, 1.0):
+        with pytest.raises(ValueError, match=f"mode must be 1, 2 or 3, got {mode}"):
+            mode_product(a, m, mode)
+        with pytest.raises(ValueError, match=f"mode must be 1, 2 or 3, got {mode}"):
+            mode_unfold(a, mode)
+        with pytest.raises(ValueError, match=f"mode must be 1, 2 or 3, got {mode}"):
+            mode_fold(mode_unfold(a, 1), mode, a.shape)
 
 
 def test_mode_product_identity_and_scalar():
@@ -278,6 +286,9 @@ def test_tensor_to_matrix_width_check():
     x = rand((2, 3, 2), 23)
     with pytest.raises(ValueError):
         tensor_to_matrix(x, 7)
+    for h in (-1, True, 2.5):
+        with pytest.raises(ValueError, match=f"h must be a nonnegative integer, got {h}"):
+            tensor_to_matrix(x, h)
 
 
 def test_regroup_preserves_mode3_unfolding():
@@ -321,6 +332,14 @@ def test_multi_rank_of_gaussian_product():
     assert mr.tubal == 2
     assert mr.ranks == (2, 2, 2, 2)
     assert tubal_rank(tprod(a, b)) == 2
+
+
+def test_multi_rank_rejects_a_tolerance_outside_the_unit_interval():
+    a = np.ones((3, 3, 2))
+    for tol in (-1.0, 1.5, True, float("nan"), "1e-8"):
+        with pytest.raises(ValueError, match="tol_rel must be in"):
+            multi_rank(a, tol)
+    assert multi_rank(a).ranks == multi_rank(a, 1e-8).ranks == (1, 0)
 
 
 def test_multi_rank_is_conjugate_symmetric():

@@ -75,6 +75,14 @@ def test_init_rejects_oversized_rank():
         init_factors(3, 4, 2, 5, seed=0)
 
 
+def test_init_takes_a_generator_or_a_count_as_seed():
+    for seed in (True, -1, 2.0, "1"):
+        with pytest.raises(ValueError, match=f"seed must be a nonnegative integer, got {seed}"):
+            init_factors(4, 4, 3, 2, seed=seed)
+    drawn = init_factors(4, 4, 3, 2, seed=np.random.default_rng(5))
+    assert np.array_equal(drawn.p, init_factors(4, 4, 3, 2, seed=5).p)
+
+
 def test_as_multirank_forms():
     assert as_multirank(3, 4).ranks == (3, 3, 3, 3)
     assert as_multirank([2, 1, 1, 1], 4).ranks == (2, 1, 1, 1)

@@ -213,3 +213,6 @@ def test_save_image_rejects_bad_shapes_and_maxval(tmp_path):
         save_image(path, np.zeros((4, 4)), maxval=0)
     with pytest.raises(ValueError):
         save_image(path, np.zeros((4, 4)), maxval=65536)
+    for maxval in (True, 255.0, 2.5):
+        with pytest.raises(ValueError, match="maxval must be an integer of at least 1"):
+            save_image(path, np.zeros((4, 4)), maxval=maxval)

@@ -34,6 +34,7 @@ from tubal import (
 )
 from tubal.factors import init_factors
 from tubal.matrix_completion import MOMENTUM_CAP, RANK_STABLE_ITERS, RankGrowth, solve
+from tubal.tensor_completion import DoubleTubalConfig, solve as tensor_solve
 
 
 def rand(shape, seed):
@@ -295,6 +296,23 @@ def test_objective_descends_with_and_without_midsweep_refresh():
         _, _, trace = solve(prob, cfg)
         g = trace.objectives()
         assert np.all(np.diff(g) <= 1e-12 * np.maximum(g[:-1], 1.0))
+
+
+def test_disabled_rank_detection_never_runs(monkeypatch):
+    calls, original = [], mc.rank_decrease
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(mc, "rank_decrease", counting)
+    _, prob = easy_problem(seed=14)
+    off = RankDecreaseConfig(enabled=False)
+    solve(prob, SolverConfig(init_ranks=3, seed=0, max_iter=12, rank_cfg=off))
+    tensor_solve(prob, DoubleTubalConfig(init_ranks=3, seed=0, max_iter=12, rank_cfg=off))
+    assert not calls
+    solve(prob, SolverConfig(init_ranks=3, seed=0, max_iter=12))
+    assert calls  # the wrapper does count a run with detection on
 
 
 def test_solver_is_deterministic():

@@ -20,6 +20,7 @@ from tubal import (
     fro_norm,
     generate_mask,
     half_count,
+    matrix_kkt_residuals,
     rel_error,
     reshape_mode3,
     synth_low_tubal,
@@ -113,6 +114,9 @@ def test_double_factors_validate_compatibility():
     d = dfactors_for(prob)
     with pytest.raises(ValueError):
         DoubleFactors(d.f_x, d.f_xt, -1.0)
+    for gamma in (float("nan"), float("inf"), True):
+        with pytest.raises(ValueError, match=f"gamma must be finite and at least 0, got {gamma}"):
+            DoubleFactors(d.f_x, d.f_xt, gamma)
     n1, n2, n3 = prob.dims
     wrong = init_factors(n3 + 1, n1 * n2, 1, 1, seed=0)
     with pytest.raises(ValueError):
@@ -630,6 +634,15 @@ def test_kkt_residuals_match_full_spectrum_oracle():
     want = kkt_oracle(d, x, prob)
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-10 * max(w, 1.0)
+
+
+def test_kkt_at_gamma_zero_is_the_matrix_solvers_on_the_slice_side():
+    _, prob = partial_problem(seed=30, n3=5)
+    d = dfactors_for(prob, gamma=0.0, seed=31)
+    x = update_x_blend(dfactors_for(prob, gamma=0.4, seed=32), prob)
+    res = tensor_kkt_residuals(d, x, prob)
+    assert (res.x_left, res.x_right, res.blend_complement) == matrix_kkt_residuals(d.f_x, x, prob)
+    assert res.reshaped_left == res.reshaped_right == 0.0
 
 
 def test_kkt_structural_residuals_vanish_at_solver_iterates():
