@@ -299,6 +299,8 @@ def reshape_mode3(a, p, q):
     """
     a = _as_tensor3(a)
     n1, n2, n3 = a.shape
+    check_count(p, "p", 1)
+    check_count(q, "q", 1)
     if p * q != n1 * n2:
         raise ValueError(f"p*q = {p * q} must equal n1*n2 = {n1 * n2}")
     # unfolding row i3 is a[:, :, i3] in column-major order: a reshape once modes 1, 2 swap

@@ -102,15 +102,11 @@ class BlockFactors:
 
 def _padded(dims, ranks, p, q):
     """The pair with these ranks from stacks p, q at least as wide, cut to the largest rank
-    and zeroed past each slice's own; p and q are never written, only shared if unchanged."""
+    and zeroed past each slice's own, in new stacks of its own; p and q are never written."""
     stored = np.array(ranks.stored())
     w = stored.max()
     keep = np.arange(w) < stored[:, None]
-    p, q = p[:, :, :w], q[:, :w]
-    if keep.all():
-        p, q = np.ascontiguousarray(p), np.ascontiguousarray(q)
-    else:
-        p, q = np.where(keep[:, None], p, 0), np.where(keep[:, :, None], q, 0)
+    p, q = np.where(keep[:, None], p[:, :, :w], 0), np.where(keep[:, :, None], q[:, :w], 0)
     return BlockFactors._stacked(dims, ranks, p, q)
 
 

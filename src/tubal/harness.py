@@ -39,6 +39,8 @@ def generate_mask(dims, ratio, seed=0):
     The draw is a seeded choice without replacement over flat indices in
     storage order, so a given (dims, ratio, seed) always yields the same mask.
     """
+    for value in dims:
+        check_count(value, "dims", 1)
     check_real(ratio, "ratio", 0, 1)
     check_count(seed, "seed")
     n = int(np.prod(dims))

@@ -70,7 +70,6 @@ def save_image(path, img, maxval=255):
     else:
         raise ValueError(f"cannot save shape {img.shape} as PGM/PPM")
     q = np.floor(np.clip(flat, 0.0, 1.0) * maxval + 0.5).astype(np.uint32)
-    q = np.minimum(q, maxval)
     dtype = ">u2" if maxval > 255 else np.uint8
     payload = q.astype(dtype).tobytes()
     with open(path, "wb") as f:

@@ -63,7 +63,6 @@ RANK_STABLE_ITERS = 5  # rank detection switches off after this many quiet sweep
 PLATEAU = 1e-2  # mean residual ratio this close to 1 triggers rank growth
 RATE_WINDOW = 3  # sweeps averaged into the residual contraction rate
 MOMENTUM_CAP = 0.7  # largest extrapolation weight of a one-side growth sweep
-GAMMA_GUARD = 1e-15  # below this reconstruction residual, gamma stays put
 SIDE_OFF_GAMMA = 0.25  # an adaptive gamma refit below this switches the second side off
 
 
@@ -111,7 +110,7 @@ class CompletionProblem:
         if not mask2d.any():  # checked before the padding adds observed zeros
             raise ValueError("the mask marks no entry as observed")
         h = matrix.shape[1]
-        data, pad = reshape_matrix_to_tensor(np.where(mask2d, matrix, 0.0), n2)
+        data, pad = reshape_matrix_to_tensor(matrix, n2)
         padded_mask = np.pad(mask2d, ((0, 0), (0, pad)), constant_values=True)
         mask_t, _ = reshape_matrix_to_tensor(padded_mask, n2)
         mask = ObservationMask(mask_t, pad_observed_zero=pad > 0)
@@ -331,10 +330,10 @@ def _blend(base, other, gamma):
 def _refit_gamma(sides, observed_index, gamma):
     """The blend weight refit to the two sides' reconstructions a and b:
     ||P_Omega(a - observed)|| / ||P_Omega(b - observed)||, or gamma unchanged
-    when the denominator is below GAMMA_GUARD.  observed_index is _observed_index's pair."""
+    when b fits the observed entries exactly.  observed_index is _observed_index's pair."""
     seen, observed = ~observed_index[0], observed_index[1]
     num, den = (fro_norm((s.spatial() - observed) * seen) for s in sides)
-    return num / den if den >= GAMMA_GUARD else gamma
+    return num / den if den > 0 else gamma
 
 
 class _Side:
@@ -440,7 +439,7 @@ def _sweeps(problem, config, all_sides, gamma=None, adaptive_gamma=False):
     sides = all_sides[:1] if gamma == 0 and not adaptive_gamma else list(all_sides)
     growth = RankGrowth.for_run(problem, sides[0], config.rank_cfg)
     observed_index = _observed_index(problem)
-    x = problem.observed.copy()
+    x = problem.observed
     for side in sides:
         side.stable = 0 if config.rank_cfg.enabled else RANK_STABLE_ITERS
         side.fit(x)

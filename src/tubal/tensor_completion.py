@@ -20,7 +20,6 @@ import numpy as np
 from .core import check_count, check_flag, check_real
 from .core import fold3_from_reshaped, multi_rank, reshape_mode3
 from .factors import as_multirank, init_factors, update_left, update_right
-from .matrix_completion import GAMMA_GUARD  # noqa: F401 -- part of this module's interface
 from .matrix_completion import (
     SolverConfig,
     _fill,
@@ -135,8 +134,8 @@ def update_gamma(dfactors, problem):
     """Refit the blend weight to the observed-entry residuals of the two sides.
 
     New weight is ||masked residual of the slice side|| over ||masked residual
-    of the regrouped side, folded back||; an all-but-zero denominator leaves
-    gamma as is.
+    of the regrouped side, folded back||; a regrouped side that fits the
+    observed entries exactly leaves gamma as is.
     """
     sides = _sides(dfactors.f_x, dfactors.f_xt, problem.dims)
     return _refit_gamma(sides, _observed_index(problem), dfactors.gamma)

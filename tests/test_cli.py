@@ -104,6 +104,9 @@ def test_generate_mask_rejects_bad_ratio():
     for ratio, seed in bad:
         with pytest.raises(ValueError):
             generate_mask((3, 3, 2), ratio, seed=seed)
+    for dims in [(3, 3, True), (3, 3, 2.0), (3, -3, 2)]:
+        with pytest.raises(ValueError, match="dims must be an integer of at least 1"):
+            generate_mask(dims, 0.5)
 
 
 def test_synth_low_tubal_rank_and_determinism():
@@ -475,6 +478,11 @@ def test_metrics_requires_two_inputs(tmp_path, capsys):
     code = main(["metrics", "--input", str(src)])
     assert code == EXIT_INPUT
     assert "error:" in capsys.readouterr().err
+    for command in ("complete-matrix", "complete-tensor"):
+        code = main([command, "--input", str(src), "--input", str(src), "--ratio", "0.5",
+                     "--init-rank", "2"])
+        assert code == EXIT_INPUT
+        assert f"{command} takes exactly one --input" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- parser

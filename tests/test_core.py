@@ -82,6 +82,11 @@ def test_materialized_spectrum_is_conjugate_symmetric():
         assert np.array_equal(full[:, :, (n3 - k) % n3], np.conj(full[:, :, k]))
 
 
+def test_spectrum_shape_must_match_its_dims():
+    with pytest.raises(ValueError, match="stored spectrum has shape"):
+        core.SpectralTensor((3, 3, 4), np.zeros((3, 3, 4), complex))
+
+
 def test_idft_rejects_asymmetric_spectrum():
     spec = dft_mode3(rand((3, 3, 4), 2))
     spec.slices[:, :, 0] += 0.5j  # the zero-frequency slice must stay real
@@ -155,6 +160,10 @@ def test_product_dimension_mismatch():
         tprod(rand((2, 3, 4), 0), rand((2, 2, 4), 1))
     with pytest.raises(ValueError):
         tprod(rand((2, 3, 4), 0), rand((3, 2, 5), 1))
+    with pytest.raises(ValueError, match="left operand must have 3 modes"):
+        tprod(rand((2, 3), 0), rand((3, 2, 4), 1))
+    with pytest.raises(ValueError, match="inner dimensions do not match"):
+        tprod_reference(rand((2, 3, 4), 0), rand((2, 2, 4), 1))
 
 
 def test_bcirc_layout():
@@ -219,6 +228,14 @@ def test_unfold_invalid_mode():
             mode_fold(mode_unfold(a, 1), mode, a.shape)
 
 
+def test_fold_and_mode_product_reject_mismatched_shapes():
+    a = rand((2, 3, 4), 13)
+    with pytest.raises(ValueError, match="does not match dims"):
+        mode_fold(mode_unfold(a, 1), 2, a.shape)
+    with pytest.raises(ValueError, match="does not match mode-3 size 4"):
+        mode_product(a, rand((5, 3), 13), 3)
+
+
 def test_mode_product_identity_and_scalar():
     a = rand((2, 3, 4), 14)
     assert np.allclose(mode_product(a, np.eye(3), 2), a)
@@ -273,6 +290,8 @@ def test_matrix_reshape_rejects_empty():
         reshape_matrix_to_tensor(np.zeros((0, 4)), 2)
     with pytest.raises(ValueError):
         reshape_matrix_to_tensor(np.zeros((4, 0)), 2)
+    with pytest.raises(ValueError, match="expected a matrix"):
+        reshape_matrix_to_tensor(np.zeros((4, 6, 1)), 2)
 
 
 def test_matrix_reshape_rejects_n2_other_than_a_positive_integer():
@@ -312,8 +331,12 @@ def test_regroup_native_geometry_is_a_transpose():
 
 
 def test_regroup_rejects_bad_geometry():
-    with pytest.raises(ValueError):
-        reshape_mode3(rand((2, 3, 4), 27), 4, 2)
+    a = rand((2, 3, 4), 27)
+    for p, q in [(4, 2), (True, 6), (2.0, 3.0), (-2, -3)]:
+        with pytest.raises(ValueError):
+            reshape_mode3(a, p, q)
+    with pytest.raises(ValueError, match="does not match dims"):
+        fold3_from_reshaped(reshape_mode3(a, 3, 2), (2, 3, 5))
 
 
 # --------------------------------------------------------------------- ranks
@@ -354,6 +377,12 @@ def test_multi_rank_constructors_validate_symmetry():
     assert MultiRank.from_stored([3, 2, 1], 4).ranks == (3, 2, 1, 2)
     with pytest.raises(ValueError):
         MultiRank((1, 2, 3, 4))
+    with pytest.raises(ValueError, match="at least one entry"):
+        MultiRank(())
+    with pytest.raises(ValueError, match="ranks must be nonnegative"):
+        MultiRank((1, -1, -1))
+    with pytest.raises(ValueError, match="expected 3 stored ranks, got 2"):
+        MultiRank.from_stored([3, 2], 4)
 
 
 def test_multi_rank_rejects_non_integer_and_bool_ranks():
@@ -383,6 +412,12 @@ def test_project_extremes():
     none = ObservationMask(np.zeros((3, 3, 2), bool))
     assert np.array_equal(project(x, every, m), m)
     assert np.array_equal(project(x, none, m), x)
+
+
+def test_project_rejects_mismatched_shapes():
+    mask = ObservationMask(np.ones((2, 2, 1), bool))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        project(np.zeros((2, 2, 1)), mask, np.ones((2, 2, 2)))
 
 
 def test_project_mixes_by_mask():

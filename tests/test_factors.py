@@ -93,6 +93,20 @@ def test_as_multirank_forms():
 # -------------------------------------------------------------- least squares
 
 
+def test_factor_pairs_reject_mismatched_shapes():
+    f = init_factors(5, 4, 4, 2, seed=6)
+    with pytest.raises(ValueError, match="rank vector length 3 != n3 4"):
+        BlockFactors(f.dims, MultiRank.constant(2, 3), f.left, f.right)
+    with pytest.raises(ValueError, match="must cover every stored slice"):
+        BlockFactors(f.dims, f.ranks, f.left[:2], f.right[:2])
+    with pytest.raises(ValueError, match="rank-2 slice 0 has factors of shapes"):
+        BlockFactors(f.dims, f.ranks, [a.T for a in f.left], f.right)
+    x = dft_mode3(rand((5, 4, 3), 7))
+    for update in (update_left, update_right):
+        with pytest.raises(ValueError, match="data dims"):
+            update(f, x)
+
+
 def test_update_left_orthonormal_rows_shortcut():
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))

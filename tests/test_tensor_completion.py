@@ -7,6 +7,7 @@ import pytest
 
 import tubal.matrix_completion as mc
 from tubal import (
+    BlockFactors,
     CompletionProblem,
     DoubleFactors,
     MultiRank,
@@ -37,7 +38,7 @@ from tubal import (
 from tubal.factors import compose_spectral, init_factors, slice_solves
 from tubal.matrix_completion import SIDE_OFF_GAMMA
 from tubal.matrix_completion import solve as msolve
-from tubal.tensor_completion import GAMMA_GUARD, default_geometry, geometry, solve
+from tubal.tensor_completion import default_geometry, geometry, solve
 
 
 def rand(shape, seed):
@@ -186,6 +187,16 @@ def test_update_gamma_keeps_value_when_regrouped_side_is_exact():
     f_x = init_factors(n1, n2, n3, 2, rng)
     d = DoubleFactors(f_x, f_xt, 0.7)
     assert update_gamma(d, prob) == 0.7
+
+
+@pytest.mark.parametrize("scale", [2.0**-60, 2.0**60], ids=["2^-60", "2^60"])
+def test_update_gamma_does_not_depend_on_units(scale):
+    _, prob = partial_problem(seed=5)
+    d = dfactors_for(prob, gamma=0.7)
+    scaled = lambda f: BlockFactors(f.dims, f.ranks, [a * scale for a in f.left], f.right)  # noqa: E731
+    d_scaled = DoubleFactors(scaled(d.f_x), scaled(d.f_xt), d.gamma)
+    prob_scaled = CompletionProblem.from_tensor(prob.observed * scale, prob.mask)
+    assert update_gamma(d_scaled, prob_scaled) == update_gamma(d, prob) != d.gamma
 
 
 # ------------------------------------------------------------------ objective
