@@ -28,7 +28,8 @@ def _add_solver_options(p, n2_default=None):
     p.add_argument("--eps", dest="epsilon", type=float, help="relative-change stop threshold")
     p.add_argument("--max-iter", type=int, help="sweep limit")
     p.add_argument(
-        "--rank-decrease-tau", type=float, help="eigen-gap threshold for rank drops; 0 disables"
+        "--rank-decrease-tau", type=float,
+        help="eigen-gap threshold for rank drops, checked after every sweep; 0 disables",
     )
 
 

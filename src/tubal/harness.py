@@ -84,7 +84,8 @@ def _seed(args):
 
 
 def _load(path):
-    """Read a .pgm/.ppm image, a .t3 tensor, or a directory of equally sized frames."""
+    """Read a .pgm/.ppm image, a .t3 tensor, or a directory of equally sized frames, as a
+    3-D array (an image's slices are its channels)."""
     if os.path.isdir(path):
         frames = sorted(
             f for f in os.listdir(path) if f.lower().endswith((".pgm", ".ppm"))
@@ -100,7 +101,7 @@ def _load(path):
     if ext == ".t3":
         return load_tensor(path)
     if ext in (".pgm", ".ppm"):
-        return load_image(path)
+        return np.atleast_3d(load_image(path))
     raise ValueError(f"cannot read {path} (use .pgm, .ppm, .t3 or a directory of frames)")
 
 
@@ -177,10 +178,9 @@ def _run_complete_matrix(args):
         raise ValueError("complete-matrix takes exactly one --input")
     path = args.inputs[0]
     matrix = _load(path)
-    if matrix.ndim == 3:
-        if matrix.shape[2] != 1:
-            raise ValueError(f"{path} has n3={matrix.shape[2]}, expected a single-slice input")
-        matrix = matrix[:, :, 0]
+    if matrix.shape[2] != 1:
+        raise ValueError(f"{path} has n3={matrix.shape[2]}, expected a single-slice input")
+    matrix = matrix[:, :, 0]
     _check_outputs(args, matrix)
     mask2d = _mask_for(args, matrix.shape + (1,)).observed[:, :, 0]
     problem = CompletionProblem.from_matrix(matrix, mask2d, args.n2)
@@ -191,7 +191,7 @@ def _run_complete_matrix(args):
 def _run_complete_tensor(args):
     if len(args.inputs) != 1:
         raise ValueError("complete-tensor takes exactly one --input")
-    data = np.atleast_3d(_load(args.inputs[0]))
+    data = _load(args.inputs[0])
     _check_outputs(args, data)
     mask = _mask_for(args, data.shape)
     problem = CompletionProblem.from_tensor(data, mask)

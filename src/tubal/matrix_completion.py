@@ -15,12 +15,11 @@ blended in with weight gamma.  A sweep, written out in _sweeps alone:
    stage one (the first t0 sweeps) the iterate is refilled after every
    factor update, so a side's right update and each later side fit the
    newest refill; in stage two all fit the last sweep's iterate.
-2. Ranks shrink where a Gram eigen-gap shows.
+2. Ranks shrink where a Gram eigen-gap shows, tested on every sweep.
 3. The iterate is refilled from the sides' reconstructions; every side fits it.
 
-The sweep after a rank_increase or a side_off is not stop-tested.  The
-public step functions (update_x, objective, kkt_residuals, and their tensor
-counterparts) are built from the engine's own primitives.
+The public step functions (update_x, objective, kkt_residuals, and their
+tensor counterparts) are built from the engine's own primitives.
 """
 
 import csv
@@ -59,7 +58,6 @@ from .factors import (
     update_right,
 )
 
-RANK_STABLE_ITERS = 5  # rank detection switches off after this many quiet sweeps
 PLATEAU = 1e-2  # mean residual ratio this close to 1 triggers rank growth
 RATE_WINDOW = 3  # sweeps averaged into the residual contraction rate
 MOMENTUM_CAP = 0.7  # largest extrapolation weight of a one-side growth sweep
@@ -222,16 +220,16 @@ class RankGrowth:
     objective cannot tell the truth from other fits, and the eigen-gap test
     finds no gap to cut through.  On that path every slice starts at rank 1
     with the requested ranks as its ceiling, and grows by the leading singular
-    pair of its residual whenever the observed residual plateaus (rank
-    detection then turns back on).  After k one-side sweeps in a row whose
-    observed residual fell, the next sweep fits x + beta * (x - x_prev) with
-    beta = min(MOMENTUM_CAP, (k - 1) / (k + 2)), restarted momentum after
-    O'Donoghue and Candes (a blended sweep's gamma already adapts); a rise, a
-    blended sweep or a growth step restarts it at k = 0.  x and x_prev agree
-    with the data on the observed entries, so the extrapolation does too.  The
-    relative-change stop is scaled by max(1, rho / (1 - rho)), rho being the
-    observed residual's contraction per sweep over the last RATE_WINDOW sweeps,
-    which bounds the remaining distance of a linearly convergent iteration.
+    pair of its residual whenever the observed residual plateaus.  After k
+    one-side sweeps in a row whose observed residual fell, the next sweep fits
+    x + beta * (x - x_prev) with beta = min(MOMENTUM_CAP, (k - 1) / (k + 2)),
+    restarted momentum after O'Donoghue and Candes (a blended sweep's gamma
+    already adapts); a rise, a blended sweep or a growth step restarts it at
+    k = 0.  x and x_prev agree with the data on the observed entries, so the
+    extrapolation does too.  The relative-change stop is scaled by
+    max(1, rho / (1 - rho)), rho being the observed residual's contraction per
+    sweep over the last RATE_WINDOW sweeps, which bounds the remaining
+    distance of a linearly convergent iteration.
     """
 
     def __init__(self, ceiling):
@@ -290,7 +288,7 @@ class RankGrowth:
             side.factors, side.spec.slices - side.products(), self.ceiling
         )
         if grown:
-            self.falls = side.stable = 0
+            self.falls = 0
         return grown
 
 
@@ -340,16 +338,14 @@ class _Side:
     """One factorization that the sweep engine fits to the iterate.
 
     A side holds a factor pair; regroup, from the iterate to the tensor it
-    factors (None: the iterate itself), and fold, back; stable, the sweeps in a
-    row its rank detection cut nothing (it runs while below RANK_STABLE_ITERS),
-    and the event its cuts are logged as; and its reconstruction, rebuilt only
-    when the factor pair object changes.
+    factors (None: the iterate itself), and fold, back; the event its rank cuts
+    are logged as; and its reconstruction, rebuilt only when the factor pair
+    object changes.
     """
 
     def __init__(self, factors, regroup=None, fold=None, event="rank_decrease"):
         self.factors = factors
         self.regroup, self.fold, self.event = regroup, fold, event
-        self.stable = 0
         self.spec = None  # spectrum of the tensor the next update fits
         self.prev = None  # products of the last accepted sweep
         self._built = self._products = self._spatial = None
@@ -430,21 +426,21 @@ def _sweeps(problem, config, all_sides, gamma=None, adaptive_gamma=False):
     The slice side comes first; a second side enters the fill and the
     objective with weight gamma, and is left out at a fixed gamma of 0.  With
     adaptive_gamma, a sweep that another sweep follows refits gamma to the
-    reconstructions that made x; the first refit below SIDE_OFF_GAMMA switches
-    the second side off (event side_off; gamma is then 0).  Only one-side
+    reconstructions that made x; the first refit below SIDE_OFF_GAMMA, or at
+    a second side whose ranks reach its slices' shorter side (it reproduces
+    any data, so its residual rewards nothing), switches that side off (event
+    side_off; gamma is then 0).  Only one-side
     sweeps are extrapolated (RankGrowth), and no sweep is undone.  Every row
-    logs gamma and the second side's ranks.  Sweep order and stop-skip rule:
-    the module docstring.  Returns (x, trace, the gamma whose fill made x).
+    logs gamma and the second side's ranks, and every sweep is stop-tested.
+    Sweep order: the module docstring.  Returns (x, trace, the gamma whose fill made x).
     """
     sides = all_sides[:1] if gamma == 0 and not adaptive_gamma else list(all_sides)
     growth = RankGrowth.for_run(problem, sides[0], config.rank_cfg)
     observed_index = _observed_index(problem)
     x = problem.observed
     for side in sides:
-        side.stable = 0 if config.rank_cfg.enabled else RANK_STABLE_ITERS
         side.fit(x)
         side.prev = compose_spectral(side.factors)
-    tested = True
 
     refill = lambda: _refill(_fill(sides, gamma), observed_index)  # noqa: E731 -- reads gamma when called
 
@@ -464,11 +460,9 @@ def _sweeps(problem, config, all_sides, gamma=None, adaptive_gamma=False):
             side.factors = update_right(side.factors, side.spec)
         event = []
         for side in sides:
-            if side.stable < RANK_STABLE_ITERS:
-                side.factors, _, changed = rank_decrease(side.factors, config.rank_cfg)
-                side.stable = 0 if changed else side.stable + 1
-                if changed:
-                    event.append(side.event)
+            side.factors, _, changed = rank_decrease(side.factors, config.rank_cfg)
+            if changed:
+                event.append(side.event)
         x_new = refill()
         # the sweep's own spectra are spent: replacing them now keeps one set alive
         for side in sides:
@@ -491,13 +485,12 @@ def _sweeps(problem, config, all_sides, gamma=None, adaptive_gamma=False):
         )
         for side in sides:
             side.prev = side.products()
-        stop = tested and (
-            rel < config.epsilon if growth is None else growth.converged(rel, config.epsilon)
-        )
+        stop = rel < config.epsilon if growth is None else growth.converged(rel, config.epsilon)
         if not stop and t < config.max_iter:  # the next sweep's schedule, from the sides that made x
             if adaptive_gamma:
                 gamma = _refit_gamma(sides, observed_index, gamma)
-                if gamma < SIDE_OFF_GAMMA:  # the second side fits the data far worse
+                xt = sides[1].factors  # off if it fits the data far worse, or fits anything
+                if gamma < SIDE_OFF_GAMMA or min(xt.ranks) >= min(xt.dims[:2]):
                     off = sides.pop()
                     off.drop()
                     off.spec = off.prev = None
@@ -508,7 +501,6 @@ def _sweeps(problem, config, all_sides, gamma=None, adaptive_gamma=False):
                     event.append("rank_increase")
                 growth.extrapolate(sides[0])
         row.event = "+".join(event)
-        tested = not {"rank_increase", "side_off"}.intersection(event)
         row.elapsed_ms = (time.perf_counter() - started) * 1e3
         trace.rows.append(row)
         if stop:

@@ -161,8 +161,8 @@ def solve(problem, config):
     RankGrowth, which extrapolates no blended sweep; the regrouped side keeps
     its starting ranks.  That side is left out at a fixed gamma0 of 0, and
     switched off (event side_off) by the first adaptive gamma refit below
-    SIDE_OFF_GAMMA; sweeps without it are the matrix solver's, logged with
-    gamma 0 and that side's last ranks.
+    SIDE_OFF_GAMMA or at full slice rank; sweeps without it are the matrix
+    solver's, logged with gamma 0 and that side's last ranks.
     Returns (x, trace); trace.final_factors has the gamma whose fill made x.
     """
     n1, n2, n3 = problem.dims

@@ -472,6 +472,16 @@ def test_metrics_command_reads_tensor_files(tmp_path, capsys):
     assert abs(float(got["rel_error"]) - 0.1) < 1e-12
 
 
+def test_metrics_scores_an_image_against_its_tensor_file(tmp_path, capsys):
+    # the solvers' .t3 output of a grayscale image is its one-slice tensor
+    image, tensor = tmp_path / "a.pgm", tmp_path / "a.t3"
+    save_image(image, rank2_image(16, 16, seed=15))
+    save_tensor(tensor, load_image(image)[:, :, None])
+    assert main(["metrics", "--input", str(image), "--input", str(tensor)]) == EXIT_OK
+    got = dict(line.split("=") for line in capsys.readouterr().out.split())
+    assert float(got["rel_error"]) == 0.0
+
+
 def test_metrics_requires_two_inputs(tmp_path, capsys):
     src = tmp_path / "a.pgm"
     save_image(src, rank2_image(16, 16, seed=12))

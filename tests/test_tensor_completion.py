@@ -372,6 +372,21 @@ def test_side_off_fires_on_the_first_refit_below_the_bar(monkeypatch):
     assert [r.iteration for r in trace.rows if "side_off" in r.event] == [1]
 
 
+@pytest.mark.parametrize("n3, extra", [
+    (1, {}),
+    (3, dict(init_ranks_xt=3, rank_cfg=RankDecreaseConfig(enabled=False))),
+], ids=["one slice", "three slices"])
+def test_a_regrouped_side_at_full_rank_is_switched_off(n3, extra):
+    # its (n3, 6) slices at rank n3 reproduce any data: a residual of about 0 would
+    # send gamma soaring and hand the iterate back unchanged
+    truth = synth_low_tubal(20, 18, n3, 2, seed=4)
+    mask = generate_mask(truth.shape, 0.6, seed=4)
+    prob = CompletionProblem.from_tensor(truth * mask.observed, mask)
+    x, trace = solve(prob, DoubleTubalConfig(init_ranks=2, **extra))
+    assert "side_off" in trace.rows[0].event
+    assert rel_error(x, truth) < 1e-2
+
+
 def test_the_last_sweep_never_switches_the_side_off():
     _, prob = criterion_5_problem()
     cfg = DoubleTubalConfig(init_ranks=3, p=160, q=10, seed=0, max_iter=3)
@@ -461,12 +476,12 @@ def test_one_sweep_is_the_public_steps_composed():
     for n3, gamma0 in [(4, 1.0), (5, 0.3), (4, 0.0)]:
         _, prob = partial_problem(seed=31 + n3, n3=n3)
         cfg = DoubleTubalConfig(
-            init_ranks=3, init_ranks_xt=2, seed=5, t0=0, gamma0=gamma0, max_iter=2,
+            init_ranks=3, init_ranks_xt=1, seed=5, t0=0, gamma0=gamma0, max_iter=2,
             epsilon=1e-300, rank_cfg=RankDecreaseConfig(enabled=False),
         )
         x_one, _ = solve(prob, replace(cfg, max_iter=1))
         _, trace = solve(prob, cfg)
-        d = dfactors_for(prob, init_ranks=3, init_ranks_xt=2, gamma=gamma0, seed=5)
+        d = dfactors_for(prob, init_ranks=3, init_ranks_xt=1, gamma=gamma0, seed=5)
         spec = dft_mode3(prob.observed)
         d = update_reshaped_factors(
             replace(d, f_x=update_right(update_left(d.f_x, spec), spec)), prob.observed
@@ -488,7 +503,7 @@ def test_solver_rebuilds_only_the_side_whose_factors_changed(monkeypatch):
     monkeypatch.setattr(mc, "compose_spectral", counting)
     _, prob = partial_problem(seed=30)
     cfg = DoubleTubalConfig(
-        init_ranks=3, seed=0, t0=2, max_iter=4, epsilon=1e-300,
+        init_ranks=3, init_ranks_xt=1, seed=0, t0=2, max_iter=4, epsilon=1e-300,
         rank_cfg=RankDecreaseConfig(enabled=False),
     )
     _, trace = solve(prob, cfg)

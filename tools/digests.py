@@ -1,13 +1,20 @@
-"""Print the output digest of every benchmark instance, one line each: workload, seed, digest.
+"""Print the output digest of every benchmark instance, one line each: workload, seed,
+digest, rel_error.
 
-The digests are the ones perfbench/workloads.py's check() takes, on the
-instances of instance_seeds(SEED, n), computed with whichever tubal comes
-first on sys.path and one BLAS thread.  Two trees compare by running this
-once with each tree's src on PYTHONPATH and diffing the output:
+The digests and rel_errors are the ones perfbench/workloads.py's check() takes,
+on the instances of instance_seeds(SEED, n), computed with whichever tubal
+comes first on sys.path and one BLAS thread.  Two trees compare by running
+this once with each tree's src on PYTHONPATH:
 
-    PYTHONPATH=src python tools/digests.py > digests.txt
+    PYTHONPATH=base/src python tools/digests.py > base.txt
+    PYTHONPATH=src python tools/digests.py --against base.txt
+
+With --against, the second run prints how many digests equal the base file's,
+then one "- moved:" line per other instance: workload, seed, and its rel_error
+in the base file and here.
 """
 
+import argparse
 import os
 import sys
 import tempfile
@@ -20,12 +27,33 @@ import tubal  # noqa: E402
 from workloads import WORKLOADS, instance_seeds  # noqa: E402
 
 SEED = 101
+
+
+def results():
+    """(workload, seed, digest, rel_error) of every instance, as strings, one at a time."""
+    with tempfile.TemporaryDirectory() as workdir:
+        for wl in WORKLOADS.values():
+            wl.setup(workdir)
+            entry = wl.entry()
+            for seed in instance_seeds(SEED, wl.instances):
+                inst = wl.prepare(seed)
+                _, err, _, digest = wl.check(inst, wl.call(entry, inst))
+                yield wl.name, str(seed), str(digest), "-" if err is None else f"{err:.6g}"
+
+
+parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+parser.add_argument("--against", metavar="BASE_FILE", help="compare with this script's output")
+args = parser.parse_args()
 print(f"tubal from {os.path.dirname(tubal.__file__)}", file=sys.stderr)
 
-with tempfile.TemporaryDirectory() as workdir:
-    for wl in WORKLOADS.values():
-        wl.setup(workdir)
-        entry = wl.entry()
-        for seed in instance_seeds(SEED, wl.instances):
-            inst = wl.prepare(seed)
-            print(wl.name, seed, wl.check(inst, wl.call(entry, inst))[3], flush=True)
+if args.against is None:
+    for line in results():
+        print(*line, flush=True)
+else:
+    with open(args.against) as f:
+        base = {tuple(words[:2]): words[2:] for words in map(str.split, f)}
+    head = list(results())
+    moved = [(w, s, base[w, s][1], err) for w, s, digest, err in head if base[w, s][0] != digest]
+    print(f"{len(head) - len(moved)} of {len(head)} equal")
+    for w, s, base_err, err in moved:
+        print(f"- moved: {w} {s} {base_err} -> {err}")
