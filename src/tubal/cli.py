@@ -64,7 +64,8 @@ def build_parser():
     pt = sub.add_parser("complete-tensor", help="complete a partially observed tensor")
     _add_solver_options(pt)
     _add_data_options(pt)
-    pt.add_argument("--init-rank-xt", dest="init_ranks_xt", help="ranks for the regrouped side")
+    pt.add_argument("--init-rank-xt", dest="init_ranks_xt", help="ranks for the regrouped side "
+                    "(default: the slice side's starting tubal rank, capped by the geometry)")
     pt.add_argument("--p", type=int, help="rows of the regrouped tensor")
     pt.add_argument("--q", type=int, help="slices of the regrouped tensor")
     pt.add_argument("--gamma0", type=float, help="initial blend weight")

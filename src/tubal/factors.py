@@ -289,16 +289,6 @@ def can_interpolate(dims, ranks, n_observed):
     return sum(r * (n_rows + n_cols - r) for r in ranks) >= n_observed
 
 
-def truncate_ranks(factors, ranks):
-    """Keep the leading ranks[k] columns and rows of every stored slice (at most its
-    rank); factors itself when no slice's rank changes."""
-    stored = np.minimum(ranks.stored(), factors.ranks.stored())
-    if (stored == factors.ranks.stored()).all():
-        return factors
-    ranks = MultiRank.from_stored(stored, factors.dims[2])
-    return _padded(factors.dims, ranks, factors.p, factors.q)
-
-
 def grow_ranks(factors, residual, ceiling):
     """Raise by one the rank of every stored slice below its ceiling.
 

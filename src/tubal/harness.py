@@ -117,7 +117,10 @@ def _mask_for(args, dims):
 
 
 def _check_outputs(args, reference):
-    """Raise ValueError when --metrics-out cannot score against reference or --output hold it."""
+    """Raise ValueError when an output has no directory, or cannot hold or score reference."""
+    for path in (args.output, args.trace_path, args.metrics_out):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"the directory of {path} does not exist")
     if args.metrics_out:
         check_reference(reference)
     path = args.output

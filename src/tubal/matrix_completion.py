@@ -3,8 +3,8 @@ the sweep engine that the tensor solver shares.
 
 The observed matrix is folded into a third-order tensor of consecutive column
 blocks and factored per frequency slice.  Per-slice ranks shrink on the fly
-when the factor Gram spectrum shows a clear gap.  A start with enough factor
-capacity to interpolate the data instead grows its ranks from 1 (RankGrowth).
+when the factor Gram spectrum shows a clear gap.  Ranks able to interpolate the
+data are instead a ceiling that ranks grow to from 1 (_start, RankGrowth).
 
 The sweep engine (_sweeps) runs over a list of sides (_Side): factor pairs
 fitted to the same iterate, each through its own regrouping of it.  This
@@ -46,6 +46,7 @@ from .core import (
 )
 from .factors import (
     RankDecreaseConfig,
+    as_multirank,
     can_interpolate,
     compose,  # noqa: F401 -- bound for perfbench/layertrace.py, which wraps it here
     compose_spectral,
@@ -53,7 +54,6 @@ from .factors import (
     grow_ranks,
     init_factors,
     rank_decrease,
-    truncate_ranks,
     update_left,
     update_right,
 )
@@ -130,14 +130,12 @@ class SolverConfig:
     "4,2*".  t0 is the last sweep that refreshes the iterate mid-sweep;
     epsilon is the relative-change stopping threshold.
 
-    With rank detection on (rank_cfg.enabled), a start whose factors carry at
-    least as many real degrees of freedom as there are observed entries,
-    sum over all n3 slices of r_k * (n1 + n2 - r_k), would interpolate the
-    data.  There init_ranks is a ceiling: ranks start at 1 and grow (see
-    RankGrowth), and epsilon bounds the relative change scaled by
-    max(1, rho / (1 - rho)), rho being the observed residual's recent
-    contraction per sweep.  Below that line init_ranks is the start and
-    epsilon bounds the plain relative change.
+    With rank detection on (rank_cfg.enabled), init_ranks whose factors could
+    interpolate the data (factors.can_interpolate) are a ceiling: every slice
+    starts at rank 1 (_start) and grows (RankGrowth), and epsilon bounds the
+    relative change scaled by max(1, rho / (1 - rho)), rho being the observed
+    residual's recent contraction per sweep.  Otherwise init_ranks is the start
+    and epsilon bounds the plain relative change.
     """
 
     init_ranks: object
@@ -213,14 +211,12 @@ class SolverTrace:
 
 
 class RankGrowth:
-    """Sweep schedule for a starting factor pair that can interpolate the data.
+    """Sweep schedule of a slice side that _start began at rank 1 under a ceiling.
 
-    When the requested ranks carry at least as many degrees of freedom as
-    there are observed entries, the fit interpolates the observations, the
-    objective cannot tell the truth from other fits, and the eigen-gap test
-    finds no gap to cut through.  On that path every slice starts at rank 1
-    with the requested ranks as its ceiling, and grows by the leading singular
-    pair of its residual whenever the observed residual plateaus.  After k
+    Requested ranks that could interpolate the observations leave the objective
+    unable to tell the truth from other fits, and the eigen-gap test no gap to cut
+    through; so each slice grows from rank 1 toward its ceiling, by the leading
+    singular pair of its residual whenever the observed residual plateaus.  After k
     one-side sweeps in a row whose observed residual fell, the next sweep fits
     x + beta * (x - x_prev) with beta = min(MOMENTUM_CAP, (k - 1) / (k + 2)),
     restarted momentum after O'Donoghue and Candes (a blended sweep's gamma
@@ -238,18 +234,6 @@ class RankGrowth:
         self._prev = None  # the last iterate's spectrum
         self._residual = None
         self._ratios = []
-
-    @classmethod
-    def for_run(cls, problem, side, rank_cfg):
-        """The schedule for a slice side's starting ranks, or None below the capacity line.
-
-        Above it, the side is cut down to rank 1 per slice.
-        """
-        ranks = side.factors.ranks
-        if not (rank_cfg.enabled and can_interpolate(problem.dims, ranks, problem.mask.count)):
-            return None
-        side.factors = truncate_ranks(side.factors, MultiRank([min(1, r) for r in ranks]))
-        return cls(ranks.stored())
 
     def record(self, residual, one_side=True):
         """Log a sweep's residual norm sqrt(2 * objective): the observed residual
@@ -420,7 +404,19 @@ def objective(factors, x):
     return _weighted_misfit([side], None, attrgetter("spec.slices"))
 
 
-def _sweeps(problem, config, all_sides, gamma=None, adaptive_gamma=False):
+def _start(problem, config):
+    """A run's (starting ranks, growth ceiling), decided before any factors are drawn: rank 1
+    per slice (0 stays 0) under init_ranks' stored ranks when rank detection is on and init_ranks
+    could interpolate the data (can_interpolate), else (init_ranks, None)."""
+    ranks, n = as_multirank(config.init_ranks, problem.dims[2]), min(problem.dims[:2])
+    if ranks.tubal > n:  # init_factors' check, which a start of rank 1 would pass
+        raise ValueError(f"initial rank {ranks.tubal} exceeds min(n1, n2) = {n}")
+    if not (config.rank_cfg.enabled and can_interpolate(problem.dims, ranks, problem.mask.count)):
+        return ranks, None
+    return MultiRank([min(1, r) for r in ranks]), ranks.stored()
+
+
+def _sweeps(problem, config, all_sides, ceiling, gamma=None, adaptive_gamma=False):
     """The sweep engine of both solvers, over sides fitted to one iterate.
 
     The slice side comes first; a second side enters the fill and the
@@ -429,13 +425,13 @@ def _sweeps(problem, config, all_sides, gamma=None, adaptive_gamma=False):
     reconstructions that made x; the first refit below SIDE_OFF_GAMMA, or at
     a second side whose ranks reach its slices' shorter side (it reproduces
     any data, so its residual rewards nothing), switches that side off (event
-    side_off; gamma is then 0).  Only one-side
-    sweeps are extrapolated (RankGrowth), and no sweep is undone.  Every row
+    side_off; gamma is then 0).  A ceiling (_start) puts the slice side on
+    RankGrowth, which extrapolates one-side sweeps only; no sweep is undone.  Every row
     logs gamma and the second side's ranks, and every sweep is stop-tested.
     Sweep order: the module docstring.  Returns (x, trace, the gamma whose fill made x).
     """
     sides = all_sides[:1] if gamma == 0 and not adaptive_gamma else list(all_sides)
-    growth = RankGrowth.for_run(problem, sides[0], config.rank_cfg)
+    growth = None if ceiling is None else RankGrowth(ceiling)
     observed_index = _observed_index(problem)
     x = problem.observed
     for side in sides:
@@ -521,8 +517,9 @@ def solve(problem, config):
         original width.
     trace : SolverTrace
     """
-    sides = [_Side(init_factors(*problem.dims, config.init_ranks, config.seed))]
-    x, trace, _ = _sweeps(problem, config, sides)
+    start, ceiling = _start(problem, config)
+    sides = [_Side(init_factors(*problem.dims, start, config.seed))]
+    x, trace, _ = _sweeps(problem, config, sides, ceiling)
     trace.final_factors = sides[0].factors
     matrix = None
     if problem.original_width is not None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import check_count, check_flag, check_real
 from .core import fold3_from_reshaped, multi_rank, reshape_mode3
-from .factors import as_multirank, init_factors, update_left, update_right
+from .factors import init_factors, update_left, update_right
 from .matrix_completion import (
     SolverConfig,
     _fill,
@@ -28,6 +28,7 @@ from .matrix_completion import (
     _refill,
     _refit_gamma,
     _Side,
+    _start,
     _sweeps,
     _weighted_misfit,
 )
@@ -74,9 +75,9 @@ class DoubleTubalConfig(SolverConfig):
     """Settings for the blended two-factorization solver.
 
     init_ranks_xt gives per-slice ranks for the regrouped side (length q);
-    when omitted it is the tubal rank of init_ranks, capped by the regrouped
-    geometry.  p and q fix the regrouping; both default from
-    default_geometry.
+    when omitted it is the tubal rank of the slice side's start (1 on the
+    growth path, see SolverConfig), capped by the regrouped geometry.  p and
+    q fix the regrouping; both default from default_geometry.
     """
 
     init_ranks_xt: object = None
@@ -156,28 +157,28 @@ def objective(dfactors, x):
 def solve(problem, config):
     """Blended alternating least-squares completion: the sweep engine on two sides.
 
-    Each sweep refits the slice factors, then the regrouped ones.  When the
-    slice factors could interpolate the data, the slice side follows
-    RankGrowth, which extrapolates no blended sweep; the regrouped side keeps
-    its starting ranks.  That side is left out at a fixed gamma0 of 0, and
-    switched off (event side_off) by the first adaptive gamma refit below
-    SIDE_OFF_GAMMA or at full slice rank; sweeps without it are the matrix
-    solver's, logged with gamma 0 and that side's last ranks.
-    Returns (x, trace); trace.final_factors has the gamma whose fill made x.
+    Each sweep refits the slice factors, then the regrouped ones.  Where the
+    slice factors could interpolate the data, the slice side grows from rank 1
+    (RankGrowth, which extrapolates no blended sweep).  The regrouped side keeps
+    its starting ranks, by default the slice side's starting tubal rank; it is
+    left out at a fixed gamma0 of 0, and switched off (event side_off) by the
+    first adaptive gamma refit below SIDE_OFF_GAMMA or at full slice rank;
+    sweeps without it are the matrix solver's, logged with gamma 0 and that
+    side's last ranks.  Returns (x, trace); trace.final_factors has the gamma
+    whose fill made x.
     """
     n1, n2, n3 = problem.dims
     p, q = geometry(config.p, config.q, (n1, n2))
     rng = np.random.default_rng(config.seed)
+    start, ceiling = _start(problem, config)
     ranks_xt = config.init_ranks_xt
-    if ranks_xt is None:  # the tubal rank of init_ranks, capped by the regrouped geometry
-        ranks_xt = max(min(as_multirank(config.init_ranks, n3).tubal, n3, p), 1)
+    if ranks_xt is None:  # the slice side's starting tubal rank, capped by the regrouped geometry
+        ranks_xt = max(min(start.tubal, n3, p), 1)
     # the initial factors go straight into the sides: a local here would hold them all run
-    sides = _sides(
-        init_factors(n1, n2, n3, config.init_ranks, rng),
-        init_factors(n3, p, q, ranks_xt, rng),
-        problem.dims,
-    )
-    x, trace, gamma = _sweeps(problem, config, sides, float(config.gamma0), config.adaptive_gamma)
+    sides = _sides(init_factors(n1, n2, n3, start, rng), init_factors(n3, p, q, ranks_xt, rng),
+                   problem.dims)
+    x, trace, gamma = _sweeps(problem, config, sides, ceiling, float(config.gamma0),
+                              config.adaptive_gamma)
     trace.final_factors = DoubleFactors(sides[0].factors, sides[1].factors, gamma)
     return x, trace
 

@@ -644,6 +644,22 @@ def test_metrics_are_checked_before_the_solve(tmp_path, capsys, monkeypatch, com
     assert not any(path.exists() for path in (out, trace, metrics))
 
 
+@pytest.mark.parametrize("option", ["--output", "--trace", "--metrics-out"])
+def test_output_directories_are_checked_before_the_solve(tmp_path, capsys, monkeypatch, option):
+    monkeypatch.setattr(harness, "solve_matrix", lambda *a: pytest.fail("solver was run"))
+    src = tmp_path / "in.pgm"
+    save_image(src, rank2_image(16, 16))
+    names = {"--output": "out.pgm", "--trace": "trace.csv", "--metrics-out": "metrics.csv"}
+    names[option] = "nodir/" + names[option]
+    argv = ["complete-matrix", "--input", str(src), "--ratio", "0.7", "--n2", "8",
+            "--init-rank", "2"]
+    for flag, name in names.items():
+        argv += [flag, str(tmp_path / name)]
+    assert main(argv) == EXIT_INPUT
+    assert "nodir" in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["in.pgm"]
+
+
 def test_missing_input_file_exits_cleanly(tmp_path, capsys):
     code = main(
         ["complete-matrix", "--input", str(tmp_path / "nope.pgm"),

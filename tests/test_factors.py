@@ -24,7 +24,7 @@ from tubal import (
     update_right,
 )
 import tubal.factors
-from tubal.factors import GRAM_COND, _gram_inv, _h, can_interpolate, grow_ranks, slice_solves, truncate_ranks
+from tubal.factors import GRAM_COND, _gram_inv, _h, can_interpolate, grow_ranks, slice_solves
 
 
 def rand(shape, seed):
@@ -342,15 +342,6 @@ def test_can_interpolate_counts_real_degrees_of_freedom():
     assert can_interpolate((50, 10, 10), MultiRank.constant(3, 10), 1710)
 
 
-def test_truncate_ranks_keeps_leading_columns():
-    f = init_factors(7, 6, 5, 4, seed=30)
-    out = truncate_ranks(f, MultiRank((1, 2, 3, 3, 2)))
-    assert out.ranks.stored() == (1, 2, 3)
-    for k, r in enumerate((1, 2, 3)):
-        assert np.array_equal(out.left[k], f.left[k][:, :r])
-        assert np.array_equal(out.right[k], f.right[k][:r, :])
-
-
 def test_grow_ranks_adds_the_leading_residual_direction_under_the_ceiling():
     a, b = rand((7, 3, 4), 31), rand((3, 6, 4), 32)
     x = dft_mode3(tprod(a, b))
@@ -618,7 +609,6 @@ def library_pairs():
         "update_left": update_left(f, x),
         "update_right": update_right(f, x),
         "rank_decrease": rank_decrease(update_right(f, x), RankDecreaseConfig(tau=1.5))[0],
-        "truncate_ranks": truncate_ranks(f, MultiRank.from_stored([2, 1, 1, 2, 1], 8)),
         "grow_ranks": grow_ranks(f, x.slices - compose_spectral(f), (4, 2, 3, 2, 2))[0],
     }
 

@@ -473,6 +473,13 @@ def test_interpolating_start_keeps_its_ranks_without_rank_detection():
     assert all(r.ranks == MultiRank.constant(8, 10) and r.event == "" for r in trace.rows)
 
 
+def test_an_interpolating_ceiling_above_the_slice_size_is_refused():
+    # rank 12 on 50 x 10 slices could interpolate, so the run would start at rank 1
+    _, prob = interpolating_problem()
+    with pytest.raises(ValueError, match="initial rank 12 exceeds"):
+        solve(prob, SolverConfig(init_ranks=12))
+
+
 def test_rank_growth_momentum_follows_its_schedule_and_restarts():
     growth = RankGrowth((3, 3, 3))
     betas = []

@@ -52,7 +52,7 @@ from tubal import (  # noqa: E402
 )
 from tubal import core  # noqa: E402
 from tubal.core import _half_weighted_sq, _irfft_checked  # noqa: E402
-from tubal.factors import grow_ranks, truncate_ranks  # noqa: E402
+from tubal.factors import _padded, grow_ranks  # noqa: E402
 
 from test_factors import assert_padded, assert_slices_close, reference_rank_decrease  # noqa: E402
 
@@ -272,22 +272,6 @@ def _check_edit(before, after, untouched):
 @given(dims, dims, depths, seeds)
 @example(3, 4, 1, 0)
 @example(3, 4, 2, 0)
-@example(4, 4, 5, 0)
-def test_truncate_ranks_keeps_leading_parts_and_matching_shapes(n1, n2, n3, seed):
-    rng = np.random.default_rng(seed)
-    f = _random_factors(rng, n1, n2, n3)
-    target = [int(rng.integers(0, r + 1)) for r in f.ranks.stored()]
-    out = truncate_ranks(f, MultiRank.from_stored(target, n3))
-    assert out.ranks.stored() == tuple(target)
-    _check_edit(f, out, [k for k, r in enumerate(f.ranks.stored()) if target[k] == r])
-    for k, r in enumerate(target):
-        assert np.array_equal(out.left[k], f.left[k][:, :r])
-        assert np.array_equal(out.right[k], f.right[k][:r, :])
-
-
-@given(dims, dims, depths, seeds)
-@example(3, 4, 1, 0)
-@example(3, 4, 2, 0)
 @example(4, 4, 6, 0)
 def test_grow_ranks_raises_only_slices_below_their_ceiling(n1, n2, n3, seed):
     rng = np.random.default_rng(seed)
@@ -328,7 +312,7 @@ def test_rank_decrease_cuts_to_matching_shapes_and_leaves_other_slices(n1, n2, n
 @example(4, 4, 4, 34)  # every stored rank 0
 def test_rank_group_stacks_match_the_per_slice_references(n1, n2, n3, seed):
     """Random stored ranks (0 allowed, equal ranks interleaved): a pair built from
-    lists, the same pair rebuilt by grow_ranks and truncate_ranks, and that pair after
+    lists, the same pair rebuilt by grow_ranks and _padded, and that pair after
     a round of updates and a rank cut, each against the per-slice formulas and each
     with exact zeros past every slice's rank in its padded stacks."""
     rng = np.random.default_rng(seed)
@@ -343,7 +327,7 @@ def test_rank_group_stacks_match_the_per_slice_references(n1, n2, n3, seed):
     )
     grown, _ = grow_ranks(listed, cplx(n1, n2, len(stored)), [r + 1 for r in stored])
     assert_padded(grown)
-    rebuilt = truncate_ranks(grown, listed.ranks)
+    rebuilt = _padded(grown.dims, listed.ranks, grown.p, grown.q)
     assert_slices_close(rebuilt.left + rebuilt.right, listed.left + listed.right)
     spec = dft_mode3(rng.standard_normal((n1, n2, n3)))
     d = [spec.slices[:, :, k] for k in range(len(stored))]

@@ -298,6 +298,19 @@ def test_interpolating_start_grows_slice_ranks_only():
     assert fro_norm(x - truth) / fro_norm(truth) <= 1e-3
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_regrouped_default_follows_the_slice_start(seed):
+    # the criterion-4 instance at rank 8 grows its slice side from rank 1; a regrouped
+    # default taken from the rank-8 ceiling (4,800 degrees of freedom against 3,000
+    # observed entries) interpolated the data and ended the run near rel_error 0.5
+    truth = synth_low_tubal(50, 10, 10, 3, seed)
+    mask = generate_mask(truth.shape, 0.6, seed)
+    prob = CompletionProblem.from_tensor(truth * mask.observed, mask)
+    x, trace = solve(prob, DoubleTubalConfig(init_ranks=8, seed=seed))
+    assert trace.rows[0].ranks_xt == MultiRank.constant(1, 50)
+    assert rel_error(x, truth) < 1e-3
+
+
 def test_fixed_gamma_objective_descends_in_plain_ordering():
     from tubal import RankDecreaseConfig
 

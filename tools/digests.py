@@ -3,7 +3,11 @@ digest, rel_error.
 
 The digests and rel_errors are the ones perfbench/workloads.py's check() takes,
 on the instances of instance_seeds(SEED, n), computed with whichever tubal
-comes first on sys.path and one BLAS thread.  Two trees compare by running
+comes first on sys.path and one BLAS thread.  No workload runs the growth path
+(a start that could interpolate the data, grown from rank 1), so growth-matrix
+and growth-tensor lines follow: the matrix solver and the default tensor solver
+on criterion 4's instance at init_ranks=8, seeds 0-4, each digest taken over x
+and the trace's objective/rel_change history.  Two trees compare by running
 this once with each tree's src on PYTHONPATH:
 
     PYTHONPATH=base/src python tools/digests.py > base.txt
@@ -23,8 +27,9 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"  # before NumPy loads its BLAS
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(1, os.path.join(ROOT, "perfbench"))  # after this directory, before PYTHONPATH
+import numpy as np  # noqa: E402
 import tubal  # noqa: E402
-from workloads import WORKLOADS, instance_seeds  # noqa: E402
+from workloads import WORKLOADS, _digest, instance_seeds  # noqa: E402
 
 SEED = 101
 
@@ -39,6 +44,16 @@ def results():
                 inst = wl.prepare(seed)
                 _, err, _, digest = wl.check(inst, wl.call(entry, inst))
                 yield wl.name, str(seed), str(digest), "-" if err is None else f"{err:.6g}"
+    solvers = {"growth-matrix": (tubal.complete_matrix, tubal.SolverConfig),
+               "growth-tensor": (tubal.complete_tensor, tubal.DoubleTubalConfig)}
+    for seed in range(5):  # criterion 4's instance: a 50 x 100 matrix folded at n2 = 10
+        truth = tubal.synth_low_tubal(50, 10, 10, 3, seed)
+        mask = tubal.generate_mask((50, 100, 1), 0.6, seed).observed[:, :, 0]
+        problem = tubal.CompletionProblem.from_matrix(tubal.tensor_to_matrix(truth, 100), mask, 10)
+        for name, (solve, config) in solvers.items():
+            x, *_, trace = solve(problem, config(init_ranks=8, seed=seed))
+            history = np.array([(r.objective, r.rel_change) for r in trace.rows])
+            yield name, str(seed), _digest(x, history), f"{tubal.rel_error(x, truth):.6g}"
 
 
 parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
