@@ -315,14 +315,19 @@ def reshape_mode3(a, p, q):
 def fold3_from_reshaped(t, dims):
     """Invert reshape_mode3 back to a tensor of shape dims = (n1, n2, n3).
 
-    Returns a strided view (of t or of one regrouped copy of it): copy it before
-    writing into it.
+    Returns a new C-contiguous array, moved as reshape_mode3 moves it but in reverse order:
+    the axis reversal a cache-sized block of p at a time, then modes 1 and 2 swapped back.
     """
     t = _as_tensor3(t)
     n1, n2, n3 = dims
-    if t.shape[0] != n3 or t.shape[1] * t.shape[2] != n1 * n2:
+    _, p, q = t.shape
+    if t.shape[0] != n3 or p * q != n1 * n2:
         raise ValueError(f"reshaped tensor {t.shape} does not match dims {dims}")
-    return t.transpose(0, 2, 1).reshape(n3, n2, n1).transpose(2, 1, 0)
+    b = np.empty((q, p, n3), t.dtype)
+    step = max(1, BLOCK // max(1, q * n3))
+    for i in range(0, p, step):
+        b[:, i : i + step] = t[:, i : i + step].transpose(2, 1, 0)
+    return np.ascontiguousarray(b.reshape(n2, n1, n3).transpose(1, 0, 2))
 
 
 def multi_rank(a, tol_rel=1e-10):

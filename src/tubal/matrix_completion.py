@@ -16,7 +16,15 @@ blended in with weight gamma.  A sweep, written out in _sweeps alone:
    factor update, so a side's right update and each later side fit the
    newest refill; in stage two all fit the last sweep's iterate.
 2. Ranks shrink where a Gram eigen-gap shows, tested on every sweep.
-3. The iterate is refilled from the sides' reconstructions; every side fits it.
+3. The iterate is refilled from the sides' reconstructions, and the slice side
+   fits it.  The regrouped side fits the same fill only when a stage-two sweep
+   follows; a stage-one sweep refits it from a fresh fill first.
+
+Every fill is built in the layout of the side that fits it, from the sides'
+reconstructions in that layout (_Side.seen_by), each moved between layouts
+once per factor change; blend and refill act entry by entry, so the regrouped
+side's fill is the regrouped iterate's.  The one regroup of the iterate is
+the closing fit before a stage-two sweep, where it is cheaper than a fill.
 
 The public step functions (update_x, objective, kkt_residuals, and their
 tensor counterparts) are built from the engine's own primitives.
@@ -321,10 +329,12 @@ def _refit_gamma(sides, observed_index, gamma):
 class _Side:
     """One factorization that the sweep engine fits to the iterate.
 
-    A side holds a factor pair; regroup, from the iterate to the tensor it
-    factors (None: the iterate itself), and fold, back; the event its rank cuts
-    are logged as; and its reconstruction, rebuilt only when the factor pair
-    object changes.
+    A side holds a factor pair; regroup, from the iterate's layout to its own (None: the
+    iterate's layout), and fold, back; the event its rank cuts are logged as; observed, the
+    engine's (unobserved pattern, observed data) pair in its own layout; and its
+    reconstruction, rebuilt only when the factor pair object changes: in its own layout (the
+    inverse transform), folded into the iterate's (a C-ordered copy), and regrouped into
+    another side's (the regrouped side's fills read the slice side's reconstruction so).
     """
 
     def __init__(self, factors, regroup=None, fold=None, event="rank_decrease"):
@@ -332,18 +342,18 @@ class _Side:
         self.regroup, self.fold, self.event = regroup, fold, event
         self.spec = None  # spectrum of the tensor the next update fits
         self.prev = None  # products of the last accepted sweep
-        self._built = self._products = self._spatial = None
+        self.observed = None
+        self.drop()
 
     def fit(self, x):
-        """Make x, in the iterate's layout, the tensor the next update fits."""
-        if self.regroup is not None:
-            x = self.regroup(x)  # rebinding x frees a caller's temporary before the transform
+        """Make x, in this side's own layout, the tensor the next update fits."""
+        self.spec = None  # the old spectrum goes before its successor's transform
         self.spec = dft_mode3(x)
         return self
 
     def drop(self):
-        """Forget the reconstruction."""
-        self._built = self._products = self._spatial = None
+        """Forget the reconstruction, in every layout."""
+        self._built = self._products = self._own = self._spatial = self._regrouped = None
 
     def products(self):
         """Stored slice products of the current factors."""
@@ -353,26 +363,59 @@ class _Side:
             self._built = self.factors
         return self._products
 
+    def own(self):
+        """The reconstruction in this side's own layout."""
+        products = self.products()
+        if self._own is None:
+            self._own = _irfft_checked(products, self.factors.dims[2], tol=1e-9)
+        return self._own
+
     def spatial(self):
         """The reconstruction in the iterate's layout."""
-        products = self.products()
+        own = self.own()
+        if self.fold is None:
+            return own
         if self._spatial is None:
-            spatial = _irfft_checked(products, self.factors.dims[2], tol=1e-9)
-            self._spatial = spatial if self.fold is None else self.fold(spatial)
+            self._spatial = self.fold(own)
         return self._spatial
 
+    def seen_by(self, side):
+        """The reconstruction in side's own layout."""
+        if side is self:
+            return self.own()
+        spatial = self.spatial()
+        if side.regroup is None:
+            return spatial
+        if self._regrouped is None:
+            self._regrouped = side.regroup(spatial)
+        return self._regrouped
 
-def _fill(sides, gamma):
-    """The tensor that refills the iterate, as an array the caller owns.
 
-    Two sides give their gamma blend.  A lone side hands over its reconstruction
-    uncopied: its factors change before any later build, so nothing would reuse it.
+def _fill(sides, gamma, side):
+    """The tensor that refills side's own layout of the iterate, as an array the caller owns.
+
+    Two sides give their gamma blend, each reconstruction taken in side's layout; blend and
+    refill act entry by entry, so a regrouped fill is the regrouped iterate-layout fill.
+    A lone side hands over its reconstruction uncopied: its factors change before any later
+    build, so nothing would reuse it.
     """
     if len(sides) == 1:
-        spatial, sides[0]._spatial = sides[0].spatial(), None  # the next call rebuilds it
-        return spatial
-    base, other = sides
-    return _blend(base.spatial(), other.spatial(), gamma)
+        own, side._own = side.own(), None  # the next call rebuilds it
+        return own
+    base, other = (s.seen_by(side) for s in sides)
+    return _blend(base, other, gamma)
+
+
+def _sq_dist(a, b):
+    """||a - b||^2 of two arrays of one shape, summed per index of the first axis a
+    cache-sized block at a time, so the sum does not depend on core.BLOCK."""
+    a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
+    step = max(1, core.BLOCK // max(1, a.shape[1]))
+    per = np.empty(len(a))
+    for i in range(0, len(a), step):
+        d = a[i : i + step] - b[i : i + step]
+        per[i : i + step] = np.einsum("ij,ij->i", d, d)
+    return float(per.sum())
 
 
 def _weighted_misfit(sides, gamma, reference):
@@ -389,9 +432,20 @@ def _weighted_misfit(sides, gamma, reference):
     return total
 
 
+def _objective(sides, gamma, x):
+    """The engine's objective at x: the slice side's half squared misfit, on the half
+    spectrum it fits (x's transform), plus gamma times the regrouped side's, measured in the
+    iterate's layout as 0.5 * ||x - fold(reconstruction)||^2."""
+    g = _weighted_misfit(sides[:1], None, attrgetter("spec.slices"))
+    for side in sides[1:]:
+        g += gamma * (0.5 * _sq_dist(x, side.spatial()))
+    return g
+
+
 def update_x(factors, problem):
     """Fill the unobserved entries with the current factorization."""
-    return _refill(_fill([_Side(factors)], None), _observed_index(problem))
+    side = _Side(factors)
+    return _refill(_fill([side], None, side), _observed_index(problem))
 
 
 def objective(factors, x):
@@ -400,8 +454,8 @@ def objective(factors, x):
     Evaluated on the stored half spectrum with conjugate-pair weights; equal
     to 0.5 * ||compose(factors) - x||_F^2.
     """
-    side = _Side(factors).fit(np.asarray(x, float))
-    return _weighted_misfit([side], None, attrgetter("spec.slices"))
+    x = np.asarray(x, float)
+    return _objective([_Side(factors).fit(x)], None, x)
 
 
 def _start(problem, config):
@@ -433,12 +487,15 @@ def _sweeps(problem, config, all_sides, ceiling, gamma=None, adaptive_gamma=Fals
     sides = all_sides[:1] if gamma == 0 and not adaptive_gamma else list(all_sides)
     growth = None if ceiling is None else RankGrowth(ceiling)
     observed_index = _observed_index(problem)
-    x = problem.observed
-    for side in sides:
-        side.fit(x)
+    for side in sides:  # the observed pair in each side's layout: regrouped once per run
+        side.observed = observed_index if side.regroup is None else tuple(
+            map(side.regroup, observed_index))
+        side.fit(side.observed[1])
         side.prev = compose_spectral(side.factors)
+    x = problem.observed
 
-    refill = lambda: _refill(_fill(sides, gamma), observed_index)  # noqa: E731 -- reads gamma when called
+    # the refilled fill in side's own layout; reads gamma when called
+    refill = lambda side: _refill(_fill(sides, gamma, side), side.observed)  # noqa: E731
 
     trace = SolverTrace(termination="max_iter")
     for t in range(1, config.max_iter + 1):
@@ -446,27 +503,26 @@ def _sweeps(problem, config, all_sides, ceiling, gamma=None, adaptive_gamma=Fals
         stage_one = t <= config.t0
         for i, side in enumerate(sides):
             if i and stage_one:  # a later side starts from the others' new fill
-                side.fit(refill())
+                side.fit(refill(side))
             side.factors = update_left(side.factors, side.spec)
             if stage_one:
-                fill = refill()
+                fill = refill(side)
                 side.drop()  # stale once the right factors change; the transform can reuse its memory
                 side.fit(fill)
                 del fill  # not held through the next refill
             side.factors = update_right(side.factors, side.spec)
+        sides[0]._regrouped = None  # its last fill in the regrouped layout is done
         event = []
         for side in sides:
             side.factors, _, changed = rank_decrease(side.factors, config.rank_cfg)
             if changed:
                 event.append(side.event)
-        x_new = refill()
-        # the sweep's own spectra are spent: replacing them now keeps one set alive
-        for side in sides:
-            side.fit(x_new)
-        g = _weighted_misfit(sides, gamma, attrgetter("spec.slices"))
+        x_new = refill(sides[0])
+        rel, x = _rel_change(x_new, x), x_new  # the old iterate goes before the transform
+        sides[0].fit(x)
+        g = _objective(sides, gamma, x)
         if not np.isfinite(g):
             raise FloatingPointError(f"objective became non-finite at sweep {t}")
-        rel, x = _rel_change(x_new, x), x_new
         if growth is not None:
             growth.record(np.sqrt(2.0 * g), len(sides) == 1)
         row = TraceRow(
@@ -483,13 +539,15 @@ def _sweeps(problem, config, all_sides, ceiling, gamma=None, adaptive_gamma=Fals
             side.prev = side.products()
         stop = rel < config.epsilon if growth is None else growth.converged(rel, config.epsilon)
         if not stop and t < config.max_iter:  # the next sweep's schedule, from the sides that made x
+            if len(sides) > 1 and t >= config.t0:  # a stage-two sweep's first update fits x,
+                sides[1].fit(sides[1].regroup(x))  # cheaper regrouped than rebuilt as a fill
             if adaptive_gamma:
                 gamma = _refit_gamma(sides, observed_index, gamma)
                 xt = sides[1].factors  # off if it fits the data far worse, or fits anything
                 if gamma < SIDE_OFF_GAMMA or min(xt.ranks) >= min(xt.dims[:2]):
                     off = sides.pop()
                     off.drop()
-                    off.spec = off.prev = None
+                    off.spec = off.prev = off.observed = None
                     gamma, adaptive_gamma = 0.0, False
                     event.append("side_off")
             if growth is not None:
@@ -518,6 +576,10 @@ def solve(problem, config):
     trace : SolverTrace
     """
     start, ceiling = _start(problem, config)
+    if min(start.stored()) >= min(problem.dims[:2]):
+        raise ValueError(f"starting ranks {start.stored()} are full rank on every slice of "
+                         f"{problem.dims[:2]}: the fit would reproduce the observed data and "
+                         "complete no entry")
     sides = [_Side(init_factors(*problem.dims, start, config.seed))]
     x, trace, _ = _sweeps(problem, config, sides, ceiling)
     trace.final_factors = sides[0].factors
@@ -537,10 +599,10 @@ def _kkt(sides, gamma, x, problem):
     scale = fro_norm(problem.observed) or 1.0
     out = []
     for side, weight in zip(sides, (1.0, gamma)):
-        side.fit(x)
+        side.fit(x if side.regroup is None else side.regroup(x))
         residual = side.spec.slices - side.products()
         out += (weight * np.sqrt(g) / scale for g in gradient_sq(side.factors, residual))
-    fill, on = _fill(sides, gamma), problem.mask.observed
+    fill, on = _fill(sides, gamma, sides[0]), problem.mask.observed
     return (*out, fro_norm(np.where(on, 0.0, x - fill)) / scale,
             fro_norm(np.where(on, x - problem.observed, 0.0)) / scale,
             fro_norm(np.where(on, x - fill, 0.0)) / scale)

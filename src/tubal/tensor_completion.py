@@ -13,7 +13,6 @@ fold back is fold3_from_reshaped.
 """
 
 from dataclasses import astuple, dataclass, replace
-from operator import attrgetter
 
 import numpy as np
 
@@ -24,13 +23,13 @@ from .matrix_completion import (
     SolverConfig,
     _fill,
     _kkt,
+    _objective,
     _observed_index,
     _refill,
     _refit_gamma,
     _Side,
     _start,
     _sweeps,
-    _weighted_misfit,
 )
 
 # perfbench/layertrace.py wraps these names in this module's namespace when a traced
@@ -122,12 +121,13 @@ def _sides(f_x, f_xt, dims):
 def update_x_blend(dfactors, problem):
     """Fill the unobserved entries with the gamma-weighted blend of both sides."""
     sides = _sides(dfactors.f_x, dfactors.f_xt, problem.dims)
-    return _refill(_fill(sides, dfactors.gamma), _observed_index(problem))
+    return _refill(_fill(sides, dfactors.gamma, sides[0]), _observed_index(problem))
 
 
 def update_reshaped_factors(dfactors, x):
     """Refit both factors of the regrouped iterate (left, then right)."""
-    side = _sides(dfactors.f_x, dfactors.f_xt, np.shape(x))[1].fit(np.asarray(x, float))
+    side = _sides(dfactors.f_x, dfactors.f_xt, np.shape(x))[1]
+    side.fit(side.regroup(np.asarray(x, float)))
     return replace(dfactors, f_xt=update_right(update_left(side.factors, side.spec), side.spec))
 
 
@@ -145,13 +145,14 @@ def update_gamma(dfactors, problem):
 def objective(dfactors, x):
     """Blended objective: slice-side misfit plus gamma times regrouped misfit.
 
-    Each term is evaluated on its stored half spectrum with conjugate-pair
-    weights and equals half the squared Frobenius misfit in the spatial
-    domain.
+    Each term is half the squared Frobenius misfit: the slice side's evaluated on
+    its stored half spectrum with conjugate-pair weights, the regrouped side's in
+    x's layout against its folded reconstruction (the sweep engine's own objective).
     """
     x = np.asarray(x, float)
-    sides = [side.fit(x) for side in _sides(dfactors.f_x, dfactors.f_xt, x.shape)]
-    return _weighted_misfit(sides, dfactors.gamma, attrgetter("spec.slices"))
+    sides = _sides(dfactors.f_x, dfactors.f_xt, x.shape)
+    sides[0].fit(x)
+    return _objective(sides, dfactors.gamma, x)
 
 
 def solve(problem, config):

@@ -225,6 +225,19 @@ def test_complete_matrix_rejects_an_empty_mask(tmp_path, capsys):
     assert "no entry as observed" in capsys.readouterr().err
 
 
+def test_complete_matrix_rejects_a_start_at_full_rank(tmp_path, capsys):
+    src = tmp_path / "in.pgm"
+    save_image(src, rank2_image())
+    outs = [tmp_path / name for name in ("out.pgm", "trace.csv", "metrics.csv")]
+    # at --n2 1 every slice is a single column, so rank 1 reproduces any observed data
+    code = main(["complete-matrix", "--input", str(src), "--ratio", "0.7", "--n2", "1",
+                 "--init-rank", "1", "--output", str(outs[0]), "--trace", str(outs[1]),
+                 "--metrics-out", str(outs[2])])
+    assert code == EXIT_INPUT
+    assert "full rank" in capsys.readouterr().err
+    assert not any(path.exists() for path in outs)
+
+
 def test_complete_matrix_accepts_single_slice_tensor(tmp_path):
     m = rank2_image(16, 24, seed=3)
     src = tmp_path / "in.t3"

@@ -15,7 +15,6 @@ from tubal import (
     SolverConfig,
     compose,
     dft_mode3,
-    fold3_from_reshaped,
     fro_norm,
     generate_mask,
     half_count,
@@ -185,7 +184,7 @@ def test_update_x_is_exact_on_observed_entries():
 
 def test_index_refill_matches_project_on_a_strided_array():
     _, prob = easy_problem(seed=42)
-    a = fold3_from_reshaped(rand((4, 24, 4), 43), prob.dims)  # a strided view
+    a = rand((4, 16, 12), 43)[:, ::2].transpose(2, 1, 0)  # a strided view
     assert not a.flags.c_contiguous
     want = project(a, prob.mask, prob.observed)
     got = mc._refill(a.copy(order="K"), mc._observed_index(prob))
@@ -333,7 +332,7 @@ def test_blocked_relative_change_matches_the_norm_ratio(monkeypatch, block):
     new, old = rand((5, 4, 3), 50), rand((5, 4, 3), 51)
     want = np.linalg.norm(new - old) / np.linalg.norm(old)
     assert abs(mc._rel_change(new, old) - want) <= 1e-14 * want
-    strided = fold3_from_reshaped(rand((3, 10, 2), 52), (5, 4, 3))  # a strided view
+    strided = rand((3, 8, 5), 52)[:, ::2].transpose(2, 1, 0)  # a strided view
     want = np.linalg.norm(strided - old) / np.linalg.norm(old)
     assert abs(mc._rel_change(strided, old) - want) <= 1e-14 * want
     assert mc._rel_change(new, np.zeros_like(old)) == pytest.approx(np.linalg.norm(new), rel=1e-14)

@@ -53,6 +53,7 @@ from tubal import (  # noqa: E402
 from tubal import core  # noqa: E402
 from tubal.core import _half_weighted_sq, _irfft_checked  # noqa: E402
 from tubal.factors import _padded, grow_ranks  # noqa: E402
+from tubal.matrix_completion import _start  # noqa: E402
 
 from test_factors import assert_padded, assert_slices_close, reference_rank_decrease  # noqa: E402
 
@@ -90,6 +91,23 @@ def test_regroup_and_fold_match_their_unfolding_definitions(n1, n2, n3, seed):
         assert np.array_equal(back, a)
         u = rng.standard_normal((n3, p, q))
         assert np.array_equal(reshape_mode3(fold3_from_reshaped(u, a.shape), p, q), u)
+
+
+@given(dims, dims, depths, seeds, st.sampled_from([1, 7, 10**9]))
+@example(3, 4, 1, 0, 7)
+@example(3, 4, 2, 0, 1)
+@example(5, 2, 3, 0, 7)
+@example(4, 6, 6, 0, 1)
+def test_blocked_fold_is_a_c_ordered_exact_inverse_at_any_block_size(n1, n2, n3, seed, block):
+    a = np.random.default_rng(seed).standard_normal((n1, n2, n3))
+    for p in divisors(n1 * n2):
+        q = n1 * n2 // p
+        t = reshape_mode3(a, p, q)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "BLOCK", block)
+            back = fold3_from_reshaped(t, a.shape)
+        assert back.flags.c_contiguous and not np.shares_memory(back, t)
+        assert back.tobytes() == a.tobytes()
 
 
 @given(dims, dims, depths, seeds, st.sampled_from([1, 7, 10**9]), layouts)
@@ -427,6 +445,12 @@ def test_solvers_return_finite_output_exact_on_observed_and_repeatable(n1, n2, n
     mask.flat[rng.integers(mask.size)] = True
     problem = CompletionProblem.from_tensor(truth * mask, mask)
     rank = min(rank, n1, n2)
+    if solver == "matrix":  # a start at full rank on every slice can complete no entry
+        start, _ = _start(problem, SolverConfig(init_ranks=rank, seed=seed))
+        if min(start.stored()) >= min(n1, n2):
+            with pytest.raises(ValueError, match="full rank"):
+                _run_solver(solver, problem, rank, seed)
+            return
     x, history = _run_solver(solver, problem, rank, seed)
     assert x.shape == truth.shape and np.isfinite(x).all()
     assert np.array_equal(x[mask], truth[mask])

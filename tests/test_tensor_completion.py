@@ -478,11 +478,58 @@ def test_stage_one_refills_after_every_factor_update(monkeypatch, two_sides):
         _, solves = counted_solves(solve, prob, cfg)
     else:
         _, solves = counted_solves(msolve, prob, SolverConfig(**kw))
-    # Per side, one transform at the start and one closing each of the 5 sweeps; each of
-    # the 3 stage-one sweeps adds one refill per side between its left and right updates,
-    # and one opening the second side.  Every sweep makes 2 solves per stored slice, and
-    # the regrouped side of this (10, 8, 4) problem is (4, 2, 40): 3 + 21 stored slices.
-    assert (len(transforms), solves) == ((2 + 10 + 9, 240) if two_sides else (1 + 5 + 3, 30))
+    # Per side, one transform at the start; the slice side closes each of the 5 sweeps, and
+    # the regrouped side only sweeps 3 and 4, which a stage-two sweep follows (a stage-one
+    # sweep refits it from a fresh fill first, and none follows sweep 5).  Each of the 3
+    # stage-one sweeps adds one refill per side between its left and right updates, and
+    # one opening the second side.  Every sweep makes 2 solves per stored slice, and the
+    # regrouped side of this (10, 8, 4) problem is (4, 2, 40): 3 + 21 stored slices.
+    assert (len(transforms), solves) == ((2 + 7 + 9, 240) if two_sides else (1 + 5 + 3, 30))
+
+
+def test_regrouped_side_fits_the_regrouped_iterate_layout_fill(monkeypatch):
+    _, prob = partial_problem(seed=33, n1=12, n2=10, n3=5)
+    p, q = 20, 6
+    cfg = DoubleTubalConfig(
+        init_ranks=3, init_ranks_xt=2, p=p, q=q, t0=3, max_iter=5, gamma0=0.7,
+        adaptive_gamma=False, epsilon=1e-300, rank_cfg=RankDecreaseConfig(enabled=False),
+    )
+    fill, fit, wants, fits = mc._fill, mc._Side.fit, [], []
+
+    def spy_fill(sides, gamma, side):
+        if side.regroup is not None:  # the same fill built in the iterate's layout, regrouped
+            f = mc._refill(fill(sides, gamma, sides[0]), mc._observed_index(prob))
+            wants.append(dft_mode3(reshape_mode3(f, p, q)).slices.tobytes())
+        return fill(sides, gamma, side)
+
+    def spy_fit(side, x):
+        fit(side, x)
+        if side.regroup is not None:
+            fits.append(side.spec.slices.tobytes())
+        return side
+
+    monkeypatch.setattr(mc, "_fill", spy_fill)
+    monkeypatch.setattr(mc._Side, "fit", spy_fit)
+    solve(prob, cfg)
+    # after the start's fit: an opening and a mid-sweep fit in each of the 3 stage-one
+    # sweeps, then a closing fit of x regrouped after sweeps 3 and 4, which a stage-two
+    # sweep follows
+    assert (len(wants), len(fits)) == (3 * 2, 1 + 3 * 2 + 2)
+    assert fits[1:7] == wants
+
+
+def test_every_blended_row_logs_the_public_objective():
+    _, prob = partial_problem(seed=34)
+    cfg = DoubleTubalConfig(
+        init_ranks=3, init_ranks_xt=1, seed=2, t0=3, max_iter=6, gamma0=0.6,
+        adaptive_gamma=False, epsilon=1e-300,
+    )
+    _, trace = solve(prob, cfg)
+    assert trace.iterations == 6 and all(r.gamma == 0.6 for r in trace.rows)
+    for k, row in enumerate(trace.rows, 1):  # the run cut after sweep k ends with its x
+        x, cut = solve(prob, replace(cfg, max_iter=k))
+        assert cut.rows[-1].objective == row.objective
+        assert row.objective == tensor_objective(cut.final_factors, x)
 
 
 def test_one_sweep_is_the_public_steps_composed():
@@ -544,7 +591,8 @@ def test_blended_solve_is_byte_identical_at_any_block_size(monkeypatch):
     for block in (mc.core.BLOCK, 7):
         monkeypatch.setattr(mc.core, "BLOCK", block)
         x, trace = solve(prob, cfg)
-        runs.append((x.tobytes(), trace.iterations, trace.termination, trace.rows[-1].gamma))
+        runs.append((x.tobytes(), trace.objectives().tobytes(), trace.iterations,
+                     trace.termination, trace.rows[-1].gamma))
     assert runs[0] == runs[1]
 
 

@@ -1,5 +1,5 @@
 """Print the output digest of every benchmark instance, one line each: workload, seed,
-digest, rel_error.
+digest, x digest, rel_error.
 
 The digests and rel_errors are the ones perfbench/workloads.py's check() takes,
 on the instances of instance_seeds(SEED, n), computed with whichever tubal
@@ -7,18 +7,23 @@ comes first on sys.path and one BLAS thread.  No workload runs the growth path
 (a start that could interpolate the data, grown from rank 1), so growth-matrix
 and growth-tensor lines follow: the matrix solver and the default tensor solver
 on criterion 4's instance at init_ranks=8, seeds 0-4, each digest taken over x
-and the trace's objective/rel_change history.  Two trees compare by running
-this once with each tree's src on PYTHONPATH:
+and the trace's objective/rel_change history.  The x digest is taken over the
+recovered tensor alone (image-cli's output image), so a line whose digest moved
+with its x digest equal moved only in its logged trace, such as the rounding of
+the objective.  Two trees compare by running this once with each tree's src on
+PYTHONPATH:
 
     PYTHONPATH=base/src python tools/digests.py > base.txt
     PYTHONPATH=src python tools/digests.py --against base.txt
 
-With --against, the second run prints how many digests equal the base file's,
-then one "- moved:" line per other instance: workload, seed, and its rel_error
-in the base file and here.
+With --against, the second run prints how many digests and how many x digests
+equal the base file's, then one "- moved:" line per instance whose digest moved:
+workload, seed, its rel_error in the base file and here, and "x equal" or
+"x moved".
 """
 
 import argparse
+import hashlib
 import os
 import sys
 import tempfile
@@ -34,16 +39,27 @@ from workloads import WORKLOADS, _digest, instance_seeds  # noqa: E402
 SEED = 101
 
 
+def x_digest(inst, result):
+    """The digest of a workload's recovered tensor alone: the CLI's output image, or x."""
+    if hasattr(inst, "paths"):
+        with open(inst.paths["out"], "rb") as f:
+            return hashlib.sha256(f.read()).hexdigest()
+    return _digest(result[0])
+
+
 def results():
-    """(workload, seed, digest, rel_error) of every instance, as strings, one at a time."""
+    """(workload, seed, digest, x digest, rel_error) of every instance, as strings, one at a
+    time."""
     with tempfile.TemporaryDirectory() as workdir:
         for wl in WORKLOADS.values():
             wl.setup(workdir)
             entry = wl.entry()
             for seed in instance_seeds(SEED, wl.instances):
                 inst = wl.prepare(seed)
-                _, err, _, digest = wl.check(inst, wl.call(entry, inst))
-                yield wl.name, str(seed), str(digest), "-" if err is None else f"{err:.6g}"
+                result = wl.call(entry, inst)
+                _, err, _, digest = wl.check(inst, result)
+                yield (wl.name, str(seed), str(digest), x_digest(inst, result),
+                       "-" if err is None else f"{err:.6g}")
     solvers = {"growth-matrix": (tubal.complete_matrix, tubal.SolverConfig),
                "growth-tensor": (tubal.complete_tensor, tubal.DoubleTubalConfig)}
     for seed in range(5):  # criterion 4's instance: a 50 x 100 matrix folded at n2 = 10
@@ -53,7 +69,8 @@ def results():
         for name, (solve, config) in solvers.items():
             x, *_, trace = solve(problem, config(init_ranks=8, seed=seed))
             history = np.array([(r.objective, r.rel_change) for r in trace.rows])
-            yield name, str(seed), _digest(x, history), f"{tubal.rel_error(x, truth):.6g}"
+            yield (name, str(seed), _digest(x, history), _digest(x),
+                   f"{tubal.rel_error(x, truth):.6g}")
 
 
 parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -68,7 +85,9 @@ else:
     with open(args.against) as f:
         base = {tuple(words[:2]): words[2:] for words in map(str.split, f)}
     head = list(results())
-    moved = [(w, s, base[w, s][1], err) for w, s, digest, err in head if base[w, s][0] != digest]
-    print(f"{len(head) - len(moved)} of {len(head)} equal")
-    for w, s, base_err, err in moved:
-        print(f"- moved: {w} {s} {base_err} -> {err}")
+    x_equal = sum(base[w, s][1] == xd for w, s, _, xd, _ in head)
+    moved = [(w, s, base[w, s][2], err, "x equal" if base[w, s][1] == xd else "x moved")
+             for w, s, digest, xd, err in head if base[w, s][0] != digest]
+    print(f"{len(head) - len(moved)} of {len(head)} equal, {x_equal} of {len(head)} with equal x")
+    for w, s, base_err, err, x in moved:
+        print(f"- moved: {w} {s} {base_err} -> {err}, {x}")
