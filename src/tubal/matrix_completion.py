@@ -15,7 +15,8 @@ blended in with weight gamma.  A sweep, written out in _sweeps alone:
    stage one (the first t0 sweeps) the iterate is refilled after every
    factor update, so a side's right update and each later side fit the
    newest refill; in stage two all fit the last sweep's iterate.
-2. Ranks shrink where a Gram eigen-gap shows, tested on every sweep.
+2. Ranks shrink where a Gram eigen-gap shows, tested on every sweep, and each
+   side's step from its last products is measured.
 3. The iterate is refilled from the sides' reconstructions, and the slice side
    fits it.  The regrouped side fits the same fill only when a stage-two sweep
    follows; a stage-one sweep refits it from a fresh fill first.
@@ -25,6 +26,9 @@ reconstructions in that layout (_Side.seen_by), each moved between layouts
 once per factor change; blend and refill act entry by entry, so the regrouped
 side's fill is the regrouped iterate's.  The one regroup of the iterate is
 the closing fit before a stage-two sweep, where it is cheaper than a fill.
+Each full-size array lives only until its last reader: a spectrum until the
+update that last reads it, a side's last products until its step is measured,
+the regrouped side's observed pair through stage one.
 
 The public step functions (update_x, objective, kkt_residuals, and their
 tensor counterparts) are built from the engine's own primitives.
@@ -33,7 +37,6 @@ tensor counterparts) are built from the engine's own primitives.
 import csv
 import time
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
@@ -322,7 +325,9 @@ def _refit_gamma(sides, observed_index, gamma):
     ||P_Omega(a - observed)|| / ||P_Omega(b - observed)||, or gamma unchanged
     when b fits the observed entries exactly.  observed_index is _observed_index's pair."""
     seen, observed = ~observed_index[0], observed_index[1]
-    num, den = (fro_norm((s.spatial() - observed) * seen) for s in sides)
+    residual = np.empty_like(observed)  # one scratch array for both masked residuals
+    num, den = (fro_norm(np.multiply(np.subtract(s.spatial(), observed, out=residual), seen,
+                                     out=residual)) for s in sides)
     return num / den if den > 0 else gamma
 
 
@@ -331,17 +336,19 @@ class _Side:
 
     A side holds a factor pair; regroup, from the iterate's layout to its own (None: the
     iterate's layout), and fold, back; the event its rank cuts are logged as; observed, the
-    engine's (unobserved pattern, observed data) pair in its own layout; and its
-    reconstruction, rebuilt only when the factor pair object changes: in its own layout (the
-    inverse transform), folded into the iterate's (a C-ordered copy), and regrouped into
-    another side's (the regrouped side's fills read the slice side's reconstruction so).
+    engine's (unobserved pattern, observed data) pair in its own layout, which a regrouped
+    side holds through stage one only; and its reconstruction, rebuilt only when the factor
+    pair object changes: in its own layout (the inverse transform), folded into the iterate's
+    (a C-ordered copy), and regrouped into another side's (the regrouped side's fills read the
+    slice side's reconstruction so).  Between sweeps it holds its factors, its reconstruction
+    and prev; its spectrum lives from a fit to the update that last reads it.
     """
 
     def __init__(self, factors, regroup=None, fold=None, event="rank_decrease"):
         self.factors = factors
         self.regroup, self.fold, self.event = regroup, fold, event
         self.spec = None  # spectrum of the tensor the next update fits
-        self.prev = None  # products of the last accepted sweep
+        self.prev = None  # products of the last sweep, or of the start
         self.observed = None
         self.drop()
 
@@ -418,25 +425,19 @@ def _sq_dist(a, b):
     return float(per.sum())
 
 
-def _weighted_misfit(sides, gamma, reference):
-    """Half the squared distance from each side's products to the half spectrum
-    reference(side), summed with weight 1 for the first side and gamma for the second.
-
-    Conjugate-pair weights make each term half a squared Frobenius distance in
-    the side's own domain.
-    """
-    total = 0.0
-    for side, weight in zip(sides, (1.0, gamma)):
-        n3 = side.factors.dims[2]
-        total += weight * _half_weighted_sq(side.products(), n3, reference(side)) / (2.0 * n3)
-    return total
+def _weighted_misfit(side, weight, reference):
+    """weight times half the squared distance from side's products to the half spectrum
+    reference; conjugate-pair weights make it half a squared Frobenius distance in the
+    side's own domain."""
+    n3 = side.factors.dims[2]
+    return weight * _half_weighted_sq(side.products(), n3, reference) / (2.0 * n3)
 
 
 def _objective(sides, gamma, x):
     """The engine's objective at x: the slice side's half squared misfit, on the half
     spectrum it fits (x's transform), plus gamma times the regrouped side's, measured in the
     iterate's layout as 0.5 * ||x - fold(reconstruction)||^2."""
-    g = _weighted_misfit(sides[:1], None, attrgetter("spec.slices"))
+    g = _weighted_misfit(sides[0], 1.0, sides[0].spec.slices)
     for side in sides[1:]:
         g += gamma * (0.5 * _sq_dist(x, side.spatial()))
     return g
@@ -487,11 +488,15 @@ def _sweeps(problem, config, all_sides, ceiling, gamma=None, adaptive_gamma=Fals
     sides = all_sides[:1] if gamma == 0 and not adaptive_gamma else list(all_sides)
     growth = None if ceiling is None else RankGrowth(ceiling)
     observed_index = _observed_index(problem)
-    for side in sides:  # the observed pair in each side's layout: regrouped once per run
-        side.observed = observed_index if side.regroup is None else tuple(
-            map(side.regroup, observed_index))
-        side.fit(side.observed[1])
-        side.prev = compose_spectral(side.factors)
+    sides[0].observed = observed_index
+    sides[0].fit(observed_index[1])
+    for side in sides[1:]:  # its first update fits stage one's first fill, or else the data
+        if config.t0:  # the observed pair those fills read, regrouped once per run
+            side.observed = tuple(map(side.regroup, observed_index))
+        else:
+            side.fit(side.regroup(observed_index[1]))
+    for side in sides:
+        side.prev = side.products()  # which the first sweep's fills reuse
     x = problem.observed
 
     # the refilled fill in side's own layout; reads gamma when called
@@ -505,18 +510,22 @@ def _sweeps(problem, config, all_sides, ceiling, gamma=None, adaptive_gamma=Fals
             if i and stage_one:  # a later side starts from the others' new fill
                 side.fit(refill(side))
             side.factors = update_left(side.factors, side.spec)
-            if stage_one:
+            if stage_one:  # the refill replaces the spectrum, which nothing reads again
+                side.spec = None
                 fill = refill(side)
                 side.drop()  # stale once the right factors change; the transform can reuse its memory
                 side.fit(fill)
                 del fill  # not held through the next refill
             side.factors = update_right(side.factors, side.spec)
+            side.spec = None  # its last reader
         sides[0]._regrouped = None  # its last fill in the regrouped layout is done
-        event = []
-        for side in sides:
+        event, step_sq = [], 0.0
+        for side, weight in zip(sides, (1.0, gamma)):
             side.factors, _, changed = rank_decrease(side.factors, config.rank_cfg)
             if changed:
                 event.append(side.event)
+            step_sq += _weighted_misfit(side, weight, side.prev)
+            side.prev = side.products()  # the last products die before the closing fill
         x_new = refill(sides[0])
         rel, x = _rel_change(x_new, x), x_new  # the old iterate goes before the transform
         sides[0].fit(x)
@@ -531,25 +540,24 @@ def _sweeps(problem, config, all_sides, ceiling, gamma=None, adaptive_gamma=Fals
             rel_change=rel,
             ranks=sides[0].factors.ranks,
             elapsed_ms=0.0,
-            step_sq=_weighted_misfit(sides, gamma, attrgetter("prev")),
+            step_sq=step_sq,
             gamma=gamma,
             ranks_xt=all_sides[1].factors.ranks if len(all_sides) > 1 else None,
         )
-        for side in sides:
-            side.prev = side.products()
         stop = rel < config.epsilon if growth is None else growth.converged(rel, config.epsilon)
         if not stop and t < config.max_iter:  # the next sweep's schedule, from the sides that made x
-            if len(sides) > 1 and t >= config.t0:  # a stage-two sweep's first update fits x,
-                sides[1].fit(sides[1].regroup(x))  # cheaper regrouped than rebuilt as a fill
             if adaptive_gamma:
                 gamma = _refit_gamma(sides, observed_index, gamma)
                 xt = sides[1].factors  # off if it fits the data far worse, or fits anything
                 if gamma < SIDE_OFF_GAMMA or min(xt.ranks) >= min(xt.dims[:2]):
                     off = sides.pop()
                     off.drop()
-                    off.spec = off.prev = off.observed = None
+                    off.prev = off.observed = None
                     gamma, adaptive_gamma = 0.0, False
                     event.append("side_off")
+            if len(sides) > 1 and t >= config.t0:  # a stage-two sweep's first update fits x,
+                sides[1].observed = None  # (only stage-one fills read it)
+                sides[1].fit(sides[1].regroup(x))  # cheaper regrouped than rebuilt as a fill
             if growth is not None:
                 if growth.grow(sides[0]):
                     event.append("rank_increase")

@@ -1,11 +1,13 @@
 """Blended double-factorization solver: geometry, blending, gamma, ranks, KKT."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import tubal.matrix_completion as mc
+import tubal.tensor_completion as tc
 from tubal import (
     BlockFactors,
     CompletionProblem,
@@ -400,6 +402,32 @@ def test_a_regrouped_side_at_full_rank_is_switched_off(n3, extra):
     assert rel_error(x, truth) < 1e-2
 
 
+def traced_peak(run, *args):
+    """The tracemalloc peak of run(*args) in bytes, above what was live before the call."""
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        run(*args)
+        return tracemalloc.get_traced_memory()[1] - live
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_solves_hold_each_full_size_array_only_until_its_last_reader(seed):
+    # The peaks read about 12.7 iterate sizes for the tensor solver and 5.3 for the matrix
+    # solver; a sweep that holds each spectrum to the next fit, the last products past the
+    # closing fill and the regrouped observed pair to the end reads 15.5 and 7.1.
+    _, prob = criterion_5_problem(seed)
+    size = prob.observed.nbytes
+    tensor = traced_peak(solve, prob, DoubleTubalConfig(init_ranks=3, p=160, q=10, seed=seed))
+    matrix = traced_peak(msolve, prob, SolverConfig(init_ranks=3, seed=seed))
+    assert tensor <= 14.0 * size and matrix <= 6.2 * size
+
+
 def test_the_last_sweep_never_switches_the_side_off():
     _, prob = criterion_5_problem()
     cfg = DoubleTubalConfig(init_ranks=3, p=160, q=10, seed=0, max_iter=3)
@@ -432,8 +460,8 @@ def test_blended_sweeps_are_never_extrapolated(seed, monkeypatch):
     assert rel_error(x, truth) <= 1e-3
 
 
-def test_a_helpful_side_is_never_switched_off(monkeypatch):
-    # the tensor demo's first act: a CP-rank-2 tensor, low rank on both sides
+def act_one_problem():
+    """The tensor demo's first act: a CP-rank-2 tensor, low rank on both sides, 40% observed."""
     rng = np.random.default_rng(3)
     truth = np.einsum(
         "ir,jr,rk->ijk",
@@ -442,7 +470,11 @@ def test_a_helpful_side_is_never_switched_off(monkeypatch):
         rng.standard_normal((2, 8)),
     )
     mask = generate_mask(truth.shape, 0.4, seed=5)
-    prob = CompletionProblem.from_tensor(truth * mask.observed, mask)
+    return truth, CompletionProblem.from_tensor(truth * mask.observed, mask)
+
+
+def test_a_helpful_side_is_never_switched_off(monkeypatch):
+    truth, prob = act_one_problem()
     cfg = DoubleTubalConfig(
         init_ranks=2, init_ranks_xt=2, p=20, q=18, seed=0, epsilon=1e-10, max_iter=500
     )
@@ -452,6 +484,24 @@ def test_a_helpful_side_is_never_switched_off(monkeypatch):
     monkeypatch.setattr(mc, "SIDE_OFF_GAMMA", 0.0)  # cannot fire: gamma is never negative
     x_kept, _ = solve(prob, cfg)
     assert np.array_equal(x, x_kept)
+
+
+def test_regrouped_side_drops_its_observed_pair_before_stage_two(monkeypatch):
+    _, prob = act_one_problem()  # a run that keeps both sides past t0
+    cfg = DoubleTubalConfig(init_ranks=2, init_ranks_xt=2, p=20, q=18, seed=0, t0=4,
+                            max_iter=9, epsilon=1e-300)
+    sides, held, make, update = [], [], tc._sides, mc.update_left
+    monkeypatch.setattr(tc, "_sides", lambda *a: sides.extend(make(*a)) or sides)
+
+    def spy(factors, spec):  # per sweep, at the regrouped side's first update
+        if factors is sides[1].factors:
+            held.append(sides[1].observed is not None)
+        return update(factors, spec)
+
+    monkeypatch.setattr(mc, "update_left", spy)
+    _, trace = solve(prob, cfg)
+    assert trace.iterations == 9 and not any("side_off" in r.event for r in trace.rows)
+    assert held == [True] * 4 + [False] * 5  # only stage one's fills read the pair
 
 
 def test_a_fixed_gamma_never_switches_the_side_off():
@@ -478,13 +528,14 @@ def test_stage_one_refills_after_every_factor_update(monkeypatch, two_sides):
         _, solves = counted_solves(solve, prob, cfg)
     else:
         _, solves = counted_solves(msolve, prob, SolverConfig(**kw))
-    # Per side, one transform at the start; the slice side closes each of the 5 sweeps, and
-    # the regrouped side only sweeps 3 and 4, which a stage-two sweep follows (a stage-one
-    # sweep refits it from a fresh fill first, and none follows sweep 5).  Each of the 3
-    # stage-one sweeps adds one refill per side between its left and right updates, and
-    # one opening the second side.  Every sweep makes 2 solves per stored slice, and the
-    # regrouped side of this (10, 8, 4) problem is (4, 2, 40): 3 + 21 stored slices.
-    assert (len(transforms), solves) == ((2 + 7 + 9, 240) if two_sides else (1 + 5 + 3, 30))
+    # One transform at the start, of the slice side only: a stage-one sweep refits the
+    # regrouped side from a fresh fill first.  The slice side closes each of the 5 sweeps,
+    # and the regrouped side only sweeps 3 and 4, which a stage-two sweep follows (none
+    # follows sweep 5).  Each of the 3 stage-one sweeps adds one refill per side between its
+    # left and right updates, and one opening the second side.  Every sweep makes 2 solves
+    # per stored slice, and the regrouped side of this (10, 8, 4) problem is (4, 2, 40):
+    # 3 + 21 stored slices.
+    assert (len(transforms), solves) == ((1 + 7 + 9, 240) if two_sides else (1 + 5 + 3, 30))
 
 
 def test_regrouped_side_fits_the_regrouped_iterate_layout_fill(monkeypatch):
@@ -511,11 +562,11 @@ def test_regrouped_side_fits_the_regrouped_iterate_layout_fill(monkeypatch):
     monkeypatch.setattr(mc, "_fill", spy_fill)
     monkeypatch.setattr(mc._Side, "fit", spy_fit)
     solve(prob, cfg)
-    # after the start's fit: an opening and a mid-sweep fit in each of the 3 stage-one
-    # sweeps, then a closing fit of x regrouped after sweeps 3 and 4, which a stage-two
-    # sweep follows
-    assert (len(wants), len(fits)) == (3 * 2, 1 + 3 * 2 + 2)
-    assert fits[1:7] == wants
+    # no fit at the start, which sweep 1's opening fill would replace unread: an opening
+    # and a mid-sweep fit in each of the 3 stage-one sweeps, then a closing fit of x
+    # regrouped after sweeps 3 and 4, which a stage-two sweep follows
+    assert (len(wants), len(fits)) == (3 * 2, 3 * 2 + 2)
+    assert fits[:6] == wants
 
 
 def test_every_blended_row_logs_the_public_objective():
@@ -568,10 +619,11 @@ def test_solver_rebuilds_only_the_side_whose_factors_changed(monkeypatch):
     )
     _, trace = solve(prob, cfg)
     assert trace.iterations == 4
-    # 2 at the start; sweep 1 builds both sides, then one side per mid-sweep fill
-    # and the regrouped side at its end (5); sweep 2 reuses the regrouped side of
-    # sweep 1's end (4); sweeps 3 and 4 have no mid-sweep fills (2 each).
-    assert len(calls) == 2 + 5 + 4 + 2 + 2
+    # 2 at the start; sweep 1 reuses the regrouped side's in its first fill and builds
+    # the slice side, then one side per mid-sweep fill and the regrouped side at its
+    # end (4); sweep 2 reuses the regrouped side of sweep 1's end (4); sweeps 3 and 4
+    # have no mid-sweep fills (2 each).
+    assert len(calls) == 2 + 4 + 4 + 2 + 2
 
 
 def test_solver_is_deterministic():
