@@ -65,7 +65,8 @@ def build_parser():
     _add_solver_options(pt)
     _add_data_options(pt)
     pt.add_argument("--init-rank-xt", dest="init_ranks_xt", help="ranks for the regrouped side "
-                    "(default: the slice side's starting tubal rank, capped by the geometry)")
+                    "(default: the slice side's starting tubal rank, capped by (n3, p)); with "
+                    "rank detection on, ranks that could interpolate the data start at 1")
     pt.add_argument("--p", type=int, help="rows of the regrouped tensor")
     pt.add_argument("--q", type=int, help="slices of the regrouped tensor")
     pt.add_argument("--gamma0", type=float, help="initial blend weight")

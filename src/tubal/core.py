@@ -150,20 +150,24 @@ def _imag_residual(slices, n3):
     return np.sqrt(bad / n3)
 
 
+def _row_sq(a, minus=None):
+    """Per index of a's first axis, the squared Frobenius norm of a (or of a - minus), summed a
+    block of whole rows at a time, so no temporary outgrows the cache or depends on BLOCK."""
+    step = max(1, BLOCK // max(1, a[0].size))
+    per = np.empty(len(a))
+    for i in range(0, len(a), step):
+        b = a[i : i + step] if minus is None else a[i : i + step] - minus[i : i + step]
+        v = np.ascontiguousarray(b).view(np.float64).reshape(len(b), -1)
+        per[i : i + step] = np.einsum("ij,ij->i", v, v)
+    return per
+
+
 def _half_weighted_sq(slices, n3, minus=None):
-    """Squared Frobenius mass of a half spectrum, or of slices - minus, over all n3 slices
-    (conjugate-pair weights); summed a block of whole slices at a time, so no temporary
-    outgrows the cache."""
+    """Squared Frobenius mass of a complex half spectrum, or of slices - minus, over all n3
+    slices (conjugate-pair weights), summed a block of whole slices at a time."""
     s = np.moveaxis(slices, 2, 0)  # slice-major: a C-contiguous view of the library's spectra
     m = None if minus is None else np.moveaxis(minus, 2, 0)
-    step = max(1, BLOCK // max(1, s[0].size))
-    per = np.empty(len(s))
-    for i in range(0, len(s), step):
-        b = s[i : i + step] if m is None else s[i : i + step] - m[i : i + step]
-        b = np.ascontiguousarray(b, dtype=complex)
-        v = b.view(np.float64).reshape(len(b), -1)  # per slice, its real and imaginary parts
-        per[i : i + step] = np.einsum("ij,ij->i", v, v)
-    return float(per @ pair_weights(n3))
+    return float(_row_sq(s, m) @ pair_weights(n3))
 
 
 def _irfft_checked(slices, n3, tol=1e-6):
@@ -304,30 +308,28 @@ def reshape_mode3(a, p, q):
     if p * q != n1 * n2:
         raise ValueError(f"p*q = {p * q} must equal n1*n2 = {n1 * n2}")
     # unfolding row i3 is a[:, :, i3] in column-major order: a reshape once modes 1, 2 swap
-    b = a.transpose(1, 0, 2).reshape(q, p, n3)
-    out = np.empty((n3, p, q), b.dtype)
-    step = max(1, BLOCK // max(1, q * n3))  # the axis reversal, a cache-sized block of p at a time
-    for i in range(0, p, step):
-        out[:, i : i + step] = b[:, i : i + step].transpose(2, 1, 0)
+    return _reversed_axes(a.transpose(1, 0, 2).reshape(q, p, n3))
+
+
+def _reversed_axes(a):
+    """a.transpose(2, 1, 0) as a new C-contiguous array, a cache-sized block of axis 1 at a time."""
+    out = np.empty(a.shape[::-1], a.dtype)
+    step = max(1, BLOCK // max(1, a.shape[0] * a.shape[2]))
+    for i in range(0, a.shape[1], step):
+        out[:, i : i + step] = a[:, i : i + step].transpose(2, 1, 0)
     return out
 
 
 def fold3_from_reshaped(t, dims):
     """Invert reshape_mode3 back to a tensor of shape dims = (n1, n2, n3).
 
-    Returns a new C-contiguous array, moved as reshape_mode3 moves it but in reverse order:
-    the axis reversal a cache-sized block of p at a time, then modes 1 and 2 swapped back.
+    Returns a new C-contiguous array: reshape_mode3's moves, undone in reverse order.
     """
     t = _as_tensor3(t)
     n1, n2, n3 = dims
-    _, p, q = t.shape
-    if t.shape[0] != n3 or p * q != n1 * n2:
+    if t.shape[0] != n3 or t.shape[1] * t.shape[2] != n1 * n2:
         raise ValueError(f"reshaped tensor {t.shape} does not match dims {dims}")
-    b = np.empty((q, p, n3), t.dtype)
-    step = max(1, BLOCK // max(1, q * n3))
-    for i in range(0, p, step):
-        b[:, i : i + step] = t[:, i : i + step].transpose(2, 1, 0)
-    return np.ascontiguousarray(b.reshape(n2, n1, n3).transpose(1, 0, 2))
+    return np.ascontiguousarray(_reversed_axes(t).reshape(n2, n1, n3).transpose(1, 0, 2))
 
 
 def multi_rank(a, tol_rel=1e-10):

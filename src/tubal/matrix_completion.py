@@ -413,18 +413,6 @@ def _fill(sides, gamma, side):
     return _blend(base, other, gamma)
 
 
-def _sq_dist(a, b):
-    """||a - b||^2 of two arrays of one shape, summed per index of the first axis a
-    cache-sized block at a time, so the sum does not depend on core.BLOCK."""
-    a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
-    step = max(1, core.BLOCK // max(1, a.shape[1]))
-    per = np.empty(len(a))
-    for i in range(0, len(a), step):
-        d = a[i : i + step] - b[i : i + step]
-        per[i : i + step] = np.einsum("ij,ij->i", d, d)
-    return float(per.sum())
-
-
 def _weighted_misfit(side, weight, reference):
     """weight times half the squared distance from side's products to the half spectrum
     reference; conjugate-pair weights make it half a squared Frobenius distance in the
@@ -439,7 +427,7 @@ def _objective(sides, gamma, x):
     iterate's layout as 0.5 * ||x - fold(reconstruction)||^2."""
     g = _weighted_misfit(sides[0], 1.0, sides[0].spec.slices)
     for side in sides[1:]:
-        g += gamma * (0.5 * _sq_dist(x, side.spatial()))
+        g += gamma * (0.5 * float(core._row_sq(x, side.spatial()).sum()))
     return g
 
 
@@ -459,16 +447,28 @@ def objective(factors, x):
     return _objective([_Side(factors).fit(x)], None, x)
 
 
-def _start(problem, config):
-    """A run's (starting ranks, growth ceiling), decided before any factors are drawn: rank 1
-    per slice (0 stays 0) under init_ranks' stored ranks when rank detection is on and init_ranks
-    could interpolate the data (can_interpolate), else (init_ranks, None)."""
-    ranks, n = as_multirank(config.init_ranks, problem.dims[2]), min(problem.dims[:2])
-    if ranks.tubal > n:  # init_factors' check, which a start of rank 1 would pass
-        raise ValueError(f"initial rank {ranks.tubal} exceeds min(n1, n2) = {n}")
-    if not (config.rank_cfg.enabled and can_interpolate(problem.dims, ranks, problem.mask.count)):
+def _start(problem, config, xt_dims=None):
+    """([start], or [start, start_xt] for regrouped dims xt_dims, and the slice side's growth
+    ceiling), decided before any factors are drawn.  A side asks for init_ranks (the regrouped one
+    for init_ranks_xt, by default the slice start's tubal rank capped by (n3, p)); it starts at rank
+    1 per slice (0 stays 0) if rank detection is on and those could interpolate the data on its own
+    dims (can_interpolate), the slice side growing to them; a full-rank slice start is refused."""
+    def rule(dims, spec):
+        ranks, n = as_multirank(spec, dims[2]), min(dims[:2])
+        if ranks.tubal > n:  # init_factors' check, which a start of rank 1 would pass
+            raise ValueError(f"initial rank {ranks.tubal} exceeds min{dims[:2]} = {n}")
+        if config.rank_cfg.enabled and can_interpolate(dims, ranks, problem.mask.count):
+            return MultiRank([min(1, r) for r in ranks]), ranks.stored()
         return ranks, None
-    return MultiRank([min(1, r) for r in ranks]), ranks.stored()
+    start, ceiling = rule(problem.dims, config.init_ranks)
+    if min(start.stored()) >= min(problem.dims[:2]):
+        raise ValueError(f"starting ranks {start.stored()} are full rank on every slice of "
+                         f"{problem.dims[:2]}: the fit would reproduce the data and fill nothing")
+    if xt_dims is None:
+        return [start], ceiling
+    xt = config.init_ranks_xt
+    xt = max(min(start.tubal, *xt_dims[:2]), 1) if xt is None else xt
+    return [start, rule(xt_dims, xt)[0]], ceiling
 
 
 def _sweeps(problem, config, all_sides, ceiling, gamma=None, adaptive_gamma=False):
@@ -548,7 +548,10 @@ def _sweeps(problem, config, all_sides, ceiling, gamma=None, adaptive_gamma=Fals
         if not stop and t < config.max_iter:  # the next sweep's schedule, from the sides that made x
             if adaptive_gamma:
                 gamma = _refit_gamma(sides, observed_index, gamma)
-                xt = sides[1].factors  # off if it fits the data far worse, or fits anything
+                # off if it fits the data far worse, or fits anything.  A full-rank side gets
+                # one blended sweep, which steadies the slice side's first rank cut; no cut hides
+                # it, as _start starts a side that could interpolate at rank 1 (full if 1 row).
+                xt = sides[1].factors
                 if gamma < SIDE_OFF_GAMMA or min(xt.ranks) >= min(xt.dims[:2]):
                     off = sides.pop()
                     off.drop()
@@ -583,11 +586,7 @@ def solve(problem, config):
         original width.
     trace : SolverTrace
     """
-    start, ceiling = _start(problem, config)
-    if min(start.stored()) >= min(problem.dims[:2]):
-        raise ValueError(f"starting ranks {start.stored()} are full rank on every slice of "
-                         f"{problem.dims[:2]}: the fit would reproduce the observed data and "
-                         "complete no entry")
+    (start,), ceiling = _start(problem, config)
     sides = [_Side(init_factors(*problem.dims, start, config.seed))]
     x, trace, _ = _sweeps(problem, config, sides, ceiling)
     trace.final_factors = sides[0].factors

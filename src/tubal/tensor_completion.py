@@ -73,10 +73,10 @@ def geometry(p, q, dims=None):
 class DoubleTubalConfig(SolverConfig):
     """Settings for the blended two-factorization solver.
 
-    init_ranks_xt gives per-slice ranks for the regrouped side (length q);
-    when omitted it is the tubal rank of the slice side's start (1 on the
-    growth path, see SolverConfig), capped by the regrouped geometry.  p and
-    q fix the regrouping; both default from default_geometry.
+    init_ranks_xt gives per-slice ranks for the regrouped side (length q), by
+    default the slice start's tubal rank capped by (n3, p); _start starts either
+    side at rank 1 where, with rank detection on, its ranks could interpolate the
+    data.  p and q fix the regrouping; both default from default_geometry.
     """
 
     init_ranks_xt: object = None
@@ -158,25 +158,22 @@ def objective(dfactors, x):
 def solve(problem, config):
     """Blended alternating least-squares completion: the sweep engine on two sides.
 
-    Each sweep refits the slice factors, then the regrouped ones.  Where the
-    slice factors could interpolate the data, the slice side grows from rank 1
-    (RankGrowth, which extrapolates no blended sweep).  The regrouped side keeps
-    its starting ranks, by default the slice side's starting tubal rank; it is
-    left out at a fixed gamma0 of 0, and switched off (event side_off) by the
-    first adaptive gamma refit below SIDE_OFF_GAMMA or at full slice rank;
-    sweeps without it are the matrix solver's, logged with gamma 0 and that
-    side's last ranks.  Returns (x, trace); trace.final_factors has the gamma
-    whose fill made x.
+    Each sweep refits the slice factors, then the regrouped ones.  Both sides start
+    by one rule (_start): at rank 1 where their requested ranks could interpolate
+    the data, the slice side then growing (RankGrowth, which extrapolates no blended
+    sweep); a slice start at full rank is a ValueError.  The regrouped side keeps its
+    ranks; it is left out at a fixed gamma0 of 0, and switched off (event
+    side_off) by the first adaptive gamma refit below SIDE_OFF_GAMMA or at full
+    slice rank; sweeps without it are the matrix solver's, logged with gamma 0
+    and that side's last ranks.  Returns (x, trace); trace.final_factors has the
+    gamma whose fill made x.
     """
     n1, n2, n3 = problem.dims
     p, q = geometry(config.p, config.q, (n1, n2))
     rng = np.random.default_rng(config.seed)
-    start, ceiling = _start(problem, config)
-    ranks_xt = config.init_ranks_xt
-    if ranks_xt is None:  # the slice side's starting tubal rank, capped by the regrouped geometry
-        ranks_xt = max(min(start.tubal, n3, p), 1)
+    (start, start_xt), ceiling = _start(problem, config, (n3, p, q))
     # the initial factors go straight into the sides: a local here would hold them all run
-    sides = _sides(init_factors(n1, n2, n3, start, rng), init_factors(n3, p, q, ranks_xt, rng),
+    sides = _sides(init_factors(n1, n2, n3, start, rng), init_factors(n3, p, q, start_xt, rng),
                    problem.dims)
     x, trace, gamma = _sweeps(problem, config, sides, ceiling, float(config.gamma0),
                               config.adaptive_gamma)

@@ -5,6 +5,7 @@ import csv
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,17 +226,45 @@ def test_complete_matrix_rejects_an_empty_mask(tmp_path, capsys):
     assert "no entry as observed" in capsys.readouterr().err
 
 
-def test_complete_matrix_rejects_a_start_at_full_rank(tmp_path, capsys):
+@pytest.mark.parametrize("command", [
+    # at --n2 1 every slice is a single column, so rank 1 reproduces any observed data
+    ["complete-matrix", "--n2", "1", "--init-rank", "1"],
+    # the 32x32 image's one slice at rank 32, kept there with rank detection off
+    ["complete-tensor", "--init-rank", "32", "--rank-decrease-tau", "0"],
+], ids=["complete-matrix", "complete-tensor"])
+def test_complete_matrix_rejects_a_start_at_full_rank(tmp_path, capsys, command):
     src = tmp_path / "in.pgm"
     save_image(src, rank2_image())
     outs = [tmp_path / name for name in ("out.pgm", "trace.csv", "metrics.csv")]
-    # at --n2 1 every slice is a single column, so rank 1 reproduces any observed data
-    code = main(["complete-matrix", "--input", str(src), "--ratio", "0.7", "--n2", "1",
-                 "--init-rank", "1", "--output", str(outs[0]), "--trace", str(outs[1]),
-                 "--metrics-out", str(outs[2])])
+    code = main(command + ["--input", str(src), "--ratio", "0.7", "--output", str(outs[0]),
+                           "--trace", str(outs[1]), "--metrics-out", str(outs[2])])
     assert code == EXIT_INPUT
     assert "full rank" in capsys.readouterr().err
     assert not any(path.exists() for path in outs)
+
+
+def test_complete_matrix_frees_the_problem_before_scoring(tmp_path):
+    # SSIM sets the call's peak; the folded problem and the solver's tensor held through
+    # it put the peak at 13.8 image sizes, released before it at 11.7
+    img = rank2_image(128, 128)
+    src = tmp_path / "in.pgm"
+    save_image(src, img)
+    outs = [str(tmp_path / name) for name in ("out.pgm", "trace.csv", "metrics.csv")]
+    command = ["complete-matrix", "--input", str(src), "--ratio", "0.7", "--n2", "8",
+               "--init-rank", "2", "--output", outs[0], "--trace", outs[1], "--metrics-out", outs[2]]
+    main(command)  # a first call's one-time imports and caches are not the call's arrays
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        code = main(command)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak <= 12.5 * img.nbytes
 
 
 def test_complete_matrix_accepts_single_slice_tensor(tmp_path):

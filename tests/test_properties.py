@@ -445,12 +445,13 @@ def test_solvers_return_finite_output_exact_on_observed_and_repeatable(n1, n2, n
     mask.flat[rng.integers(mask.size)] = True
     problem = CompletionProblem.from_tensor(truth * mask, mask)
     rank = min(rank, n1, n2)
-    if solver == "matrix":  # a start at full rank on every slice can complete no entry
-        start, _ = _start(problem, SolverConfig(init_ranks=rank, seed=seed))
-        if min(start.stored()) >= min(n1, n2):
-            with pytest.raises(ValueError, match="full rank"):
-                _run_solver(solver, problem, rank, seed)
-            return
+    try:
+        _start(problem, SolverConfig(init_ranks=rank, seed=seed))
+    except ValueError as e:  # a slice start at full rank on every slice, in either solver
+        assert "full rank" in str(e)
+        with pytest.raises(ValueError, match="full rank"):
+            _run_solver(solver, problem, rank, seed)
+        return
     x, history = _run_solver(solver, problem, rank, seed)
     assert x.shape == truth.shape and np.isfinite(x).all()
     assert np.array_equal(x[mask], truth[mask])

@@ -254,7 +254,9 @@ def test_pinned_zero_gamma_runs_the_slice_side_alone(tmp_path):
     slice_solves.reset()
     msolve(prob, SolverConfig(**kw))
     assert tensor_solves == slice_solves.count
-    start = dfactors_for(prob, init_ranks=3, init_ranks_xt=2, seed=4).f_xt
+    # rank 2 is full on the (4, 2, 60) regrouping, so _start starts that side at rank 1
+    starts, _ = mc._start(prob, DoubleTubalConfig(**kw), (4, *default_geometry(12, 10)))
+    start = dfactors_for(prob, *starts, seed=4).f_xt
     f_xt = ttrace.final_factors.f_xt
     assert all(np.array_equal(a, b) for a, b in zip(f_xt.left + f_xt.right, start.left + start.right))
     assert all(r.gamma == 0.0 and r.ranks_xt == start.ranks for r in ttrace.rows)
@@ -311,6 +313,19 @@ def test_the_regrouped_default_follows_the_slice_start(seed):
     x, trace = solve(prob, DoubleTubalConfig(init_ranks=8, seed=seed))
     assert trace.rows[0].ranks_xt == MultiRank.constant(1, 50)
     assert rel_error(x, truth) < 1e-3
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_regrouped_side_that_could_interpolate_starts_at_rank_1(seed):
+    # at rank 8 the (10, 10, 50) regrouped side carries 4,800 degrees of freedom against
+    # 3,000 observed entries; started there it ended near rel_error 0.55 at the sweep cap
+    prob = interpolating_problem(seed)
+    x, trace = solve(prob, DoubleTubalConfig(init_ranks=8, init_ranks_xt=8, seed=seed))
+    assert trace.rows[0].ranks_xt == MultiRank.constant(1, 50)
+    default, _ = solve(prob, DoubleTubalConfig(init_ranks=8, seed=seed))
+    assert x.tobytes() == default.tobytes()
+    truth = tensor_to_matrix(synth_low_tubal(50, 10, 10, 3, seed), 100)
+    assert rel_error(tensor_to_matrix(x, 100), truth) < 1e-3
 
 
 def test_fixed_gamma_objective_descends_in_plain_ordering():
@@ -662,9 +677,9 @@ def test_trace_records_both_rank_lists():
 def test_reshaped_rank_fallback_caps_at_geometry():
     from tubal import RankDecreaseConfig
 
-    _, prob = partial_problem(seed=21, n1=6, n2=4, n3=3)
+    _, prob = partial_problem(seed=21, n1=6, n2=5, n3=3)  # rank 4 is below full on 6x5 slices
     cfg = DoubleTubalConfig(
-        init_ranks=4, seed=0, p=8, q=3, max_iter=2, epsilon=1e-13,
+        init_ranks=4, seed=0, p=10, q=3, max_iter=2, epsilon=1e-13,
         rank_cfg=RankDecreaseConfig(enabled=False),
     )
     _, trace = solve(prob, cfg)
