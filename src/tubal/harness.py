@@ -215,16 +215,13 @@ def _run_synth(args):
     matrix = tensor_to_matrix(truth, SYNTH_WIDTH)
     problem = CompletionProblem.from_matrix(matrix, mask2d, n2)
     _, recovered, trace = solve_matrix(problem, _solver_config(args))
-    err = rel_error(recovered, matrix)
     save_tensor(os.path.join(args.output, "truth.t3"), truth)
     save_mask(os.path.join(args.output, "mask.msk"), problem.mask)
     save_tensor(os.path.join(args.output, "recovered.t3"), recovered[:, :, None])
     trace.write_csv(os.path.join(args.output, "trace.csv"))
-    _write_metrics(
-        os.path.join(args.output, "metrics.csv"),
-        _metric_rows(matrix, recovered),
-    )
-    print(f"rel_error={err:.6e}")
+    rows = _metric_rows(matrix, recovered)
+    _write_metrics(os.path.join(args.output, "metrics.csv"), rows)
+    print(f"rel_error={dict(rows)['rel_error']:.6e}")
     return EXIT_OK if trace.converged else EXIT_MAX_ITER
 
 

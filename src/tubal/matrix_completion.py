@@ -22,13 +22,13 @@ blended in with weight gamma.  A sweep, written out in _sweeps alone:
    follows; a stage-one sweep refits it from a fresh fill first.
 
 Every fill is built in the layout of the side that fits it, from the sides'
-reconstructions in that layout (_Side.seen_by), each moved between layouts
-once per factor change; blend and refill act entry by entry, so the regrouped
-side's fill is the regrouped iterate's.  The one regroup of the iterate is
-the closing fit before a stage-two sweep, where it is cheaper than a fill.
-Each full-size array lives only until its last reader: a spectrum until the
-update that last reads it, a side's last products until its step is measured,
-the regrouped side's observed pair through stage one.
+reconstructions in that layout, each built at most once per factor pair by one
+memoized accessor (_Side.seen_by); blend and refill act entry by entry, so the
+regrouped side's fill is the regrouped iterate's.  The one regroup of the
+iterate is the closing fit before a stage-two sweep, where it is cheaper than
+a fill.  Each full-size array lives only until its last reader: a spectrum
+until the update that last reads it, a side's last products until its step is
+measured, the regrouped side's observed pair through stage one.
 
 The public step functions (update_x, objective, kkt_residuals, and their
 tensor counterparts) are built from the engine's own primitives.
@@ -326,7 +326,7 @@ def _refit_gamma(sides, observed_index, gamma):
     when b fits the observed entries exactly.  observed_index is _observed_index's pair."""
     seen, observed = ~observed_index[0], observed_index[1]
     residual = np.empty_like(observed)  # one scratch array for both masked residuals
-    num, den = (fro_norm(np.multiply(np.subtract(s.spatial(), observed, out=residual), seen,
+    num, den = (fro_norm(np.multiply(np.subtract(s.seen_by(None), observed, out=residual), seen,
                                      out=residual)) for s in sides)
     return num / den if den > 0 else gamma
 
@@ -337,11 +337,11 @@ class _Side:
     A side holds a factor pair; regroup, from the iterate's layout to its own (None: the
     iterate's layout), and fold, back; the event its rank cuts are logged as; observed, the
     engine's (unobserved pattern, observed data) pair in its own layout, which a regrouped
-    side holds through stage one only; and its reconstruction, rebuilt only when the factor
-    pair object changes: in its own layout (the inverse transform), folded into the iterate's
-    (a C-ordered copy), and regrouped into another side's (the regrouped side's fills read the
-    slice side's reconstruction so).  Between sweeps it holds its factors, its reconstruction
-    and prev; its spectrum lives from a fit to the update that last reads it.
+    side holds through stage one only; and its reconstruction in each layout, which one
+    accessor (seen_by) builds at most once per factor pair object: its own by the inverse
+    transform, the iterate's by fold, another side's by that side's regroup; drop() forgets
+    all, release(layout) one.  Between sweeps it holds its factors, its reconstruction and
+    prev; its spectrum lives from a fit to the update that last reads it.
     """
 
     def __init__(self, factors, regroup=None, fold=None, event="rank_decrease"):
@@ -360,7 +360,8 @@ class _Side:
 
     def drop(self):
         """Forget the reconstruction, in every layout."""
-        self._built = self._products = self._own = self._spatial = self._regrouped = None
+        self._built = self._products = None
+        self._seen = {}  # layout -> the reconstruction in it
 
     def products(self):
         """Stored slice products of the current factors."""
@@ -370,32 +371,22 @@ class _Side:
             self._built = self.factors
         return self._products
 
-    def own(self):
-        """The reconstruction in this side's own layout."""
+    def seen_by(self, layout):
+        """The reconstruction in layout: a side's regroup, or None for the iterate's."""
         products = self.products()
-        if self._own is None:
-            self._own = _irfft_checked(products, self.factors.dims[2], tol=1e-9)
-        return self._own
+        if layout not in self._seen:
+            if layout is self.regroup:  # its own: the inverse transform
+                a = _irfft_checked(products, self.factors.dims[2], tol=1e-9)
+            elif layout is None:  # the iterate's: a C-ordered copy of its own, folded
+                a = self.fold(self.seen_by(self.regroup))
+            else:  # another side's: the iterate-layout one, regrouped
+                a = layout(self.seen_by(None))
+            self._seen[layout] = a
+        return self._seen[layout]
 
-    def spatial(self):
-        """The reconstruction in the iterate's layout."""
-        own = self.own()
-        if self.fold is None:
-            return own
-        if self._spatial is None:
-            self._spatial = self.fold(own)
-        return self._spatial
-
-    def seen_by(self, side):
-        """The reconstruction in side's own layout."""
-        if side is self:
-            return self.own()
-        spatial = self.spatial()
-        if side.regroup is None:
-            return spatial
-        if self._regrouped is None:
-            self._regrouped = side.regroup(spatial)
-        return self._regrouped
+    def release(self, layout):
+        """Forget the reconstruction in layout, and return it (None if not held)."""
+        return self._seen.pop(layout, None)
 
 
 def _fill(sides, gamma, side):
@@ -407,9 +398,9 @@ def _fill(sides, gamma, side):
     build, so nothing would reuse it.
     """
     if len(sides) == 1:
-        own, side._own = side.own(), None  # the next call rebuilds it
-        return own
-    base, other = (s.seen_by(side) for s in sides)
+        side.seen_by(side.regroup)
+        return side.release(side.regroup)  # the next call rebuilds it
+    base, other = (s.seen_by(side.regroup) for s in sides)
     return _blend(base, other, gamma)
 
 
@@ -427,7 +418,7 @@ def _objective(sides, gamma, x):
     iterate's layout as 0.5 * ||x - fold(reconstruction)||^2."""
     g = _weighted_misfit(sides[0], 1.0, sides[0].spec.slices)
     for side in sides[1:]:
-        g += gamma * (0.5 * float(core._row_sq(x, side.spatial()).sum()))
+        g += gamma * (0.5 * float(core._row_sq(x, side.seen_by(None)).sum()))
     return g
 
 
@@ -518,7 +509,7 @@ def _sweeps(problem, config, all_sides, ceiling, gamma=None, adaptive_gamma=Fals
                 del fill  # not held through the next refill
             side.factors = update_right(side.factors, side.spec)
             side.spec = None  # its last reader
-        sides[0]._regrouped = None  # its last fill in the regrouped layout is done
+        sides[0].release(sides[-1].regroup)  # its last fill in the last side's layout is done
         event, step_sq = [], 0.0
         for side, weight in zip(sides, (1.0, gamma)):
             side.factors, _, changed = rank_decrease(side.factors, config.rank_cfg)

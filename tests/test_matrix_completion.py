@@ -226,10 +226,10 @@ def test_gamma_refit_reads_the_observed_residuals_of_each_side():
     idx = np.flatnonzero(prob.mask.observed)
     values = prob.observed.take(idx)
     want = fro_norm(a.take(idx) - values) / fro_norm(b.take(idx) - values)
-    sides = [SimpleNamespace(spatial=lambda v=v: v) for v in (a, b)]
+    sides = [SimpleNamespace(seen_by=lambda layout, v=v: v) for v in (a, b)]
     got = mc._refit_gamma(sides, mc._observed_index(prob), 0.5)
     assert abs(got - want) <= 1e-14 * want
-    exact = SimpleNamespace(spatial=lambda: prob.observed)  # no residual: gamma stays put
+    exact = SimpleNamespace(seen_by=lambda layout: prob.observed)  # no residual: gamma stays put
     assert mc._refit_gamma([sides[0], exact], mc._observed_index(prob), 0.5) == 0.5
 
 

@@ -641,6 +641,29 @@ def test_solver_rebuilds_only_the_side_whose_factors_changed(monkeypatch):
     assert len(calls) == 2 + 4 + 4 + 2 + 2
 
 
+@pytest.mark.parametrize("t0, max_iter, want", [(2, 4, (6, 5, 13)), (0, 3, (3, 3, 6))])
+def test_solver_builds_each_layout_once_per_factor_pair(monkeypatch, t0, max_iter, want):
+    # a run's regroups, folds back and inverse transforms: a reconstruction rebuilt, or
+    # moved to a layout twice for one factor pair, shows as a larger count
+    names = ((tc, "reshape_mode3"), (tc, "fold3_from_reshaped"), (mc, "_irfft_checked"))
+    counts = {name: 0 for _, name in names}
+    for module, name in names:
+        def counting(*args, _orig=getattr(module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    truth = synth_low_tubal(12, 10, 6, 2, seed=1)
+    mask = generate_mask(truth.shape, 0.6, seed=1)
+    prob = CompletionProblem.from_tensor(truth, mask)  # zero-filled off the mask
+    cfg = DoubleTubalConfig(
+        init_ranks=2, init_ranks_xt=1, p=20, q=6, seed=0, t0=t0, max_iter=max_iter,
+        epsilon=1e-300, adaptive_gamma=False, rank_cfg=RankDecreaseConfig(enabled=False),
+    )
+    _, trace = solve(prob, cfg)
+    assert trace.iterations == max_iter
+    assert tuple(counts.values()) == want
+
+
 def test_solver_is_deterministic():
     _, prob = partial_problem(seed=19)
     cfg = DoubleTubalConfig(init_ranks=2, seed=3, max_iter=10, epsilon=1e-13)
