@@ -150,15 +150,26 @@ def _imag_residual(slices, n3):
     return np.sqrt(bad / n3)
 
 
-def _row_sq(a, minus=None):
-    """Per index of a's first axis, the squared Frobenius norm of a (or of a - minus), summed a
-    block of whole rows at a time, so no temporary outgrows the cache or depends on BLOCK."""
+def _row_blocks(a):
+    """Slices of a's first axis, each a block of whole rows of at most BLOCK entries (one row
+    at least), so no temporary of a pass over them outgrows the cache."""
     step = max(1, BLOCK // max(1, a[0].size))
+    return (slice(i, i + step) for i in range(0, len(a), step))
+
+
+def _sq(b):
+    """Per index of b's first axis, the squared Frobenius norm of b[i], summed in C order; it
+    reads row i alone, so it does not depend on how many rows b holds."""
+    v = np.ascontiguousarray(b).view(np.float64).reshape(len(b), -1)
+    return np.einsum("ij,ij->i", v, v)
+
+
+def _row_sq(a, minus=None):
+    """Per index of a's first axis, the squared Frobenius norm of a (or of a - minus), summed
+    (_sq) a block of whole rows at a time (_row_blocks), so no sum depends on BLOCK."""
     per = np.empty(len(a))
-    for i in range(0, len(a), step):
-        b = a[i : i + step] if minus is None else a[i : i + step] - minus[i : i + step]
-        v = np.ascontiguousarray(b).view(np.float64).reshape(len(b), -1)
-        per[i : i + step] = np.einsum("ij,ij->i", v, v)
+    for b in _row_blocks(a):
+        per[b] = _sq(a[b] if minus is None else a[b] - minus[b])
     return per
 
 

@@ -15,11 +15,12 @@ blended in with weight gamma.  A sweep, written out in _sweeps alone:
    stage one (the first t0 sweeps) the iterate is refilled after every
    factor update, so a side's right update and each later side fit the
    newest refill; in stage two all fit the last sweep's iterate.
-2. Ranks shrink where a Gram eigen-gap shows, tested on every sweep, and each
-   side's step from its last products is measured.
-3. The iterate is refilled from the sides' reconstructions, and the slice side
-   fits it.  The regrouped side fits the same fill only when a stage-two sweep
-   follows; a stage-one sweep refits it from a fresh fill first.
+2. Ranks shrink where a Gram eigen-gap shows, tested on every sweep.
+3. One closing pass (_close) refills the iterate in place from the sides'
+   reconstructions and reads the objective, each side's step from its last
+   reconstruction and the relative change.  Only when another sweep follows
+   does the slice side fit the new iterate, and the regrouped side only when
+   that sweep is in stage two; a stage-one sweep refits it from a fresh fill first.
 
 Every fill is built in the layout of the side that fits it, from the sides'
 reconstructions in that layout, each built at most once per factor pair by one
@@ -27,8 +28,10 @@ memoized accessor (_Side.seen_by); blend and refill act entry by entry, so the
 regrouped side's fill is the regrouped iterate's.  The one regroup of the
 iterate is the closing fit before a stage-two sweep, where it is cheaper than
 a fill.  Each full-size array lives only until its last reader: a spectrum
-until the update that last reads it, a side's last products until its step is
-measured, the regrouped side's observed pair through stage one.
+until the update that last reads it, a side's products until its inverse
+transform, the regrouped side's observed pair and own-layout reconstruction
+through stage one.  Both sides' objective terms are taken in the iterate's
+layout, summed per whole row, so the public objectives equal the logged ones.
 
 The public step functions (update_x, objective, kkt_residuals, and their
 tensor counterparts) are built from the engine's own primitives.
@@ -52,7 +55,7 @@ from .core import (
     project,  # noqa: F401 -- bound for perfbench/layertrace.py, which wraps it here
     reshape_matrix_to_tensor,
     tensor_to_matrix,
-    _half_weighted_sq,
+    _half_weighted_sq,  # noqa: F401 -- bound for perfbench/layertrace.py, which wraps it here
     _irfft_checked,
 )
 from .factors import (
@@ -280,7 +283,7 @@ class RankGrowth:
         if not self._ratios or abs(1.0 - self._rate()) >= PLATEAU:
             return False
         side.factors, grown = grow_ranks(
-            side.factors, side.spec.slices - side.products(), self.ceiling
+            side.factors, side.spec.slices - compose_spectral(side.factors), self.ceiling
         )
         if grown:
             self.falls = 0
@@ -302,13 +305,15 @@ def _refill(a, observed_index):
 
 
 def _rel_change(new, old):
-    """||new - old|| / ||old|| (the bare ||new - old|| when old is 0), in one pass over both
-    a block at a time."""
-    new, old, n = np.ravel(new), np.ravel(old), core.BLOCK
-    num = den = 0.0
-    for i in range(0, new.size, n):
-        d, o = new[i : i + n] - old[i : i + n], old[i : i + n]
-        num, den = num + d @ d, den + o @ o
+    """||new - old|| / ||old|| (the bare ||new - old|| when old is 0), numerator and denominator
+    summed per whole row (core._row_sq), as the closing pass (_close) sums them."""
+    return _ratio(core._row_sq(new, old), core._row_sq(old))
+
+
+def _ratio(change, mass):
+    """The relative change from its per-row sums: sqrt(sum(change) / sum(mass)), or
+    sqrt(sum(change)) when mass sums to 0."""
+    num, den = change.sum(), mass.sum()
     return float(np.sqrt(num / den if den > 0 else num))
 
 
@@ -339,16 +344,17 @@ class _Side:
     engine's (unobserved pattern, observed data) pair in its own layout, which a regrouped
     side holds through stage one only; and its reconstruction in each layout, which one
     accessor (seen_by) builds at most once per factor pair object: its own by the inverse
-    transform, the iterate's by fold, another side's by that side's regroup; drop() forgets
-    all, release(layout) one.  Between sweeps it holds its factors, its reconstruction and
-    prev; its spectrum lives from a fit to the update that last reads it.
+    transform of its products, which live only for that transform, the iterate's by fold,
+    another side's by that side's regroup; drop() forgets all, release(layout) one.  Between
+    sweeps it holds its factors, prev and what of its reconstruction a later read needs; its
+    spectrum lives from a fit to the update that last reads it.
     """
 
     def __init__(self, factors, regroup=None, fold=None, event="rank_decrease"):
         self.factors = factors
         self.regroup, self.fold, self.event = regroup, fold, event
         self.spec = None  # spectrum of the tensor the next update fits
-        self.prev = None  # products of the last sweep, or of the start
+        self.prev = None  # the last sweep's reconstruction in the iterate's layout, or the start's
         self.observed = None
         self.drop()
 
@@ -360,23 +366,17 @@ class _Side:
 
     def drop(self):
         """Forget the reconstruction, in every layout."""
-        self._built = self._products = None
+        self._built = None  # the factor pair whose reconstruction _seen holds
         self._seen = {}  # layout -> the reconstruction in it
-
-    def products(self):
-        """Stored slice products of the current factors."""
-        if self._built is not self.factors:
-            self.drop()  # the stale pair goes before its successor is built
-            self._products = compose_spectral(self.factors)
-            self._built = self.factors
-        return self._products
 
     def seen_by(self, layout):
         """The reconstruction in layout: a side's regroup, or None for the iterate's."""
-        products = self.products()
+        if self._built is not self.factors:
+            self.drop()  # the stale pair goes before its successor is built
+            self._built = self.factors
         if layout not in self._seen:
             if layout is self.regroup:  # its own: the inverse transform
-                a = _irfft_checked(products, self.factors.dims[2], tol=1e-9)
+                a = _irfft_checked(compose_spectral(self.factors), self.factors.dims[2], tol=1e-9)
             elif layout is None:  # the iterate's: a C-ordered copy of its own, folded
                 a = self.fold(self.seen_by(self.regroup))
             else:  # another side's: the iterate-layout one, regrouped
@@ -404,22 +404,42 @@ def _fill(sides, gamma, side):
     return _blend(base, other, gamma)
 
 
-def _weighted_misfit(side, weight, reference):
-    """weight times half the squared distance from side's products to the half spectrum
-    reference; conjugate-pair weights make it half a squared Frobenius distance in the
-    side's own domain."""
-    n3 = side.factors.dims[2]
-    return weight * _half_weighted_sq(side.products(), n3, reference) / (2.0 * n3)
+def _weighted_half(per_row, gamma):
+    """Half the per-row sums of each side (the slice side's first), weighted 1 and gamma."""
+    return sum(w * (0.5 * float(r.sum())) for w, r in zip((1.0, gamma), per_row))
 
 
 def _objective(sides, gamma, x):
-    """The engine's objective at x: the slice side's half squared misfit, on the half
-    spectrum it fits (x's transform), plus gamma times the regrouped side's, measured in the
-    iterate's layout as 0.5 * ||x - fold(reconstruction)||^2."""
-    g = _weighted_misfit(sides[0], 1.0, sides[0].spec.slices)
-    for side in sides[1:]:
-        g += gamma * (0.5 * float(core._row_sq(x, side.seen_by(None)).sum()))
-    return g
+    """The engine's objective at x: half each side's squared distance from x to its
+    reconstruction in x's layout, the slice side weighted 1 and the regrouped side gamma,
+    each summed per whole row (core._row_sq) as the closing pass (_close) sums it."""
+    return _weighted_half([core._row_sq(x, s.seen_by(None)) for s in sides], gamma)
+
+
+def _close(sides, gamma, x, observed_index):
+    """A sweep's closing pass, a block of whole rows at a time (core._row_blocks): x, the
+    engine's C-ordered iterate, refilled in place with _fill's entries, and read on the way
+    (objective, step_sq, rel_change): _objective at the new x, the weighted half squared step
+    of each side's reconstruction from its prev (which it becomes), and _rel_change of x.
+    Every sum is taken per whole row, so none depends on core.BLOCK."""
+    now = [s.seen_by(None) for s in sides]
+    unobserved, observed = observed_index
+    fit, step = np.empty((2, len(sides), len(x)))
+    change, mass = np.empty((2, len(x)))
+    for b in core._row_blocks(x):
+        fill = _blend(now[0][b], now[1][b], gamma) if len(sides) > 1 else now[0][b]
+        new = np.multiply(fill, unobserved[b], out=fill if len(sides) > 1 else None)
+        new += observed[b]  # _refill's entries; a lone side's reconstruction stays as prev
+        old = x[b]  # holds each difference in turn, then the new entries: one block is made
+        mass[b] = core._sq(old)
+        change[b] = core._sq(np.subtract(old, new, out=old))  # (old - new)^2 is (new - old)^2
+        for i, (side, r) in enumerate(zip(sides, now)):
+            fit[i, b] = core._sq(np.subtract(new, r[b], out=old))
+            step[i, b] = core._sq(np.subtract(r[b], side.prev[b], out=old))
+        old[...] = new
+    for side, r in zip(sides, now):
+        side.prev = r
+    return _weighted_half(fit, gamma), _weighted_half(step, gamma), _ratio(change, mass)
 
 
 def update_x(factors, problem):
@@ -429,13 +449,12 @@ def update_x(factors, problem):
 
 
 def objective(factors, x):
-    """Half squared distance between the factorization and x.
+    """Half squared distance between the factorization and x, 0.5 * ||compose(factors) - x||_F^2.
 
-    Evaluated on the stored half spectrum with conjugate-pair weights; equal
-    to 0.5 * ||compose(factors) - x||_F^2.
+    Summed per whole row of x, as the sweep engine sums the objective it logs, so a trace
+    row's objective equals this at that sweep's factors and x byte for byte.
     """
-    x = np.asarray(x, float)
-    return _objective([_Side(factors).fit(x)], None, x)
+    return _objective([_Side(factors)], None, np.asarray(x, float))
 
 
 def _start(problem, config, xt_dims=None):
@@ -486,9 +505,9 @@ def _sweeps(problem, config, all_sides, ceiling, gamma=None, adaptive_gamma=Fals
             side.observed = tuple(map(side.regroup, observed_index))
         else:
             side.fit(side.regroup(observed_index[1]))
-    for side in sides:
-        side.prev = side.products()  # which the first sweep's fills reuse
-    x = problem.observed
+    for side in sides:  # the start's reconstruction: the first step is measured from it
+        side.prev = side.seen_by(None)
+    x = observed_index[1].copy()  # the iterate, which every closing pass refills in place
 
     # the refilled fill in side's own layout; reads gamma when called
     refill = lambda side: _refill(_fill(sides, gamma, side), side.observed)  # noqa: E731
@@ -510,17 +529,12 @@ def _sweeps(problem, config, all_sides, ceiling, gamma=None, adaptive_gamma=Fals
             side.factors = update_right(side.factors, side.spec)
             side.spec = None  # its last reader
         sides[0].release(sides[-1].regroup)  # its last fill in the last side's layout is done
-        event, step_sq = [], 0.0
-        for side, weight in zip(sides, (1.0, gamma)):
+        event = []
+        for side in sides:
             side.factors, _, changed = rank_decrease(side.factors, config.rank_cfg)
             if changed:
                 event.append(side.event)
-            step_sq += _weighted_misfit(side, weight, side.prev)
-            side.prev = side.products()  # the last products die before the closing fill
-        x_new = refill(sides[0])
-        rel, x = _rel_change(x_new, x), x_new  # the old iterate goes before the transform
-        sides[0].fit(x)
-        g = _objective(sides, gamma, x)
+        g, step_sq, rel = _close(sides, gamma, x, observed_index)
         if not np.isfinite(g):
             raise FloatingPointError(f"objective became non-finite at sweep {t}")
         if growth is not None:
@@ -549,8 +563,10 @@ def _sweeps(problem, config, all_sides, ceiling, gamma=None, adaptive_gamma=Fals
                     off.prev = off.observed = None
                     gamma, adaptive_gamma = 0.0, False
                     event.append("side_off")
+            sides[0].fit(x)
             if len(sides) > 1 and t >= config.t0:  # a stage-two sweep's first update fits x,
-                sides[1].observed = None  # (only stage-one fills read it)
+                sides[1].observed = None  # (only stage-one fills read it, and its own layout)
+                sides[1].release(sides[1].regroup)
                 sides[1].fit(sides[1].regroup(x))  # cheaper regrouped than rebuilt as a fill
             if growth is not None:
                 if growth.grow(sides[0]):
@@ -598,7 +614,7 @@ def _kkt(sides, gamma, x, problem):
     out = []
     for side, weight in zip(sides, (1.0, gamma)):
         side.fit(x if side.regroup is None else side.regroup(x))
-        residual = side.spec.slices - side.products()
+        residual = side.spec.slices - compose_spectral(side.factors)
         out += (weight * np.sqrt(g) / scale for g in gradient_sq(side.factors, residual))
     fill, on = _fill(sides, gamma, sides[0]), problem.mask.observed
     return (*out, fro_norm(np.where(on, 0.0, x - fill)) / scale,

@@ -145,14 +145,12 @@ def update_gamma(dfactors, problem):
 def objective(dfactors, x):
     """Blended objective: slice-side misfit plus gamma times regrouped misfit.
 
-    Each term is half the squared Frobenius misfit: the slice side's evaluated on
-    its stored half spectrum with conjugate-pair weights, the regrouped side's in
-    x's layout against its folded reconstruction (the sweep engine's own objective).
+    Each term is half the squared Frobenius distance from x to that side's
+    reconstruction in x's layout (the regrouped side's folded back), summed per
+    whole row of x as the sweep engine sums the objective it logs.
     """
     x = np.asarray(x, float)
-    sides = _sides(dfactors.f_x, dfactors.f_xt, x.shape)
-    sides[0].fit(x)
-    return _objective(sides, dfactors.gamma, x)
+    return _objective(_sides(dfactors.f_x, dfactors.f_xt, x.shape), dfactors.gamma, x)
 
 
 def solve(problem, config):

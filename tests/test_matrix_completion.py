@@ -347,7 +347,8 @@ def test_solves_are_byte_identical_at_any_block_size(monkeypatch):
         monkeypatch.setattr(mc.core, "BLOCK", block)
         for ranks in (2, 8):  # a plain start and a growing one, both converging
             x, _, trace = solve(prob, SolverConfig(init_ranks=ranks, seed=4))
-            runs.append((x.tobytes(), trace.iterations, trace.termination))
+            logged = np.array([(r.objective, r.rel_change, r.step_sq) for r in trace.rows])
+            runs.append((x.tobytes(), logged.tobytes(), trace.iterations, trace.termination))
     assert runs[:2] == runs[2:]
 
 
@@ -367,7 +368,8 @@ def test_one_sweep_is_the_public_steps_composed():
 
 def test_non_finite_objective_raises(monkeypatch):
     _, prob = easy_problem(seed=14)
-    monkeypatch.setattr(mc, "_weighted_misfit", lambda *a: float("nan"))
+    close = mc._close  # the closing pass, with its objective made non-finite
+    monkeypatch.setattr(mc, "_close", lambda *a: (float("nan"),) + close(*a)[1:])
     with pytest.raises(FloatingPointError):
         solve(prob, SolverConfig(init_ranks=3, seed=0))
 

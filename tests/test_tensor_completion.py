@@ -24,6 +24,7 @@ from tubal import (
     generate_mask,
     half_count,
     matrix_kkt_residuals,
+    matrix_objective,
     rel_error,
     reshape_mode3,
     synth_low_tubal,
@@ -433,14 +434,15 @@ def traced_peak(run, *args):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_solves_hold_each_full_size_array_only_until_its_last_reader(seed):
-    # The peaks read about 12.7 iterate sizes for the tensor solver and 5.3 for the matrix
-    # solver; a sweep that holds each spectrum to the next fit, the last products past the
-    # closing fill and the regrouped observed pair to the end reads 15.5 and 7.1.
+    # The peaks read about 10.1 iterate sizes for the tensor solver and 4.9 for the matrix
+    # solver; they read 12.7 and 5.3 when prev held the last products and the closing fill
+    # was a new array, and 15.5 and 7.1 when besides each spectrum lived to the next fit, the
+    # last products past the closing fill and the regrouped observed pair to the end.
     _, prob = criterion_5_problem(seed)
     size = prob.observed.nbytes
     tensor = traced_peak(solve, prob, DoubleTubalConfig(init_ranks=3, p=160, q=10, seed=seed))
     matrix = traced_peak(msolve, prob, SolverConfig(init_ranks=3, seed=seed))
-    assert tensor <= 14.0 * size and matrix <= 6.2 * size
+    assert tensor <= 11.4 * size and matrix <= 5.8 * size
 
 
 def test_the_last_sweep_never_switches_the_side_off():
@@ -544,13 +546,13 @@ def test_stage_one_refills_after_every_factor_update(monkeypatch, two_sides):
     else:
         _, solves = counted_solves(msolve, prob, SolverConfig(**kw))
     # One transform at the start, of the slice side only: a stage-one sweep refits the
-    # regrouped side from a fresh fill first.  The slice side closes each of the 5 sweeps,
-    # and the regrouped side only sweeps 3 and 4, which a stage-two sweep follows (none
-    # follows sweep 5).  Each of the 3 stage-one sweeps adds one refill per side between its
-    # left and right updates, and one opening the second side.  Every sweep makes 2 solves
-    # per stored slice, and the regrouped side of this (10, 8, 4) problem is (4, 2, 40):
-    # 3 + 21 stored slices.
-    assert (len(transforms), solves) == ((1 + 7 + 9, 240) if two_sides else (1 + 5 + 3, 30))
+    # regrouped side from a fresh fill first.  The slice side fits the closing x of sweeps
+    # 1-4, which another sweep follows, and the regrouped side only that of sweeps 3 and 4,
+    # which a stage-two sweep follows.  Each of the 3 stage-one sweeps adds one refill per
+    # side between its left and right updates, and one opening the second side.  Every sweep
+    # makes 2 solves per stored slice, and the regrouped side of this (10, 8, 4) problem is
+    # (4, 2, 40): 3 + 21 stored slices.
+    assert (len(transforms), solves) == ((1 + 6 + 9, 240) if two_sides else (1 + 4 + 3, 30))
 
 
 def test_regrouped_side_fits_the_regrouped_iterate_layout_fill(monkeypatch):
@@ -598,6 +600,40 @@ def test_every_blended_row_logs_the_public_objective():
         assert row.objective == tensor_objective(cut.final_factors, x)
 
 
+@pytest.mark.parametrize("two_sides", [False, True], ids=["matrix", "fixed-gamma tensor"])
+def test_every_row_logs_the_step_and_the_change_of_the_runs_cut_around_it(two_sides):
+    # Row t + 1 against the runs cut after sweeps t and t + 1 (t = 0: the start): step_sq is
+    # half the weighted squared step of each side's reconstruction in the iterate's layout,
+    # rel_change is _rel_change of the two x, and the objective the public one.
+    _, prob = partial_problem(seed=35)
+    off = RankDecreaseConfig(enabled=False)
+    kw = dict(init_ranks=3, seed=2, t0=2, epsilon=1e-300, rank_cfg=off)
+    if two_sides:
+        cfg = DoubleTubalConfig(init_ranks_xt=2, gamma0=0.6, adaptive_gamma=False, **kw)
+        start = dfactors_for(prob, init_ranks=3, init_ranks_xt=2, gamma=0.6, seed=2)
+        run, objective = lambda k: solve(prob, replace(cfg, max_iter=k)), tensor_objective
+
+        def seen(d):
+            return [(1.0, compose(d.f_x)), (0.6, fold3_from_reshaped(compose(d.f_xt), prob.dims))]
+    else:
+        cfg = SolverConfig(**kw)
+        start = init_factors(*prob.dims, 3, seed=2)
+        run, objective = lambda k: msolve(prob, replace(cfg, max_iter=k))[::2], matrix_objective
+
+        def seen(f):
+            return [(1.0, compose(f))]
+    x, factors = prob.observed, start
+    for t in range(5):  # stage one, its last sweep, stage two
+        x_next, trace = run(t + 1)
+        row, after = trace.rows[t], trace.final_factors
+        steps = zip(seen(after), seen(factors))
+        want = sum(w * 0.5 * fro_norm(a - b) ** 2 for (w, a), (_, b) in steps)
+        assert abs(row.step_sq - want) <= 1e-12 * want
+        assert row.rel_change == mc._rel_change(x_next, x)
+        assert row.objective == objective(after, x_next)
+        x, factors = x_next, after
+
+
 def test_one_sweep_is_the_public_steps_composed():
     for n3, gamma0 in [(4, 1.0), (5, 0.3), (4, 0.0)]:
         _, prob = partial_problem(seed=31 + n3, n3=n3)
@@ -641,10 +677,12 @@ def test_solver_rebuilds_only_the_side_whose_factors_changed(monkeypatch):
     assert len(calls) == 2 + 4 + 4 + 2 + 2
 
 
-@pytest.mark.parametrize("t0, max_iter, want", [(2, 4, (6, 5, 13)), (0, 3, (3, 3, 6))])
+@pytest.mark.parametrize("t0, max_iter, want", [(2, 4, (6, 5, 14)), (0, 3, (3, 4, 8))])
 def test_solver_builds_each_layout_once_per_factor_pair(monkeypatch, t0, max_iter, want):
     # a run's regroups, folds back and inverse transforms: a reconstruction rebuilt, or
-    # moved to a layout twice for one factor pair, shows as a larger count
+    # moved to a layout twice for one factor pair, shows as a larger count.  Both starts
+    # are built in the iterate's layout, the first sweep's step_sq is measured from them;
+    # with t0 = 2 the first sweep's fills read the regrouped side's anyway.
     names = ((tc, "reshape_mode3"), (tc, "fold3_from_reshaped"), (mc, "_irfft_checked"))
     counts = {name: 0 for _, name in names}
     for module, name in names:
@@ -681,8 +719,9 @@ def test_blended_solve_is_byte_identical_at_any_block_size(monkeypatch):
     for block in (mc.core.BLOCK, 7):
         monkeypatch.setattr(mc.core, "BLOCK", block)
         x, trace = solve(prob, cfg)
-        runs.append((x.tobytes(), trace.objectives().tobytes(), trace.iterations,
-                     trace.termination, trace.rows[-1].gamma))
+        logged = np.array([(r.objective, r.rel_change, r.step_sq) for r in trace.rows])
+        runs.append((x.tobytes(), logged.tobytes(), trace.iterations, trace.termination,
+                     trace.rows[-1].gamma))
     assert runs[0] == runs[1]
 
 
