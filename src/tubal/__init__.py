@@ -11,8 +11,6 @@ from .core import (
     fro_norm,
     half_count,
     idft_mode3,
-    mode_fold,
-    mode_product,
     mode_unfold,
     multi_rank,
     pair_weights,
@@ -22,7 +20,6 @@ from .core import (
     tensor_to_matrix,
     tprod,
     tprod_reference,
-    tubal_rank,
 )
 from .factors import (
     BlockFactors,
@@ -39,7 +36,7 @@ from .factors import (
 )
 from .harness import generate_mask, run, synth_low_tubal
 from .io import load_image, load_mask, load_tensor, save_image, save_mask, save_tensor
-from .matrix_completion import CompletionProblem, SolverConfig, SolverTrace, update_x
+from .matrix_completion import CompletionProblem, SolverConfig, SolverTrace
 from .matrix_completion import kkt_residuals as matrix_kkt_residuals
 from .matrix_completion import objective as matrix_objective
 from .matrix_completion import solve as complete_matrix
@@ -49,9 +46,6 @@ from .tensor_completion import (
     DoubleTubalConfig,
     KKTResiduals,
     double_tubal_rank,
-    update_gamma,
-    update_reshaped_factors,
-    update_x_blend,
 )
 from .tensor_completion import kkt_residuals as tensor_kkt_residuals
 from .tensor_completion import objective as tensor_objective

@@ -249,27 +249,6 @@ def mode_unfold(a, mode):
     return np.moveaxis(a, axis, 0).reshape(a.shape[axis], -1, order="F")
 
 
-def mode_fold(m, mode, dims):
-    """Invert mode_unfold for a tensor of shape dims."""
-    axis, dims = _axis(mode), tuple(dims)
-    rest = tuple(d for i, d in enumerate(dims) if i != axis)
-    m = np.asarray(m)
-    if m.shape != (dims[axis], rest[0] * rest[1]):
-        raise ValueError(f"unfolding shape {m.shape} does not match dims {dims}")
-    return np.moveaxis(m.reshape((dims[axis],) + rest, order="F"), 0, axis)
-
-
-def mode_product(a, mat, mode):
-    """Mode-s product: contract mode s of the tensor with the columns of mat."""
-    a, axis = _as_tensor3(a), _axis(mode)
-    mat = np.asarray(mat)
-    if mat.ndim != 2 or mat.shape[1] != a.shape[axis]:
-        raise ValueError(
-            f"matrix shape {mat.shape} does not match mode-{mode} size {a.shape[axis]}"
-        )
-    return np.moveaxis(np.tensordot(mat, a, axes=([1], [axis])), 0, axis)
-
-
 def reshape_matrix_to_tensor(m, n2):
     """Fold an (n1, h) matrix into an (n1, n2, n3) tensor of consecutive column blocks.
 
@@ -356,11 +335,6 @@ def multi_rank(a, tol_rel=1e-10):
     # an all-zero (or empty) slice counts nothing: no value exceeds tol_rel * 0
     half = np.count_nonzero(s > tol_rel * s[:, :1], axis=1)
     return MultiRank.from_stored(half, spec.dims[2])
-
-
-def tubal_rank(a):
-    """Largest frequency-slice rank (multi_rank's tolerance)."""
-    return multi_rank(a).tubal
 
 
 def _rank_array(values):
@@ -465,5 +439,8 @@ def project(x, mask, values):
 
 
 def fro_norm(a):
-    """Frobenius norm of an array of any shape."""
-    return float(np.linalg.norm(np.asarray(a).ravel()))
+    """Frobenius norm of an array of any shape, a complex one as its float pairs, summed by
+    einsum in C order rather than by BLAS, so it does not depend on the BLAS thread count."""
+    v = np.asarray(a).ravel()
+    v = v.view(float) if v.dtype == complex else v.astype(float, copy=False)
+    return float(np.sqrt(np.einsum("i,i->", v, v)))

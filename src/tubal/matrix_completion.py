@@ -33,8 +33,8 @@ transform, the regrouped side's observed pair and own-layout reconstruction
 through stage one.  Both sides' objective terms are taken in the iterate's
 layout, summed per whole row, so the public objectives equal the logged ones.
 
-The public step functions (update_x, objective, kkt_residuals, and their
-tensor counterparts) are built from the engine's own primitives.
+The public objective and kkt_residuals, and their tensor counterparts, are
+built from the engine's own primitives.
 """
 
 import csv
@@ -440,12 +440,6 @@ def _close(sides, gamma, x, observed_index):
     for side, r in zip(sides, now):
         side.prev = r
     return _weighted_half(fit, gamma), _weighted_half(step, gamma), _ratio(change, mass)
-
-
-def update_x(factors, problem):
-    """Fill the unobserved entries with the current factorization."""
-    side = _Side(factors)
-    return _refill(_fill([side], None, side), _observed_index(problem))
 
 
 def objective(factors, x):

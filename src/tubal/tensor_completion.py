@@ -12,30 +12,19 @@ slice side and the regrouped side, whose regroup is reshape_mode3 and whose
 fold back is fold3_from_reshaped.
 """
 
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .core import check_count, check_flag, check_real
 from .core import fold3_from_reshaped, multi_rank, reshape_mode3
-from .factors import init_factors, update_left, update_right
-from .matrix_completion import (
-    SolverConfig,
-    _fill,
-    _kkt,
-    _objective,
-    _observed_index,
-    _refill,
-    _refit_gamma,
-    _Side,
-    _start,
-    _sweeps,
-)
+from .factors import init_factors
+from .matrix_completion import SolverConfig, _kkt, _objective, _Side, _start, _sweeps
 
 # perfbench/layertrace.py wraps these names in this module's namespace when a traced
 # run starts, so they stay bound here, although the engine in matrix_completion calls them.
 from .core import _irfft_checked, dft_mode3, fro_norm, project  # noqa: F401
-from .factors import compose_spectral, rank_decrease  # noqa: F401
+from .factors import compose_spectral, rank_decrease, update_left, update_right  # noqa: F401
 from .matrix_completion import _blend, _half_weighted_sq, _rel_change  # noqa: F401
 
 Q_CAP = 64  # default_geometry's largest q
@@ -116,30 +105,6 @@ def _sides(f_x, f_xt, dims):
     regroup = lambda a: reshape_mode3(a, p, q)  # noqa: E731
     fold = lambda t: fold3_from_reshaped(t, dims)  # noqa: E731
     return [_Side(f_x), _Side(f_xt, regroup, fold, "rank_decrease_xt")]
-
-
-def update_x_blend(dfactors, problem):
-    """Fill the unobserved entries with the gamma-weighted blend of both sides."""
-    sides = _sides(dfactors.f_x, dfactors.f_xt, problem.dims)
-    return _refill(_fill(sides, dfactors.gamma, sides[0]), _observed_index(problem))
-
-
-def update_reshaped_factors(dfactors, x):
-    """Refit both factors of the regrouped iterate (left, then right)."""
-    side = _sides(dfactors.f_x, dfactors.f_xt, np.shape(x))[1]
-    side.fit(side.regroup(np.asarray(x, float)))
-    return replace(dfactors, f_xt=update_right(update_left(side.factors, side.spec), side.spec))
-
-
-def update_gamma(dfactors, problem):
-    """Refit the blend weight to the observed-entry residuals of the two sides.
-
-    New weight is ||masked residual of the slice side|| over ||masked residual
-    of the regrouped side, folded back||; a regrouped side that fits the
-    observed entries exactly leaves gamma as is.
-    """
-    sides = _sides(dfactors.f_x, dfactors.f_xt, problem.dims)
-    return _refit_gamma(sides, _observed_index(problem), dfactors.gamma)
 
 
 def objective(dfactors, x):

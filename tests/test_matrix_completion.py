@@ -29,7 +29,6 @@ from tubal import (
     tprod,
     update_left,
     update_right,
-    update_x,
 )
 from tubal.factors import init_factors
 from tubal.matrix_completion import MOMENTUM_CAP, RankGrowth, solve
@@ -49,6 +48,11 @@ def easy_problem(seed=0, ratio=0.7, n1=12, n2=8, n3=4, r=2):
     data = low_rank_tensor(n1, n2, n3, r, seed)
     mask = generate_mask((n1, n2, n3), ratio, seed=seed + 1)
     return data, CompletionProblem.from_tensor(data * mask.observed, mask)
+
+
+def filled(factors, problem):
+    """The observed entries, the factorization everywhere else."""
+    return np.where(problem.mask.observed, problem.observed, compose(factors))
 
 
 # ------------------------------------------------------------------- problems
@@ -170,11 +174,10 @@ def test_objective_matches_spatial_formula():
 
 def test_update_x_is_exact_on_observed_entries():
     data, prob = easy_problem(seed=5)
-    f = init_factors(*prob.dims, 4, seed=6)
-    x = update_x(f, prob)
+    x, _, trace = solve(prob, SolverConfig(init_ranks=4, seed=6, max_iter=1))
     assert np.array_equal(x[prob.mask.observed], prob.observed[prob.mask.observed])
     # unobserved entries come from the factorization
-    comp = compose(f)
+    comp = compose(trace.final_factors)
     free = ~prob.mask.observed
     assert np.array_equal(x[free], comp[free])
 
@@ -361,7 +364,7 @@ def test_one_sweep_is_the_public_steps_composed():
         x, _, trace = solve(prob, cfg)
         spec = dft_mode3(prob.observed)
         f = update_right(update_left(init_factors(*prob.dims, 3, seed=7), spec), spec)
-        want = update_x(f, prob)
+        want = filled(f, prob)
         assert x.tobytes() == want.tobytes()
         assert trace.rows[0].objective == matrix_objective(f, want)
 
@@ -606,7 +609,7 @@ def test_kkt_residuals_match_full_spectrum_oracle():
         f = init_factors(*prob.dims, 3, seed=int(rng.integers(1 << 30)))
         spec = dft_mode3(prob.observed)
         f = update_right(update_left(f, spec), spec)
-        x = update_x(f, prob)
+        x = filled(f, prob)
         got = matrix_kkt_residuals(f, x, prob)
         want = kkt_oracle(f, x, prob)
         for g, w in zip(got, want):

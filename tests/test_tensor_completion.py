@@ -1,5 +1,8 @@
 """Blended double-factorization solver: geometry, blending, gamma, ranks, KKT."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -32,11 +35,8 @@ from tubal import (
     tensor_to_matrix,
     tensor_objective,
     tprod,
-    update_gamma,
     update_left,
-    update_reshaped_factors,
     update_right,
-    update_x_blend,
 )
 from tubal.factors import compose_spectral, init_factors, slice_solves
 from tubal.matrix_completion import SIDE_OFF_GAMMA
@@ -66,6 +66,19 @@ def dfactors_for(problem, init_ranks=3, init_ranks_xt=2, gamma=1.0, seed=0):
     f_x = init_factors(n1, n2, n3, init_ranks, rng)
     f_xt = init_factors(n3, p, q, init_ranks_xt, rng)
     return DoubleFactors(f_x, f_xt, gamma)
+
+
+def blended(d, problem):
+    """The observed entries, the gamma blend of both sides' reconstructions everywhere else."""
+    other = fold3_from_reshaped(compose(d.f_xt), problem.dims)
+    blend = (compose(d.f_x) + d.gamma * other) / (1.0 + d.gamma)
+    return np.where(problem.mask.observed, problem.observed, blend)
+
+
+def refit_gamma(d, problem):
+    """The engine's gamma refit (matrix_completion._refit_gamma) at the factors of d."""
+    sides = tc._sides(d.f_x, d.f_xt, problem.dims)
+    return mc._refit_gamma(sides, mc._observed_index(problem), d.gamma)
 
 
 # ------------------------------------------------------------------- geometry
@@ -132,9 +145,9 @@ def test_double_factors_validate_compatibility():
 
 def test_blend_with_zero_gamma_uses_only_slice_side():
     _, prob = partial_problem(seed=2)
-    d = dfactors_for(prob, gamma=0.0)
-    x = update_x_blend(d, prob)
-    base = compose(d.f_x)
+    cfg = DoubleTubalConfig(init_ranks=3, gamma0=0.0, adaptive_gamma=False, max_iter=1, seed=0)
+    x, trace = solve(prob, cfg)
+    base = compose(trace.final_factors.f_x)
     free = ~prob.mask.observed
     assert np.array_equal(x[free], base[free])
     assert np.array_equal(x[prob.mask.observed], prob.observed[prob.mask.observed])
@@ -142,8 +155,9 @@ def test_blend_with_zero_gamma_uses_only_slice_side():
 
 def test_blend_averages_both_sides():
     _, prob = partial_problem(seed=3)
-    d = dfactors_for(prob, gamma=0.5)
-    x = update_x_blend(d, prob)
+    cfg = DoubleTubalConfig(init_ranks=3, gamma0=0.5, adaptive_gamma=False, max_iter=1, seed=0)
+    x, trace = solve(prob, cfg)
+    d = trace.final_factors
     base = compose(d.f_x)
     other = fold3_from_reshaped(compose(d.f_xt), prob.dims)
     want = (base + 0.5 * other) / 1.5
@@ -153,15 +167,15 @@ def test_blend_averages_both_sides():
 
 def test_update_reshaped_factors_fits_regrouped_iterate():
     _, prob = partial_problem(seed=4)
-    d = dfactors_for(prob)
-    x = update_x_blend(d, prob)
-    d2 = update_reshaped_factors(d, x)
+    cfg = DoubleTubalConfig(init_ranks=3, init_ranks_xt=1, t0=0, max_iter=1, epsilon=1e-300,
+                            adaptive_gamma=False, rank_cfg=RankDecreaseConfig(enabled=False))
+    x, trace = solve(prob, cfg)  # the second sweep's regrouped update fits x regrouped
+    d, d2 = trace.final_factors, solve(prob, replace(cfg, max_iter=2))[1].final_factors
     p, q = d.f_xt.dims[1], d.f_xt.dims[2]
     xt = reshape_mode3(x, p, q)
     before = fro_norm(compose(d.f_xt) - xt)
     after = fro_norm(compose(d2.f_xt) - xt)
     assert after <= before + 1e-12
-    assert d2.f_x is d.f_x and d2.gamma == d.gamma
 
 
 # ---------------------------------------------------------------------- gamma
@@ -169,14 +183,15 @@ def test_update_reshaped_factors_fits_regrouped_iterate():
 
 def test_update_gamma_is_residual_ratio():
     _, prob = partial_problem(seed=5)
-    d = dfactors_for(prob, gamma=1.0)
+    cfg = DoubleTubalConfig(init_ranks=3, init_ranks_xt=1, max_iter=1, epsilon=1e-300)
+    d = solve(prob, cfg)[1].final_factors  # the second sweep's gamma is refit to these
     m = prob.mask.observed
     base = compose(d.f_x)
     other = fold3_from_reshaped(compose(d.f_xt), prob.dims)
     want = fro_norm(np.where(m, base - prob.observed, 0.0)) / fro_norm(
         np.where(m, other - prob.observed, 0.0)
     )
-    got = update_gamma(d, prob)
+    got = solve(prob, replace(cfg, max_iter=2))[1].rows[1].gamma
     assert abs(got - want) <= 1e-12 * want
 
 
@@ -189,7 +204,7 @@ def test_update_gamma_keeps_value_when_regrouped_side_is_exact():
     prob = CompletionProblem.from_tensor(data, np.ones((n1, n2, n3), dtype=bool))
     f_x = init_factors(n1, n2, n3, 2, rng)
     d = DoubleFactors(f_x, f_xt, 0.7)
-    assert update_gamma(d, prob) == 0.7
+    assert refit_gamma(d, prob) == 0.7
 
 
 @pytest.mark.parametrize("scale", [2.0**-60, 2.0**60], ids=["2^-60", "2^60"])
@@ -199,7 +214,32 @@ def test_update_gamma_does_not_depend_on_units(scale):
     scaled = lambda f: BlockFactors(f.dims, f.ranks, [a * scale for a in f.left], f.right)  # noqa: E731
     d_scaled = DoubleFactors(scaled(d.f_x), scaled(d.f_xt), d.gamma)
     prob_scaled = CompletionProblem.from_tensor(prob.observed * scale, prob.mask)
-    assert update_gamma(d_scaled, prob_scaled) == update_gamma(d, prob) != d.gamma
+    assert refit_gamma(d_scaled, prob_scaled) == refit_gamma(d, prob) != d.gamma
+
+
+SOLVE_AND_DIGEST = """
+import hashlib
+import numpy as np
+from tubal import CompletionProblem, DoubleTubalConfig, complete_tensor, generate_mask
+from tubal import synth_low_tubal
+truth, mask = synth_low_tubal(40, 40, 10, 3, 0), generate_mask((40, 40, 10), 0.6, 0)
+problem = CompletionProblem.from_tensor(truth * mask.observed, mask)
+x, trace = complete_tensor(problem, DoubleTubalConfig(init_ranks=3, seed=0))
+rows = np.array([(r.gamma, r.objective) for r in trace.rows])
+print(hashlib.sha256(x.tobytes()).hexdigest(), hashlib.sha256(rows.tobytes()).hexdigest())
+"""
+
+
+def test_gamma_and_x_do_not_depend_on_the_blas_thread_count():
+    """The gamma refit's norms (core.fro_norm) are summed without BLAS; on this instance a
+    BLAS dot there gave another gamma history, and so another x, at two threads than at one."""
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        r = subprocess.run([sys.executable, "-c", SOLVE_AND_DIGEST], env=env,
+                           capture_output=True, text=True, check=True)
+        digests.append(r.stdout)
+    assert digests[0] == digests[1]
 
 
 # ------------------------------------------------------------------ objective
@@ -645,13 +685,13 @@ def test_one_sweep_is_the_public_steps_composed():
         _, trace = solve(prob, cfg)
         d = dfactors_for(prob, init_ranks=3, init_ranks_xt=1, gamma=gamma0, seed=5)
         spec = dft_mode3(prob.observed)
-        d = update_reshaped_factors(
-            replace(d, f_x=update_right(update_left(d.f_x, spec), spec)), prob.observed
-        )
-        want = update_x_blend(d, prob)
+        spec_xt = dft_mode3(reshape_mode3(prob.observed, *d.f_xt.dims[1:]))
+        d = DoubleFactors(update_right(update_left(d.f_x, spec), spec),
+                          update_right(update_left(d.f_xt, spec_xt), spec_xt), gamma0)
+        want = blended(d, prob)
         assert x_one.tobytes() == want.tobytes()
         assert trace.rows[0].objective == tensor_objective(d, want)
-        assert trace.rows[1].gamma == update_gamma(d, prob)
+        assert trace.rows[1].gamma == refit_gamma(d, prob)
 
 
 def test_solver_rebuilds_only_the_side_whose_factors_changed(monkeypatch):
@@ -845,7 +885,7 @@ def kkt_oracle(dfactors, x, problem):
 def test_kkt_residuals_match_full_spectrum_oracle():
     _, prob = partial_problem(seed=26, n3=5)
     d = dfactors_for(prob, gamma=0.6, seed=27)
-    x = update_x_blend(d, prob)
+    x = blended(d, prob)
     got = tensor_kkt_residuals(d, x, prob).as_tuple()
     want = kkt_oracle(d, x, prob)
     for g, w in zip(got, want):
@@ -855,7 +895,7 @@ def test_kkt_residuals_match_full_spectrum_oracle():
 def test_kkt_at_gamma_zero_is_the_matrix_solvers_on_the_slice_side():
     _, prob = partial_problem(seed=30, n3=5)
     d = dfactors_for(prob, gamma=0.0, seed=31)
-    x = update_x_blend(dfactors_for(prob, gamma=0.4, seed=32), prob)
+    x = blended(dfactors_for(prob, gamma=0.4, seed=32), prob)
     res = tensor_kkt_residuals(d, x, prob)
     assert (res.x_left, res.x_right, res.blend_complement) == matrix_kkt_residuals(d.f_x, x, prob)
     assert res.reshaped_left == res.reshaped_right == 0.0
