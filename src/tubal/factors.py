@@ -5,7 +5,9 @@ left[k] @ right[k] with a slice-dependent rank.  Updates solve one least-squares
 problem per stored slice (mirrored slices follow by conjugate symmetry, so n3 // 2 + 1
 solves per sweep), zero-padded to the largest rank as one stacked matmul that applies
 each r x r inverted Gram (_gram_inv, zero on the padding) on the short side of its
-slice; the padding adds nothing to a slice's product.
+slice; the padding adds nothing to a slice's product.  On slices at least as tall as wide
+the updates' products with the data, and on cache-sized slices the slice products, run as
+real matmuls on the stacks' interleaved float views (_times, _h_times).
 """
 
 from dataclasses import dataclass
@@ -13,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import MultiRank, _irfft_checked, dft_mode3, half_count, pair_weights
+from .core import BLOCK, MultiRank, _irfft_checked, dft_mode3, half_count, pair_weights
 from .core import check_count, check_flag, check_real
 
 
@@ -99,6 +101,11 @@ class BlockFactors:
     def n_stored(self):
         return half_count(self.dims[2])
 
+    @cached_property
+    def gram(self):
+        """The right factors' Grams q_k q_k^H, read by rank_decrease and update_left."""
+        return self.q @ _h(self.q)
+
 
 def _padded(dims, ranks, p, q):
     """The pair with these ranks from stacks p, q at least as wide, cut to the largest rank
@@ -166,6 +173,37 @@ def _h(a):
     return a.conj().swapaxes(-1, -2)
 
 
+def _tall(factors):
+    """Whether the updates' products with the data run as real matmuls (_times, _h_times): on
+    slices at least as tall as wide.  On wide slices the long operand would be the one expanded
+    to its block form, or the one whose row pairs are combined, which costs more than dgemm
+    saves."""
+    return factors.dims[0] >= factors.dims[1]
+
+
+def _floats(a):
+    """The interleaved (real, imaginary) float view of a complex stack, C-ordered first."""
+    return np.ascontiguousarray(a).view(float)
+
+
+def _times(x, b):
+    """x @ b for complex stacks, as one real matmul of x's float view by the float view of
+    each b's real 2x2-block form: the block row [b, 1j * b] reshaped to (2 n, c), so that
+    rows 2j and 2j + 1 hold b's row j and 1j times it."""
+    n, c = b.shape[-2:]
+    blocks = np.concatenate((b, 1j * b), axis=-1).reshape(*b.shape[:-2], 2 * n, c)
+    return (_floats(x) @ blocks.view(float)).view(complex)
+
+
+def _h_times(a, b):
+    """a^H @ b for complex stacks, as one real matmul of the float views, a's transposed
+    (no conjugated copy of a); row pair (2i, 2i + 1) of the product, read as complex, holds
+    re(a_i)^T b and im(a_i)^T b, so a_i^H b is the first minus 1j times the second."""
+    m = (_floats(a).swapaxes(-1, -2) @ _floats(b)).view(complex)
+    m = m.reshape(*m.shape[:-2], a.shape[-1], 2, b.shape[-1])
+    return m[..., 0, :] - 1j * m[..., 1, :]
+
+
 def _gram_inv(g, stored):
     """Inverse of each padded Gram in the stack g, exactly zero on its slice's padding:
     inv(G + I_pad) - I_pad (I_pad the identity on the padding, which LU never pivots into) for
@@ -191,10 +229,9 @@ def update_left(factors, spec):
     """
     _check_spec(factors, spec)
     q, data = factors.q, np.moveaxis(spec.slices, 2, 0)
-    qh = _h(q)
     slice_solves.count += factors.n_stored
-    ginv = _gram_inv(q @ qh, np.array(factors.ranks.stored()))
-    left = data @ (qh @ ginv) if factors.dims[0] > factors.dims[1] else data @ qh @ ginv
+    ginv = _gram_inv(factors.gram, np.array(factors.ranks.stored()))
+    left = _times(data, _h(q) @ ginv) if _tall(factors) else data @ _h(q) @ ginv
     return BlockFactors._stacked(factors.dims, factors.ranks, left, q)
 
 
@@ -205,10 +242,9 @@ def update_right(factors, spec):
     """
     _check_spec(factors, spec)
     p, data = factors.p, np.moveaxis(spec.slices, 2, 0)
-    ph = _h(p)
     slice_solves.count += factors.n_stored
-    ginv = _gram_inv(ph @ p, np.array(factors.ranks.stored()))
-    right = ginv @ (ph @ data) if factors.dims[0] > factors.dims[1] else ginv @ ph @ data
+    ginv = _gram_inv(_h(p) @ p, np.array(factors.ranks.stored()))
+    right = ginv @ _h_times(p, data) if _tall(factors) else ginv @ _h(p) @ data
     return BlockFactors._stacked(factors.dims, factors.ranks, p, right)
 
 
@@ -223,7 +259,12 @@ def gradient_sq(factors, residual):
 
 def compose_spectral(factors):
     """Stored-slice products left[k] @ right[k] as a slice-major (n_rows, n_cols, half) array."""
-    return (factors.p @ factors.q).transpose(1, 2, 0)
+    # past a cache-sized slice both forms are bound by writing the products, and dgemm, whose
+    # rows are twice as wide, wrote them more slowly (a traced tensor-large solve's 200 x 200
+    # slices at rank 5: 73 ms of compose_spectral in the real form, 51 ms in complex)
+    p, q = factors.p, factors.q
+    small = factors.dims[0] * factors.dims[1] <= BLOCK
+    return (_times(p, q) if small else p @ q).transpose(1, 2, 0)
 
 
 def compose(factors):
@@ -260,7 +301,7 @@ def rank_decrease(factors, cfg):
     if not cfg.enabled or factors.q.shape[1] < 2:  # a gap needs two directions
         return factors, factors.ranks, False
     stored = np.array(factors.ranks.stored())
-    keep = _rank_cuts(np.linalg.eigvalsh(factors.q @ _h(factors.q))[:, ::-1], stored, cfg.tau)
+    keep = _rank_cuts(np.linalg.eigvalsh(factors.gram)[:, ::-1], stored, cfg.tau)
     cut = np.flatnonzero(keep)
     if not cut.size:
         return factors, factors.ranks, False

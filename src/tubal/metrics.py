@@ -32,12 +32,16 @@ def psnr(reference, test):
 
 
 def _box_sums(a, win):
-    """Sum of every win x win window of a (valid positions only)."""
-    s = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
-    s[1:, 1:] = a.cumsum(axis=0).cumsum(axis=1)
-    return (
-        s[win:, win:] - s[:-win, win:] - s[win:, :-win] + s[:-win, :-win]
-    )
+    """Sum of every win x win window of a (valid positions only): running sums of win
+    consecutive rows, then of win consecutive columns, so no prefix sum cancels."""
+    n, m = a.shape[0] - win + 1, a.shape[1] - win + 1
+    rows = a[:n].copy()
+    for i in range(1, win):
+        rows += a[i:i + n]
+    out = rows[:, :m].copy()
+    for j in range(1, win):
+        out += rows[:, j:j + m]
+    return out
 
 
 def _check_window(shape):

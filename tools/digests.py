@@ -20,10 +20,11 @@ tree's src on PYTHONPATH:
 
 With --against, the second run prints how many digests and how many x digests
 equal the base file's, then one "- moved:" line per instance whose digest moved:
-workload, seed, its rel_error in the base file and here, and "x equal" or
-"x moved"; then how many peaks rose by more than PEAK_JITTER, and one
-"- peak rose:" line per instance whose peak did: workload, seed, its peak in the
-base file and here.
+workload, seed, its rel_error in the base file and here, the relative change
+between the two, and "x equal" or "x moved"; then how many peaks rose by more
+than PEAK_JITTER, and one "- peak rose:" line per instance whose peak did:
+workload, seed, its peak in the base file and here.  Each rel_error is printed
+to 17 significant digits, so a move by rounding shows.
 """
 
 import argparse
@@ -53,6 +54,13 @@ def x_digest(inst, result):
     return _digest(result[0])
 
 
+def relative(base_err, err):
+    """The relative change from base_err to err, two rel_error fields, as text ("" for "-")."""
+    if "-" in (base_err, err):
+        return ""
+    return f" ({float(err) / float(base_err) - 1:+.1e} relative)"
+
+
 def traced(solve, *args):
     """(solve(*args), the tracemalloc peak of that call in bytes, above what was live before)."""
     tracemalloc.reset_peak()
@@ -75,7 +83,7 @@ def results():
                 _, err, _, digest = wl.check(inst, result)
                 size = wl.pixels.size * 8 if hasattr(inst, "paths") else result[0].nbytes
                 yield (wl.name, str(seed), str(digest), x_digest(inst, result),
-                       "-" if err is None else f"{err:.6g}", f"{peak / size:.2f}")
+                       "-" if err is None else f"{err:.17g}", f"{peak / size:.2f}")
     solvers = {"growth-matrix": (tubal.complete_matrix, tubal.SolverConfig),
                "growth-tensor": (tubal.complete_tensor, tubal.DoubleTubalConfig)}
     for seed in range(5):  # criterion 4's instance: a 50 x 100 matrix folded at n2 = 10
@@ -86,7 +94,7 @@ def results():
             (x, *_, trace), peak = traced(solve, problem, config(init_ranks=8, seed=seed))
             history = np.array([(r.objective, r.rel_change) for r in trace.rows])
             yield (name, str(seed), _digest(x, history), _digest(x),
-                   f"{tubal.rel_error(x, truth):.6g}", f"{peak / x.nbytes:.2f}")
+                   f"{tubal.rel_error(x, truth):.17g}", f"{peak / x.nbytes:.2f}")
 
 
 parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -108,7 +116,7 @@ else:
             if float(peak) > float(base[w, s][3]) + PEAK_JITTER]
     print(f"{len(head) - len(moved)} of {len(head)} equal, {x_equal} of {len(head)} with equal x")
     for w, s, base_err, err, x in moved:
-        print(f"- moved: {w} {s} {base_err} -> {err}, {x}")
+        print(f"- moved: {w} {s} {base_err} -> {err}{relative(base_err, err)}, {x}")
     print(f"{len(rose)} of {len(head)} with a higher peak (in iterate sizes)")
     for w, s, base_peak, peak in rose:
         print(f"- peak rose: {w} {s} {base_peak} -> {peak}")
