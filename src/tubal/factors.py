@@ -5,9 +5,9 @@ left[k] @ right[k] with a slice-dependent rank.  Updates solve one least-squares
 problem per stored slice (mirrored slices follow by conjugate symmetry, so n3 // 2 + 1
 solves per sweep), zero-padded to the largest rank as one stacked matmul that applies
 each r x r inverted Gram (_gram_inv, zero on the padding) on the short side of its
-slice; the padding adds nothing to a slice's product.  On slices at least as tall as wide
-the updates' products with the data, and on cache-sized slices the slice products, run as
-real matmuls on the stacks' interleaved float views (_times, _h_times).
+slice; the padding adds nothing to a slice's product.  The updates' products with the data
+and the slice products run as real matmuls on the stacks' interleaved float views (_times,
+_h_times); the Grams stay complex.
 """
 
 from dataclasses import dataclass
@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import BLOCK, MultiRank, _irfft_checked, dft_mode3, half_count, pair_weights
+from .core import MultiRank, _irfft_checked, dft_mode3, half_count, pair_weights
 from .core import check_count, check_flag, check_real
 
 
@@ -173,14 +173,6 @@ def _h(a):
     return a.conj().swapaxes(-1, -2)
 
 
-def _tall(factors):
-    """Whether the updates' products with the data run as real matmuls (_times, _h_times): on
-    slices at least as tall as wide.  On wide slices the long operand would be the one expanded
-    to its block form, or the one whose row pairs are combined, which costs more than dgemm
-    saves."""
-    return factors.dims[0] >= factors.dims[1]
-
-
 def _floats(a):
     """The interleaved (real, imaginary) float view of a complex stack, C-ordered first."""
     return np.ascontiguousarray(a).view(float)
@@ -231,7 +223,7 @@ def update_left(factors, spec):
     q, data = factors.q, np.moveaxis(spec.slices, 2, 0)
     slice_solves.count += factors.n_stored
     ginv = _gram_inv(factors.gram, np.array(factors.ranks.stored()))
-    left = _times(data, _h(q) @ ginv) if _tall(factors) else data @ _h(q) @ ginv
+    left = _times(data, _h(q) @ ginv)
     return BlockFactors._stacked(factors.dims, factors.ranks, left, q)
 
 
@@ -244,7 +236,7 @@ def update_right(factors, spec):
     p, data = factors.p, np.moveaxis(spec.slices, 2, 0)
     slice_solves.count += factors.n_stored
     ginv = _gram_inv(_h(p) @ p, np.array(factors.ranks.stored()))
-    right = ginv @ _h_times(p, data) if _tall(factors) else ginv @ _h(p) @ data
+    right = ginv @ _h_times(p, data)
     return BlockFactors._stacked(factors.dims, factors.ranks, p, right)
 
 
@@ -259,12 +251,7 @@ def gradient_sq(factors, residual):
 
 def compose_spectral(factors):
     """Stored-slice products left[k] @ right[k] as a slice-major (n_rows, n_cols, half) array."""
-    # past a cache-sized slice both forms are bound by writing the products, and dgemm, whose
-    # rows are twice as wide, wrote them more slowly (a traced tensor-large solve's 200 x 200
-    # slices at rank 5: 73 ms of compose_spectral in the real form, 51 ms in complex)
-    p, q = factors.p, factors.q
-    small = factors.dims[0] * factors.dims[1] <= BLOCK
-    return (_times(p, q) if small else p @ q).transpose(1, 2, 0)
+    return _times(factors.p, factors.q).transpose(1, 2, 0)
 
 
 def compose(factors):

@@ -24,7 +24,6 @@ from tubal import (
     update_right,
 )
 import tubal.factors
-from tubal.core import BLOCK
 from tubal.factors import GRAM_COND, _gram_inv, _h, _h_times, _times, can_interpolate, grow_ranks
 from tubal.factors import slice_solves
 
@@ -480,38 +479,28 @@ def test_gram_inverse_pseudo_inverts_only_rank_zero_and_ill_conditioned_slices(m
 
 @pytest.mark.parametrize("dims", [(9, 4, 8), (6, 6, 8), (4, 9, 8), (30, 62, 5)])
 def test_updates_apply_the_inverse_on_the_short_side_of_tall_stacks(dims):
-    # a stack at least as tall as wide multiplies the r x r inverse into its columns, with the
+    # every stack, tall or wide, multiplies the r x r inverse into the short factor, with the
     # data products as real matmuls of the float views: data @ b against b's 2x2-block form
     # (rows 2j, 2j + 1 holding b's row j and 1j times it), and p^H @ data as p's transposed
     # float view times data's, whose row pairs (2i, 2i + 1) combine as the first minus 1j times
-    # the second; wide stacks keep (data @ q^H) @ inv and (inv @ p^H) @ data in complex
+    # the second
     f = init_factors(*dims, MultiRank.from_stored([3, 1, 3, 2, 1][: half_count(dims[2])], dims[2]),
                      seed=sum(dims))
     x = dft_mode3(rand(dims, 3))
     data, stored = np.moveaxis(x.slices, 2, 0), np.array(f.ranks.stored())
     k, n_rows, n_cols = data.shape
-    real = n_rows >= n_cols
     qh = _h(f.q)
     ginv = _gram_inv(f.q @ qh, stored)
     pad = np.eye(3) * (np.arange(3) >= stored[:, None])[:, None]
     assert np.array_equal(ginv, np.linalg.inv(f.q @ qh + pad) - pad)  # no slice needs pinv
-    if real:
-        b = qh @ ginv
-        blocks = np.concatenate((b, 1j * b), axis=2).reshape(k, 2 * n_cols, 3).view(float)
-        want = (data.view(float) @ blocks).view(complex)
-    else:
-        want = (data @ qh) @ ginv
+    b = qh @ ginv
+    blocks = np.concatenate((b, 1j * b), axis=2).reshape(k, 2 * n_cols, 3).view(float)
     fl = update_left(f, x)
-    assert np.array_equal(fl.p, want)
-    ph = _h(fl.p)
-    ginv = _gram_inv(ph @ fl.p, stored)
-    if real:
-        m = (fl.p.view(float).transpose(0, 2, 1) @ data.view(float)).view(complex)
-        m = m.reshape(k, 3, 2, n_cols)
-        want = ginv @ (m[:, :, 0] - 1j * m[:, :, 1])
-    else:
-        want = (ginv @ ph) @ data
-    assert np.array_equal(update_right(fl, x).q, want)
+    assert np.array_equal(fl.p, (data.view(float) @ blocks).view(complex))
+    ginv = _gram_inv(_h(fl.p) @ fl.p, stored)
+    m = (fl.p.view(float).transpose(0, 2, 1) @ data.view(float)).view(complex)
+    m = m.reshape(k, 3, 2, n_cols)
+    assert np.array_equal(update_right(fl, x).q, ginv @ (m[:, :, 0] - 1j * m[:, :, 1]))
 
 
 @pytest.mark.parametrize("slice_major", [True, False])
@@ -527,22 +516,13 @@ def test_real_view_products_match_complex_matmul(width, n_stored, slice_major):
     data = crand(n_stored, 9, 6) if slice_major else np.moveaxis(crand(9, 6, n_stored), 2, 0)
     assert data.flags.c_contiguous == (slice_major or n_stored == 1)
     p, q, b = crand(n_stored, 9, width), crand(n_stored, width, 6), crand(n_stored, 6, width)
+    f = BlockFactors._stacked((9, 6, 2 * n_stored - 1),
+                              MultiRank.from_stored([width] * n_stored, 2 * n_stored - 1), p, q)
     for got, want in ((_times(data, b), data @ b), (_times(p, q), p @ q),
+                      (compose_spectral(f), (p @ q).transpose(1, 2, 0)),
                       (_h_times(p, data), p.conj().swapaxes(1, 2) @ data)):
         assert got.shape == want.shape and got.dtype == complex
         assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
-
-
-@pytest.mark.parametrize("dims", [(181, 181, 3), (182, 181, 3)])
-def test_compose_is_a_real_matmul_on_cache_sized_slices_only(dims):
-    # 181 x 181 = 32761 entries per slice fits in core.BLOCK = 2^15, 182 x 181 does not
-    f = init_factors(*dims, 2, seed=7)
-    got, want = compose_spectral(f), (f.p @ f.q).transpose(1, 2, 0)
-    if dims[0] * dims[1] <= BLOCK:
-        assert np.array_equal(got, _times(f.p, f.q).transpose(1, 2, 0))
-        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
-    else:
-        assert np.array_equal(got, want)
 
 
 def test_updates_guard_the_inverse_without_eigvalsh(monkeypatch):
