@@ -1,9 +1,10 @@
 """File formats: binary netpbm images (PGM/PPM) and raw tensor/mask containers.
 
-Images load as float arrays scaled to [0, 1]; 16-bit samples are big-endian
-per the netpbm convention.  Tensors and masks use little-endian containers
-with a 4-byte magic, three uint64 dimensions, and a payload laid out
-frontal-slice-major, column-major within each slice (Fortran order).
+Images load from 8- or 16-bit files (16-bit samples big-endian, per the
+netpbm convention) as float arrays scaled to [0, 1], and save as 8-bit files.
+Tensors and masks use little-endian containers with a 4-byte magic, three
+uint64 dimensions, and a payload laid out frontal-slice-major, column-major
+within each slice (Fortran order).
 """
 
 import math
@@ -12,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .core import ObservationMask, check_count
+from .core import ObservationMask
 
 T3_MAGIC = b"T3F1"
 MASK_MAGIC = b"T3M1"
@@ -52,15 +53,12 @@ def load_image(path):
     return img[:, :, 0] if not color else img
 
 
-def save_image(path, img, maxval=255):
-    """Write a PGM (2-D input) or PPM (h x w x 3 input) with round-half-up quantization.
+def save_image(path, img):
+    """Write an 8-bit PGM (2-D input) or PPM (h x w x 3 input) with round-half-up quantization.
 
     Values are clipped to [0, 1] before scaling; no comments are written.
     """
     img = np.asarray(img, dtype=float)
-    check_count(maxval, "maxval", 1)
-    if maxval > 65535:
-        raise ValueError(f"maxval {maxval} out of range")
     if img.ndim == 3 and img.shape[2] == 3:
         magic, height, width = b"P6", img.shape[0], img.shape[1]
         flat = img
@@ -69,11 +67,9 @@ def save_image(path, img, maxval=255):
         flat = img[:, :, None]
     else:
         raise ValueError(f"cannot save shape {img.shape} as PGM/PPM")
-    q = np.floor(np.clip(flat, 0.0, 1.0) * maxval + 0.5).astype(np.uint32)
-    dtype = ">u2" if maxval > 255 else np.uint8
-    payload = q.astype(dtype).tobytes()
+    payload = np.floor(np.clip(flat, 0.0, 1.0) * 255 + 0.5).astype(np.uint8).tobytes()
     with open(path, "wb") as f:
-        f.write(magic + b"\n%d %d\n%d\n" % (width, height, maxval))
+        f.write(magic + b"\n%d %d\n255\n" % (width, height))
         f.write(payload)
 
 
@@ -121,7 +117,7 @@ def save_mask(path, mask):
 
 def load_mask(path):
     dims, flags, trailer = _read_container(path, MASK_MAGIC, np.uint8, trailer=1)
-    if np.any(flags > 1):
-        raise ValueError(f"mask bytes must be 0 or 1 in {path}")
+    if np.any(flags > 1) or trailer[0] > 1:
+        raise ValueError(f"mask bytes and the padding flag must be 0 or 1 in {path}")
     observed = flags.astype(bool).reshape(dims, order="F")
     return ObservationMask(observed, pad_observed_zero=bool(trailer[0]))

@@ -18,7 +18,8 @@ blended in with weight gamma.  A sweep, written out in _sweeps alone:
 2. Ranks shrink where a Gram eigen-gap shows, tested on every sweep.
 3. One closing pass (_close) refills the iterate in place from the sides'
    reconstructions and reads the objective, each side's step from its last
-   reconstruction and the relative change.  Only when another sweep follows
+   reconstruction, the relative change and, under adaptive gamma, gamma refit to
+   their residuals on the observed entries.  Only when another sweep follows
    does the slice side fit the new iterate, and the regrouped side only when
    that sweep is in stage two; a stage-one sweep refits it from a fresh fill first.
 
@@ -295,15 +296,6 @@ def _observed_index(problem):
     return np.ascontiguousarray(~problem.mask.observed), np.ascontiguousarray(problem.observed)
 
 
-def _refill(a, observed_index):
-    """project() written into a, an array the caller owns: a*1 + 0 is a and a*0 + v is v, for
-    every finite a (an unobserved -0.0 turns +0.0)."""
-    unobserved, observed = observed_index
-    np.multiply(a, unobserved, out=a)
-    a += observed
-    return a
-
-
 def _rel_change(new, old):
     """||new - old|| / ||old|| (the bare ||new - old|| when old is 0), numerator and denominator
     summed per whole row (core._row_sq), as the closing pass (_close) sums them."""
@@ -311,8 +303,8 @@ def _rel_change(new, old):
 
 
 def _ratio(change, mass):
-    """The relative change from its per-row sums: sqrt(sum(change) / sum(mass)), or
-    sqrt(sum(change)) when mass sums to 0."""
+    """A relative change (or the gamma refit) from its per-row sums: sqrt(sum(change) /
+    sum(mass)), or sqrt(sum(change)) when mass sums to 0."""
     num, den = change.sum(), mass.sum()
     return float(np.sqrt(num / den if den > 0 else num))
 
@@ -323,17 +315,6 @@ def _blend(base, other, gamma):
     out += base
     out /= 1.0 + gamma
     return out
-
-
-def _refit_gamma(sides, observed_index, gamma):
-    """The blend weight refit to the two sides' reconstructions a and b:
-    ||P_Omega(a - observed)|| / ||P_Omega(b - observed)||, or gamma unchanged
-    when b fits the observed entries exactly.  observed_index is _observed_index's pair."""
-    seen, observed = ~observed_index[0], observed_index[1]
-    residual = np.empty_like(observed)  # one scratch array for both masked residuals
-    num, den = (fro_norm(np.multiply(np.subtract(s.seen_by(None), observed, out=residual), seen,
-                                     out=residual)) for s in sides)
-    return num / den if den > 0 else gamma
 
 
 class _Side:
@@ -390,18 +371,24 @@ class _Side:
 
 
 def _fill(sides, gamma, side):
-    """The tensor that refills side's own layout of the iterate, as an array the caller owns.
+    """The refilled iterate in side's own layout, as an array the caller owns: project() of
+    the fill onto side.observed, written into the fill (a*1 + 0 is a and a*0 + v is v for
+    every finite a; an unobserved -0.0 turns +0.0).
 
-    Two sides give their gamma blend, each reconstruction taken in side's layout; blend and
-    refill act entry by entry, so a regrouped fill is the regrouped iterate-layout fill.
-    A lone side hands over its reconstruction uncopied: its factors change before any later
-    build, so nothing would reuse it.
+    Two sides fill with their gamma blend, each reconstruction taken in side's layout; blend
+    and refill act entry by entry, so a regrouped fill is the regrouped iterate-layout fill.
+    A lone side's fill is its reconstruction, taken uncopied: its factors change before any
+    later build, so nothing would reuse it.
     """
     if len(sides) == 1:
         side.seen_by(side.regroup)
-        return side.release(side.regroup)  # the next call rebuilds it
-    base, other = (s.seen_by(side.regroup) for s in sides)
-    return _blend(base, other, gamma)
+        fill = side.release(side.regroup)  # the next call rebuilds it
+    else:
+        fill = _blend(*(s.seen_by(side.regroup) for s in sides), gamma)
+    unobserved, observed = side.observed
+    np.multiply(fill, unobserved, out=fill)
+    fill += observed
+    return fill
 
 
 def _weighted_half(per_row, gamma):
@@ -416,30 +403,36 @@ def _objective(sides, gamma, x):
     return _weighted_half([core._row_sq(x, s.seen_by(None)) for s in sides], gamma)
 
 
-def _close(sides, gamma, x, observed_index):
+def _close(sides, gamma, x, observed_index, refit=False):
     """A sweep's closing pass, a block of whole rows at a time (core._row_blocks): x, the
     engine's C-ordered iterate, refilled in place with _fill's entries, and read on the way
-    (objective, step_sq, rel_change): _objective at the new x, the weighted half squared step
-    of each side's reconstruction from its prev (which it becomes), and _rel_change of x.
-    Every sum is taken per whole row, so none depends on core.BLOCK."""
+    (objective, step_sq, rel_change, refit): _objective at the new x, the weighted half squared
+    step of each side's reconstruction from its prev (which it becomes), _rel_change of x, and,
+    if refit, for the two sides' reconstructions a and b, gamma refit to
+    ||P_Omega(a - observed)|| / ||P_Omega(b - observed)|| (else None, as when b fits the
+    observed entries exactly).  Every sum is taken per whole row, so none depends on core.BLOCK."""
     now = [s.seen_by(None) for s in sides]
     unobserved, observed = observed_index
-    fit, step = np.empty((2, len(sides), len(x)))
+    two = len(sides) > 1
+    fit, step, seen = np.empty((3, len(sides), len(x)))
     change, mass = np.empty((2, len(x)))
     for b in core._row_blocks(x):
-        fill = _blend(now[0][b], now[1][b], gamma) if len(sides) > 1 else now[0][b]
-        new = np.multiply(fill, unobserved[b], out=fill if len(sides) > 1 else None)
-        new += observed[b]  # _refill's entries; a lone side's reconstruction stays as prev
+        fill = _blend(now[0][b], now[1][b], gamma) if two else now[0][b]
+        new = np.multiply(fill, unobserved[b], out=fill if two else None)
+        new += observed[b]  # _fill's entries; a lone side's reconstruction stays as prev
         old = x[b]  # holds each difference in turn, then the new entries: one block is made
         mass[b] = core._sq(old)
         change[b] = core._sq(np.subtract(old, new, out=old))  # (old - new)^2 is (new - old)^2
         for i, (side, r) in enumerate(zip(sides, now)):
             fit[i, b] = core._sq(np.subtract(new, r[b], out=old))
+            if refit:  # new - r is observed - r on the observed entries
+                seen[i, b] = core._sq(np.multiply(old, ~unobserved[b], out=old))
             step[i, b] = core._sq(np.subtract(r[b], side.prev[b], out=old))
         old[...] = new
     for side, r in zip(sides, now):
         side.prev = r
-    return _weighted_half(fit, gamma), _weighted_half(step, gamma), _ratio(change, mass)
+    refit = _ratio(*seen) if refit and seen[1].any() else None
+    return _weighted_half(fit, gamma), _weighted_half(step, gamma), _ratio(change, mass), refit
 
 
 def objective(factors, x):
@@ -480,13 +473,14 @@ def _sweeps(problem, config, all_sides, ceiling, gamma=None, adaptive_gamma=Fals
 
     The slice side comes first; a second side enters the fill and the
     objective with weight gamma, and is left out at a fixed gamma of 0.  With
-    adaptive_gamma, a sweep that another sweep follows refits gamma to the
-    reconstructions that made x; the first refit below SIDE_OFF_GAMMA, or at
-    a second side whose ranks reach its slices' shorter side (it reproduces
-    any data, so its residual rewards nothing), switches that side off (event
-    side_off; gamma is then 0).  A ceiling (_start) puts the slice side on
-    RankGrowth, which extrapolates one-side sweeps only; no sweep is undone.  Every row
-    logs gamma and the second side's ranks, and every sweep is stop-tested.
+    adaptive_gamma, a sweep that another sweep follows takes the closing pass's
+    refit of gamma to the reconstructions that made x; the first refit below
+    SIDE_OFF_GAMMA, or at a second side whose ranks reach its slices' shorter
+    side (it reproduces any data, so its residual rewards nothing), switches
+    that side off (event side_off; gamma is then 0).  A ceiling (_start) puts
+    the slice side on RankGrowth, which extrapolates one-side sweeps only; no
+    sweep is undone.  Every row logs gamma and the second side's ranks, and
+    every sweep is stop-tested.
     Sweep order: the module docstring.  Returns (x, trace, the gamma whose fill made x).
     """
     sides = all_sides[:1] if gamma == 0 and not adaptive_gamma else list(all_sides)
@@ -503,20 +497,17 @@ def _sweeps(problem, config, all_sides, ceiling, gamma=None, adaptive_gamma=Fals
         side.prev = side.seen_by(None)
     x = observed_index[1].copy()  # the iterate, which every closing pass refills in place
 
-    # the refilled fill in side's own layout; reads gamma when called
-    refill = lambda side: _refill(_fill(sides, gamma, side), side.observed)  # noqa: E731
-
     trace = SolverTrace(termination="max_iter")
     for t in range(1, config.max_iter + 1):
         started = time.perf_counter()
         stage_one = t <= config.t0
         for i, side in enumerate(sides):
             if i and stage_one:  # a later side starts from the others' new fill
-                side.fit(refill(side))
+                side.fit(_fill(sides, gamma, side))
             side.factors = update_left(side.factors, side.spec)
             if stage_one:  # the refill replaces the spectrum, which nothing reads again
                 side.spec = None
-                fill = refill(side)
+                fill = _fill(sides, gamma, side)
                 side.drop()  # stale once the right factors change; the transform can reuse its memory
                 side.fit(fill)
                 del fill  # not held through the next refill
@@ -528,7 +519,7 @@ def _sweeps(problem, config, all_sides, ceiling, gamma=None, adaptive_gamma=Fals
             side.factors, _, changed = rank_decrease(side.factors, config.rank_cfg)
             if changed:
                 event.append(side.event)
-        g, step_sq, rel = _close(sides, gamma, x, observed_index)
+        g, step_sq, rel, refit = _close(sides, gamma, x, observed_index, adaptive_gamma)
         if not np.isfinite(g):
             raise FloatingPointError(f"objective became non-finite at sweep {t}")
         if growth is not None:
@@ -546,7 +537,7 @@ def _sweeps(problem, config, all_sides, ceiling, gamma=None, adaptive_gamma=Fals
         stop = rel < config.epsilon if growth is None else growth.converged(rel, config.epsilon)
         if not stop and t < config.max_iter:  # the next sweep's schedule, from the sides that made x
             if adaptive_gamma:
-                gamma = _refit_gamma(sides, observed_index, gamma)
+                gamma = gamma if refit is None else refit
                 # off if it fits the data far worse, or fits anything.  A full-rank side gets
                 # one blended sweep, which steadies the slice side's first rank cut; no cut hides
                 # it, as _start starts a side that could interpolate at rank 1 (full if 1 row).
@@ -610,7 +601,8 @@ def _kkt(sides, gamma, x, problem):
         side.fit(x if side.regroup is None else side.regroup(x))
         residual = side.spec.slices - compose_spectral(side.factors)
         out += (weight * np.sqrt(g) / scale for g in gradient_sq(side.factors, residual))
-    fill, on = _fill(sides, gamma, sides[0]), problem.mask.observed
+    now = [s.seen_by(None) for s in sides]  # the unrefilled fill, as the closing pass blends it
+    fill, on = _blend(*now, gamma) if len(now) > 1 else now[0], problem.mask.observed
     return (*out, fro_norm(np.where(on, 0.0, x - fill)) / scale,
             fro_norm(np.where(on, x - problem.observed, 0.0)) / scale,
             fro_norm(np.where(on, x - fill, 0.0)) / scale)

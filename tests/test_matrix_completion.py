@@ -34,6 +34,8 @@ from tubal.factors import init_factors
 from tubal.matrix_completion import MOMENTUM_CAP, RankGrowth, solve
 from tubal.tensor_completion import DoubleTubalConfig, solve as tensor_solve
 
+from test_tensor_completion import closing_refit
+
 
 def rand(shape, seed):
     return np.random.default_rng(seed).standard_normal(shape)
@@ -185,12 +187,19 @@ def test_update_x_is_exact_on_observed_entries():
 # ---------------------------------------------------------------------- solve
 
 
+def lone_side(a, prob):
+    """A slice side whose reconstruction is a, holding prob's observed pair: _fill refills a."""
+    return SimpleNamespace(regroup=None, observed=mc._observed_index(prob),
+                           seen_by=lambda layout: a, release=lambda layout: a)
+
+
 def test_index_refill_matches_project_on_a_strided_array():
     _, prob = easy_problem(seed=42)
     a = rand((4, 16, 12), 43)[:, ::2].transpose(2, 1, 0)  # a strided view
     assert not a.flags.c_contiguous
     want = project(a, prob.mask, prob.observed)
-    got = mc._refill(a.copy(order="K"), mc._observed_index(prob))
+    side = lone_side(a.copy(order="K"), prob)
+    got = mc._fill([side], None, side)
     assert not got.flags.c_contiguous
     assert np.array_equal(got, want)
 
@@ -218,7 +227,8 @@ def test_refill_is_project_byte_for_byte_on_any_layout(layout):
         a = wide[:, ::2]
         assert not (a.flags.c_contiguous or a.flags.f_contiguous)
     want = project(a, prob.mask, prob.observed)
-    got = mc._refill(a, mc._observed_index(prob))
+    side = lone_side(a, prob)
+    got = mc._fill([side], None, side)
     assert got is a
     assert got.tobytes() == want.tobytes()
 
@@ -230,10 +240,10 @@ def test_gamma_refit_reads_the_observed_residuals_of_each_side():
     values = prob.observed.take(idx)
     want = fro_norm(a.take(idx) - values) / fro_norm(b.take(idx) - values)
     sides = [SimpleNamespace(seen_by=lambda layout, v=v: v) for v in (a, b)]
-    got = mc._refit_gamma(sides, mc._observed_index(prob), 0.5)
+    got = closing_refit(sides, 0.5, prob)
     assert abs(got - want) <= 1e-14 * want
     exact = SimpleNamespace(seen_by=lambda layout: prob.observed)  # no residual: gamma stays put
-    assert mc._refit_gamma([sides[0], exact], mc._observed_index(prob), 0.5) == 0.5
+    assert closing_refit([sides[0], exact], 0.5, prob) == 0.5
 
 
 @pytest.mark.parametrize("power", [-100, -40, 40])

@@ -412,16 +412,16 @@ def test_mask_files_round_trip(tmp_path_factory, n1, n2, n3, seed, pad_observed_
     assert np.array_equal(got.observed, observed) and got.pad_observed_zero == pad_observed_zero
 
 
-@given(dims, dims, seeds, st.sampled_from([255, 65535]))
-@example(1, 1, 0, 255)
-@example(3, 4, 0, 65535)
-def test_pgm_files_round_trip_within_half_a_step(tmp_path_factory, h, w, seed, maxval):
+@given(dims, dims, seeds)
+@example(1, 1, 0)
+@example(3, 4, 0)
+def test_pgm_files_round_trip_within_half_a_step(tmp_path_factory, h, w, seed):
     img = np.random.default_rng(seed).random((h, w))
     path = tmp_path_factory.mktemp("pgm") / "img.pgm"
-    save_image(path, img, maxval=maxval)
+    save_image(path, img)
     got = load_image(path)
     assert got.shape == img.shape
-    assert np.abs(got - img).max() <= 0.5 / maxval * (1 + 1e-9)
+    assert np.abs(got - img).max() <= 0.5 / 255 * (1 + 1e-9)
 
 
 # ------------------------------------------------------------ solver invariants

@@ -75,10 +75,19 @@ def blended(d, problem):
     return np.where(problem.mask.observed, problem.observed, blend)
 
 
+def closing_refit(sides, gamma, problem):
+    """The gamma that the engine carries past a closing pass (matrix_completion._close) at the
+    reconstructions of sides: _close's refit, or gamma when the second side fits the observed
+    entries exactly."""
+    for side in sides:  # _close measures each side's step from prev
+        side.prev = side.seen_by(None)
+    refit = mc._close(sides, gamma, np.zeros(problem.dims), mc._observed_index(problem), True)[3]
+    return gamma if refit is None else refit
+
+
 def refit_gamma(d, problem):
-    """The engine's gamma refit (matrix_completion._refit_gamma) at the factors of d."""
-    sides = tc._sides(d.f_x, d.f_xt, problem.dims)
-    return mc._refit_gamma(sides, mc._observed_index(problem), d.gamma)
+    """The engine's gamma refit (closing_refit) at the factors and gamma of d."""
+    return closing_refit(tc._sides(d.f_x, d.f_xt, problem.dims), d.gamma, problem)
 
 
 # ------------------------------------------------------------------- geometry
@@ -606,7 +615,7 @@ def test_regrouped_side_fits_the_regrouped_iterate_layout_fill(monkeypatch):
 
     def spy_fill(sides, gamma, side):
         if side.regroup is not None:  # the same fill built in the iterate's layout, regrouped
-            f = mc._refill(fill(sides, gamma, sides[0]), mc._observed_index(prob))
+            f = fill(sides, gamma, sides[0])
             wants.append(dft_mode3(reshape_mode3(f, p, q)).slices.tobytes())
         return fill(sides, gamma, side)
 

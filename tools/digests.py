@@ -8,11 +8,14 @@ comes first on sys.path and one BLAS thread.  No workload runs the growth path
 and growth-tensor lines follow: the matrix solver and the default tensor solver
 on criterion 4's instance at init_ranks=8, seeds 0-4, each digest taken over x
 and the trace's objective/rel_change history.  The x digest is taken over the
-recovered tensor alone (image-cli's output image), so a line whose digest moved
-with its x digest equal moved only in its logged trace, such as the rounding of
-the objective.  The peak is the solve's tracemalloc peak over the bytes of its
-iterate (x, or the CLI's image as floats), so a line shows how many iterate-sized
-arrays the solve held at once.  Two trees compare by running this once with each
+solver's float output alone: x, or for image-cli the recovered matrix that
+tubal.harness.solve_matrix returns inside the CLI call, before it is quantized
+to the output image.  So a line whose digest moved with its x digest equal moved
+only in its logged trace, such as the rounding of the objective.  The peak is the
+solve's tracemalloc peak over the bytes of its iterate (x, or the CLI's image as
+floats), so a line shows how many iterate-sized arrays the solve held at once;
+image-cli's matrix is hashed where it is returned, so no copy of it outlives the
+call.  Two trees compare by running this once with each
 tree's src on PYTHONPATH:
 
     PYTHONPATH=base/src python tools/digests.py > base.txt
@@ -28,6 +31,7 @@ to 17 significant digits, so a move by rounding shows.
 """
 
 import argparse
+import contextlib
 import hashlib
 import os
 import sys
@@ -46,12 +50,22 @@ SEED = 101
 PEAK_JITTER = 0.05  # iterate sizes; one tree's peaks differ by 0.01 from run to run
 
 
-def x_digest(inst, result):
-    """The digest of a workload's recovered tensor alone: the CLI's output image, or x."""
-    if hasattr(inst, "paths"):
-        with open(inst.paths["out"], "rb") as f:
-            return hashlib.sha256(f.read()).hexdigest()
-    return _digest(result[0])
+@contextlib.contextmanager
+def hashed_matrices(digests):
+    """Wrap tubal.harness.solve_matrix so that the digest of each recovered matrix it returns
+    (the bytes _digest hashes) is appended to digests, hashed in place, so no copy of it
+    outlives the call."""
+    solve = tubal.harness.solve_matrix
+
+    def wrapped(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        digests.append(hashlib.sha256(np.ascontiguousarray(result[1])).hexdigest())
+        return result
+    tubal.harness.solve_matrix = wrapped
+    try:
+        yield
+    finally:
+        tubal.harness.solve_matrix = solve
 
 
 def relative(base_err, err):
@@ -78,11 +92,13 @@ def results():
             wl.setup(workdir)
             entry = wl.entry()
             for seed in instance_seeds(SEED, wl.instances):
-                inst = wl.prepare(seed)
-                result, peak = traced(wl.call, entry, inst)
+                inst, matrices = wl.prepare(seed), []
+                with hashed_matrices(matrices):  # only the CLI's call goes through the harness
+                    result, peak = traced(wl.call, entry, inst)
                 _, err, _, digest = wl.check(inst, result)
                 size = wl.pixels.size * 8 if hasattr(inst, "paths") else result[0].nbytes
-                yield (wl.name, str(seed), str(digest), x_digest(inst, result),
+                x = matrices[0] if matrices else _digest(result[0])
+                yield (wl.name, str(seed), str(digest), x,
                        "-" if err is None else f"{err:.17g}", f"{peak / size:.2f}")
     solvers = {"growth-matrix": (tubal.complete_matrix, tubal.SolverConfig),
                "growth-tensor": (tubal.complete_tensor, tubal.DoubleTubalConfig)}
