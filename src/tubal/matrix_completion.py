@@ -421,12 +421,13 @@ def _close(sides, gamma, x, observed_index, refit=False):
         new = np.multiply(fill, unobserved[b], out=fill if two else None)
         new += observed[b]  # _fill's entries; a lone side's reconstruction stays as prev
         old = x[b]  # holds each difference in turn, then the new entries: one block is made
+        pattern = ~unobserved[b] if refit else None
         mass[b] = core._sq(old)
         change[b] = core._sq(np.subtract(old, new, out=old))  # (old - new)^2 is (new - old)^2
         for i, (side, r) in enumerate(zip(sides, now)):
             fit[i, b] = core._sq(np.subtract(new, r[b], out=old))
             if refit:  # new - r is observed - r on the observed entries
-                seen[i, b] = core._sq(np.multiply(old, ~unobserved[b], out=old))
+                seen[i, b] = core._sq(np.multiply(old, pattern, out=old))
             step[i, b] = core._sq(np.subtract(r[b], side.prev[b], out=old))
         old[...] = new
     for side, r in zip(sides, now):
@@ -449,7 +450,8 @@ def _start(problem, config, xt_dims=None):
     ceiling), decided before any factors are drawn.  A side asks for init_ranks (the regrouped one
     for init_ranks_xt, by default the slice start's tubal rank capped by (n3, p)); it starts at rank
     1 per slice (0 stays 0) if rank detection is on and those could interpolate the data on its own
-    dims (can_interpolate), the slice side growing to them; a full-rank slice start is refused."""
+    dims (can_interpolate), the slice side growing to them; a slice start of full rank, or of rank
+    0, on every slice is refused."""
     def rule(dims, spec):
         ranks, n = as_multirank(spec, dims[2]), min(dims[:2])
         if ranks.tubal > n:  # init_factors' check, which a start of rank 1 would pass
@@ -461,6 +463,8 @@ def _start(problem, config, xt_dims=None):
     if min(start.stored()) >= min(problem.dims[:2]):
         raise ValueError(f"starting ranks {start.stored()} are full rank on every slice of "
                          f"{problem.dims[:2]}: the fit would reproduce the data and fill nothing")
+    if start.tubal == 0:
+        raise ValueError("starting ranks are 0 on every slice: the fit is zero and fills nothing")
     if xt_dims is None:
         return [start], ceiling
     xt = config.init_ranks_xt

@@ -243,6 +243,17 @@ def test_complete_matrix_rejects_a_start_at_full_rank(tmp_path, capsys, command)
     assert not any(path.exists() for path in outs)
 
 
+def test_complete_matrix_rejects_a_start_of_rank_0(tmp_path, capsys):
+    # it exited 0 with the zero-filled image
+    src, out = tmp_path / "in.pgm", tmp_path / "out.pgm"
+    save_image(src, rank2_image())
+    code = main(["complete-matrix", "--input", str(src), "--ratio", "0.7", "--init-rank", "0",
+                 "--output", str(out)])
+    assert code == EXIT_INPUT
+    assert "0 on every slice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_complete_matrix_frees_the_problem_before_scoring(tmp_path):
     # SSIM sets the call's peak; the folded problem and the solver's tensor held through
     # it put the peak at 13.8 image sizes, released before it at 11.7

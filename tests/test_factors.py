@@ -24,6 +24,7 @@ from tubal import (
     update_right,
 )
 import tubal.factors
+from tubal.core import BLOCK
 from tubal.factors import GRAM_COND, _gram_inv, _h, _h_times, _times, can_interpolate, grow_ranks
 from tubal.factors import slice_solves
 
@@ -518,11 +519,33 @@ def test_real_view_products_match_complex_matmul(width, n_stored, slice_major):
     p, q, b = crand(n_stored, 9, width), crand(n_stored, width, 6), crand(n_stored, 6, width)
     f = BlockFactors._stacked((9, 6, 2 * n_stored - 1),
                               MultiRank.from_stored([width] * n_stored, 2 * n_stored - 1), p, q)
+    # slices of 64 x 625 products, above the BLOCK line: _times's column-major block form
+    big_p, big_q = crand(n_stored, 64, width), crand(n_stored, width, 625)
+    big = BlockFactors._stacked((64, 625, 2 * n_stored - 1),
+                                MultiRank.from_stored([width] * n_stored, 2 * n_stored - 1),
+                                big_p, big_q)
     for got, want in ((_times(data, b), data @ b), (_times(p, q), p @ q),
                       (compose_spectral(f), (p @ q).transpose(1, 2, 0)),
-                      (_h_times(p, data), p.conj().swapaxes(1, 2) @ data)):
+                      (_h_times(p, data), p.conj().swapaxes(1, 2) @ data),
+                      (_times(big_p, big_q), big_p @ big_q),
+                      (compose_spectral(big), (big_p @ big_q).transpose(1, 2, 0))):
         assert got.shape == want.shape and got.dtype == complex
         assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n_rows", [52, 53])  # 52 * 625 < BLOCK <= 53 * 625
+def test_times_hands_block_sized_products_the_column_major_block_form(n_rows):
+    # OpenBLAS 0.3.31 rounds the two forms differently at 625 columns, so the bytes tell which
+    # one _times took; the forms hold the same floats
+    rng = np.random.default_rng(n_rows)
+    x, b = (rng.standard_normal(s) + 1j * rng.standard_normal(s)
+            for s in ((2, n_rows, 3), (2, 3, 625)))
+    row_major = np.concatenate((b, 1j * b), axis=2).reshape(2, 6, 625).view(float)
+    column_major = np.concatenate((_h(b), 1j * _h(b)), axis=2).reshape(2, 1250, 3).view(float)
+    column_major = column_major.swapaxes(1, 2)
+    assert np.array_equal(row_major, column_major) and column_major[0].flags.f_contiguous
+    form = column_major if n_rows * 625 >= BLOCK else row_major
+    assert np.array_equal(_times(x, b), (x.view(float) @ form).view(complex))
 
 
 def test_updates_guard_the_inverse_without_eigvalsh(monkeypatch):

@@ -60,6 +60,16 @@ def test_slice_products_are_stored_slice_major(n3, mixed):
         assert close(prods[:, :, k], f.left[k] @ f.right[k])
 
 
+@pytest.mark.parametrize("dims", [(5, 4), (256, 128)], ids=["below BLOCK", "at BLOCK"])
+def test_slice_products_are_slice_major_on_both_sides_of_the_block_line(dims):
+    # a 256 x 128 slice product holds core.BLOCK entries: _times's column-major block form
+    f = mixed_rank_factors(*dims, 4, 3)
+    prods = compose_spectral(f)
+    assert prods.shape == (*dims, f.n_stored) and slice_major(prods)
+    for k in range(f.n_stored):
+        assert close(prods[:, :, k], f.left[k] @ f.right[k])
+
+
 @pytest.mark.parametrize("n3", [2, 5, 6])
 def test_inverse_transform_returns_c_order(n3):
     a = rand((4, 3, n3), 10 + n3)

@@ -145,6 +145,7 @@ def test_both_engines_follow_the_reference_on_small_shapes(
 ):
     half = n3 // 2 + 1
     stored = [min(r, min(n1, n2) - 1) for r in stored[:half]]
+    assume(max(stored) > 0)  # both solvers refuse a start of rank 0 on every slice
     ranks = stored + stored[1 : n3 - half + 1][::-1]  # conjugate-symmetric
     problem = instance((n1, n2, n3), 2, ratio, seed)
     assume(reference.below_capacity(problem.dims, ranks, problem.mask.count))
@@ -155,3 +156,14 @@ def test_both_engines_follow_the_reference_on_small_shapes(
     p = divisors(n1 * n2)[regroup % len(divisors(n1 * n2))] if regroup else None
     xt = min(ranks_xt, n3, p) if ranks_xt and p else None
     check(solver, problem, DoubleTubalConfig(p=p, init_ranks_xt=xt, **kw))
+
+
+@pytest.mark.parametrize("ranks", [0, [0, 0, 0, 0]], ids=["0", "0 per slice"])
+def test_both_solvers_refuse_a_start_of_rank_0_on_every_slice(ranks):
+    # before the check the matrix solver "converged" at sweep 1 on the zero fill (0.634) and
+    # the tensor solver ran to the 100-sweep cap (0.755)
+    problem = instance((10, 8, 4), 2, 0.6, 0)
+    for solve, config in ((complete_matrix, SolverConfig), (complete_tensor, DoubleTubalConfig)):
+        with pytest.raises(ValueError, match="0 on every slice"):
+            solve(problem, config(init_ranks=ranks, seed=0))
+        solve(problem, config(init_ranks="1,0*", max_iter=2, seed=0))  # some slices at 0 run

@@ -3,7 +3,7 @@ digest, x digest, rel_error, peak.
 
 The digests and rel_errors are the ones perfbench/workloads.py's check() takes,
 on the instances of instance_seeds(SEED, n), computed with whichever tubal
-comes first on sys.path and one BLAS thread.  No workload runs the growth path
+comes first on sys.path and one BLAS thread (--threads N for N).  No workload runs the growth path
 (a start that could interpolate the data, grown from rank 1), so growth-matrix
 and growth-tensor lines follow: the matrix solver and the default tensor solver
 on criterion 4's instance at init_ranks=8, seeds 0-4, each digest taken over x
@@ -20,6 +20,9 @@ tree's src on PYTHONPATH:
 
     PYTHONPATH=base/src python tools/digests.py > base.txt
     PYTHONPATH=src python tools/digests.py --against base.txt
+
+and one tree at two thread counts by running it with --threads 1 and --threads 2
+(the pin is set before NumPy loads, so it takes a fresh process per count).
 
 With --against, the second run prints how many digests and how many x digests
 equal the base file's, then one "- moved:" line per instance whose digest moved:
@@ -38,8 +41,22 @@ import sys
 import tempfile
 import tracemalloc
 
+
+def thread_count(text):
+    """--threads' value: an integer from 1 to the CPU count."""
+    n, most = int(text) if text.isdigit() else 0, os.cpu_count() or 1
+    if not 1 <= n <= most:
+        raise argparse.ArgumentTypeError(f"expected 1 to {most} threads, got {text!r}")
+    return n
+
+
+parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+parser.add_argument("--against", metavar="BASE_FILE", help="compare with this script's output")
+parser.add_argument("--threads", type=thread_count, default=1, metavar="N",
+                    help="BLAS threads (default 1)")
+args = parser.parse_args()
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[var] = "1"  # before NumPy loads its BLAS
+    os.environ[var] = str(args.threads)  # before NumPy loads its BLAS
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(1, os.path.join(ROOT, "perfbench"))  # after this directory, before PYTHONPATH
 import numpy as np  # noqa: E402
@@ -113,10 +130,8 @@ def results():
                    f"{tubal.rel_error(x, truth):.17g}", f"{peak / x.nbytes:.2f}")
 
 
-parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-parser.add_argument("--against", metavar="BASE_FILE", help="compare with this script's output")
-args = parser.parse_args()
-print(f"tubal from {os.path.dirname(tubal.__file__)}", file=sys.stderr)
+print(f"tubal from {os.path.dirname(tubal.__file__)}, {args.threads} BLAS thread(s)",
+      file=sys.stderr)
 
 if args.against is None:
     for line in results():
