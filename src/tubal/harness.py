@@ -188,7 +188,7 @@ def _run_complete_matrix(args):
     mask2d = _mask_for(args, matrix.shape + (1,)).observed[:, :, 0]
     problem = CompletionProblem.from_matrix(matrix, mask2d, args.n2)
     _, recovered, trace = solve_matrix(problem, _solver_config(args))
-    del problem, _  # neither is read again, and the metrics' SSIM sets the call's peak
+    del problem, _  # neither is read again; held through the metrics, they top the solve's peak
     return _write_outputs(args, recovered, trace, matrix, mask2d)
 
 

@@ -5,7 +5,6 @@ import csv
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,28 +253,35 @@ def test_complete_matrix_rejects_a_start_of_rank_0(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_complete_matrix_frees_the_problem_before_scoring(tmp_path):
-    # SSIM sets the call's peak; the folded problem and the solver's tensor held through
-    # it put the peak at 13.8 image sizes, released before it at 11.7
-    img = rank2_image(128, 128)
+def scored_call(tmp_path, img, n2):
+    """A complete-matrix command line on img that writes every output, --metrics-out too."""
     src = tmp_path / "in.pgm"
     save_image(src, img)
     outs = [str(tmp_path / name) for name in ("out.pgm", "trace.csv", "metrics.csv")]
-    command = ["complete-matrix", "--input", str(src), "--ratio", "0.7", "--n2", "8",
-               "--init-rank", "2", "--output", outs[0], "--trace", outs[1], "--metrics-out", outs[2]]
+    return ["complete-matrix", "--input", str(src), "--ratio", "0.7", "--n2", str(n2),
+            "--init-rank", "2", "--output", outs[0], "--trace", outs[1], "--metrics-out", outs[2]]
+
+
+def test_complete_matrix_frees_the_problem_before_scoring(tmp_path, traced_peak):
+    # At 128x128 SSIM scores its 121 rows in one block and sets the call's peak at 11.6 image
+    # sizes; the folded problem and the solver's tensor held through it put it at 13.8
+    img = rank2_image(128, 128)
+    command = scored_call(tmp_path, img, 8)
     main(command)  # a first call's one-time imports and caches are not the call's arrays
-    started = not tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        live = tracemalloc.get_traced_memory()[0]
-        code = main(command)
-        peak = tracemalloc.get_traced_memory()[1] - live
-    finally:
-        if started:
-            tracemalloc.stop()
+    code, peak = traced_peak(main, command)
     assert code == EXIT_OK
-    assert peak <= 12.5 * img.nbytes
+    assert peak <= 12.0 * img.nbytes
+
+
+def test_complete_matrix_peak_is_the_solves_once_ssim_runs_in_blocks(tmp_path, traced_peak):
+    # At 512x512 SSIM scores a block of 64 rows at a time and peaks at about 5.5 image sizes,
+    # under the solve's 6.6, which sets the call's peak; scored whole, SSIM put it at 11.0
+    img = rank2_image(512, 512)
+    command = scored_call(tmp_path, img, 16)
+    main(command)
+    code, peak = traced_peak(main, command)
+    assert code == EXIT_OK
+    assert peak <= 7.5 * img.nbytes
 
 
 def test_complete_matrix_accepts_single_slice_tensor(tmp_path):
@@ -695,6 +701,37 @@ def test_metrics_are_checked_before_the_solve(tmp_path, capsys, monkeypatch, com
     assert code == EXIT_INPUT
     assert named in capsys.readouterr().err
     assert not any(path.exists() for path in (out, trace, metrics))
+
+
+def test_non_finite_data_is_refused_before_the_solve_only_when_scored(tmp_path, capsys,
+                                                                      monkeypatch):
+    data = np.random.default_rng(0).random((10, 12, 2))
+    unseen = np.argwhere(~generate_mask(data.shape, 0.7, 1).observed)[0]
+    data[tuple(unseen)] = np.nan
+    src, out, metrics = (tmp_path / name for name in ("in.t3", "out.t3", "metrics.csv"))
+    save_tensor(src, data)
+    argv = ["complete-tensor", "--input", str(src), "--ratio", "0.7", "--seed", "1",
+            "--init-rank", "2", "--output", str(out)]
+    assert main(argv) in (EXIT_OK, EXIT_MAX_ITER)  # the solver never reads an unseen entry
+    assert np.isfinite(load_tensor(out)).all()
+    out.unlink()
+    monkeypatch.setattr(harness, "solve_tensor", lambda *a: pytest.fail("solver was run"))
+    assert main(argv + ["--metrics-out", str(metrics)]) == EXIT_INPUT
+    assert "reference holds NaN or inf" in capsys.readouterr().err
+    assert not out.exists() and not metrics.exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_metrics_command_refuses_non_finite_data(tmp_path, capsys, bad):
+    a = synth_low_tubal(10, 9, 1, 2, seed=16)
+    spoiled = a.copy()
+    spoiled[3, 4, 0] = bad
+    pa, pb = tmp_path / "a.t3", tmp_path / "b.t3"
+    save_tensor(pa, a)
+    save_tensor(pb, spoiled)
+    assert main(["metrics", "--input", str(pa), "--input", str(pb)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "test holds NaN or inf" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("option", ["--output", "--trace", "--metrics-out"])

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import tubal.core as core
 from tubal import psnr, rel_error, ssim
+from tubal.metrics import SSIM_WINDOW, check_reference
 
 
 def rand(shape, seed):
@@ -19,6 +21,25 @@ def test_pair_validation():
             metric(np.zeros((8, 8)), np.zeros((8, 9)))
         with pytest.raises(ValueError):
             metric(np.zeros(8), np.zeros(8))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_data_is_refused(bad):
+    ref, test = rand((9, 10), 14), rand((9, 10), 15)
+    spoiled = ref.copy()
+    spoiled[4, 5] = bad
+    for metric in (psnr, ssim):
+        with pytest.raises(ValueError, match="reference holds NaN or inf"):
+            metric(spoiled, test)
+        with pytest.raises(ValueError, match="test holds NaN or inf"):
+            metric(ref, spoiled)
+    with pytest.raises(ValueError, match="x holds NaN or inf"):
+        rel_error(spoiled, ref)
+    with pytest.raises(ValueError, match="reference holds NaN or inf"):
+        rel_error(ref, spoiled)
+    with pytest.raises(ValueError, match="reference holds NaN or inf"):
+        check_reference(spoiled)
+    check_reference(ref)
 
 
 # ----------------------------------------------------------------------- psnr
@@ -90,6 +111,29 @@ def test_ssim_matches_loop_oracle():
     got_half = ssim(2 * x, 2 * y)
     want_half = ssim_loop_oracle(x, y, peak=0.5)
     assert abs(got_half - want_half) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "shape, rows",
+    [((37, 91), 4),  # 30 score rows: seven blocks of 4, then a ragged block of 2
+     ((8, 50), 1),  # one score row
+     ((300, 17), 7),  # tall and narrow
+     ((40, 33, 3), 5)],  # a stack, scored per frontal slice
+    ids=["ragged", "eight-rows", "tall", "stack"],
+)
+def test_blocked_ssim_equals_whole_image_ssim_byte_for_byte(monkeypatch, shape, rows):
+    x, y = rand(shape, 16), rand(shape, 17)
+    whole = ssim(x, y)  # at the default BLOCK every image here is one block
+    assert (shape[0] - SSIM_WINDOW + 1) * (shape[1] - SSIM_WINDOW + 1) <= core.BLOCK
+    monkeypatch.setattr(core, "BLOCK", rows * (shape[1] - SSIM_WINDOW + 1))
+    assert ssim(x, y) == whole
+
+
+def test_ssim_holds_one_block_of_statistics_at_a_time(traced_peak):
+    # About 2.3 image sizes: the score array and one block's statistics; scored whole, 7.8
+    x, y = rand((512, 512), 18), rand((512, 512), 19)
+    _, peak = traced_peak(ssim, x, y)
+    assert peak <= 3 * x.nbytes
 
 
 def test_ssim_averages_frontal_slices():

@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -467,30 +466,16 @@ def test_a_regrouped_side_at_full_rank_is_switched_off(n3, extra):
     assert rel_error(x, truth) < 1e-2
 
 
-def traced_peak(run, *args):
-    """The tracemalloc peak of run(*args) in bytes, above what was live before the call."""
-    started = not tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        live = tracemalloc.get_traced_memory()[0]
-        run(*args)
-        return tracemalloc.get_traced_memory()[1] - live
-    finally:
-        if started:
-            tracemalloc.stop()
-
-
 @pytest.mark.parametrize("seed", range(3))
-def test_solves_hold_each_full_size_array_only_until_its_last_reader(seed):
+def test_solves_hold_each_full_size_array_only_until_its_last_reader(seed, traced_peak):
     # The peaks read about 10.1 iterate sizes for the tensor solver and 4.9 for the matrix
     # solver; they read 12.7 and 5.3 when prev held the last products and the closing fill
     # was a new array, and 15.5 and 7.1 when besides each spectrum lived to the next fit, the
     # last products past the closing fill and the regrouped observed pair to the end.
     _, prob = criterion_5_problem(seed)
     size = prob.observed.nbytes
-    tensor = traced_peak(solve, prob, DoubleTubalConfig(init_ranks=3, p=160, q=10, seed=seed))
-    matrix = traced_peak(msolve, prob, SolverConfig(init_ranks=3, seed=seed))
+    _, tensor = traced_peak(solve, prob, DoubleTubalConfig(init_ranks=3, p=160, q=10, seed=seed))
+    _, matrix = traced_peak(msolve, prob, SolverConfig(init_ranks=3, seed=seed))
     assert tensor <= 11.4 * size and matrix <= 5.8 * size
 
 

@@ -12,10 +12,11 @@ solver's float output alone: x, or for image-cli the recovered matrix that
 tubal.harness.solve_matrix returns inside the CLI call, before it is quantized
 to the output image.  So a line whose digest moved with its x digest equal moved
 only in its logged trace, such as the rounding of the objective.  The peak is the
-solve's tracemalloc peak over the bytes of its iterate (x, or the CLI's image as
-floats), so a line shows how many iterate-sized arrays the solve held at once;
-image-cli's matrix is hashed where it is returned, so no copy of it outlives the
-call.  Two trees compare by running this once with each
+call's tracemalloc peak over the bytes of its iterate (x, or the CLI's image as
+floats), so a line shows how many iterate-sized arrays the call held at once: for
+a solver line the solve's, for image-cli the whole CLI call's, reading, solving,
+writing and scoring included; image-cli's matrix is hashed where it is returned,
+so no copy of it outlives the call.  Two trees compare by running this once with each
 tree's src on PYTHONPATH:
 
     PYTHONPATH=base/src python tools/digests.py > base.txt
@@ -27,10 +28,10 @@ and one tree at two thread counts by running it with --threads 1 and --threads 2
 With --against, the second run prints how many digests and how many x digests
 equal the base file's, then one "- moved:" line per instance whose digest moved:
 workload, seed, its rel_error in the base file and here, the relative change
-between the two, and "x equal" or "x moved"; then how many peaks rose by more
-than PEAK_JITTER, and one "- peak rose:" line per instance whose peak did:
-workload, seed, its peak in the base file and here.  Each rel_error is printed
-to 17 significant digits, so a move by rounding shows.
+between the two, and "x equal" or "x moved"; then how many peaks rose and how
+many fell by more than PEAK_JITTER, and one "- peak rose:" or "- peak fell:" line
+per instance whose peak did: workload, seed, its peak in the base file and here.
+Each rel_error is printed to 17 significant digits, so a move by rounding shows.
 """
 
 import argparse
@@ -143,11 +144,14 @@ else:
     x_equal = sum(base[w, s][1] == xd for w, s, _, xd, *_ in head)
     moved = [(w, s, base[w, s][2], err, "x equal" if base[w, s][1] == xd else "x moved")
              for w, s, digest, xd, err, _ in head if base[w, s][0] != digest]
-    rose = [(w, s, base[w, s][3], peak) for w, s, *_, peak in head
-            if float(peak) > float(base[w, s][3]) + PEAK_JITTER]
+    peaks = [(w, s, base[w, s][3], peak) for w, s, *_, peak in head]
+    rose = [line for line in peaks if float(line[3]) > float(line[2]) + PEAK_JITTER]
+    fell = [line for line in peaks if float(line[3]) < float(line[2]) - PEAK_JITTER]
     print(f"{len(head) - len(moved)} of {len(head)} equal, {x_equal} of {len(head)} with equal x")
     for w, s, base_err, err, x in moved:
         print(f"- moved: {w} {s} {base_err} -> {err}{relative(base_err, err)}, {x}")
-    print(f"{len(rose)} of {len(head)} with a higher peak (in iterate sizes)")
-    for w, s, base_peak, peak in rose:
-        print(f"- peak rose: {w} {s} {base_peak} -> {peak}")
+    print(f"{len(rose)} of {len(head)} with a higher peak, {len(fell)} with a lower "
+          "(in iterate sizes)")
+    for way, lines in (("rose", rose), ("fell", fell)):
+        for w, s, base_peak, peak in lines:
+            print(f"- peak {way}: {w} {s} {base_peak} -> {peak}")
